@@ -311,13 +311,7 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = resolve_config(_MONTECARLO_DEFAULTS, args)
-    signal = _image_map(cfg)
-    # The background run images a flat (no-pattern) plane at the same
-    # polarizer settings, mirroring the subtraction procedure at the camera.
-    flat = uniform_pattern(
-        n=cfg["pattern_n"], extent=cfg["pattern_extent_x"], phi=0.0
-    )
-    background = _image_map(cfg, pattern=flat)
+    # built first, so a bad detector setting fails before either map is made
     det = DetectorConfig(
         trigger_rate=cfg["trigger_rate"],
         gate_width=cfg["gate_width"],
@@ -327,6 +321,13 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         dark_rate=cfg["dark_rate"],
         seed=cfg["seed"],
     )
+    signal = _image_map(cfg)
+    # The background run images a flat (no-pattern) plane at the same
+    # polarizer settings, mirroring the subtraction procedure at the camera.
+    flat = uniform_pattern(
+        n=cfg["pattern_n"], extent=cfg["pattern_extent_x"], phi=0.0
+    )
+    background = _image_map(cfg, pattern=flat)
     frame = build_ghost_image(signal, background, det, workers=cfg["workers"])
     txt, pgm, echo = _outputs(args, "montecarlo")
     save_map(frame, txt, fmt="matrix-text")
@@ -357,6 +358,8 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
     params = _source(cfg)
     if cfg["axis"] not in ("x", "y"):
         raise ConfigError(f"axis must be 'x' or 'y', got '{cfg['axis']}'")
+    if cfg["samples"] < 1:
+        raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
     coords = np.linspace(-cfg["extent"] / 2, cfg["extent"] / 2, cfg["samples"])
     if cfg["axis"] == "x":
         x1, y1 = coords, cfg["fixed"]

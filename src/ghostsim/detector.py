@@ -36,7 +36,7 @@ class DetectorConfig:
     pair_detection_prob: probability per gate that the partner photon is
       detected anywhere on the camera.
     dark_rate: spurious counts per pixel per second.
-    seed: integer seed for the reproducible stream.
+    seed: non-negative integer seed for the reproducible stream.
     """
 
     trigger_rate: float = 2e4
@@ -56,6 +56,8 @@ class DetectorConfig:
             raise ParameterError("pair_detection_prob must lie in [0, 1]")
         if not isinstance(self.seed, (int, np.integer)):
             raise ParameterError("seed must be an integer")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

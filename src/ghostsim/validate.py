@@ -28,7 +28,7 @@ from .experiments import (
     uniform_pattern,
 )
 from .grids import GridSpec
-from .optics import LensSystem, ghost_magnification, imaging_amplitude
+from .optics import LensSystem, ghost_magnification, imaging_amplitude, lens_plane_nodes
 from .polarization import STANDARD_CHSH_ANGLES, VisibilityModel, chsh_S, make_bell
 
 _INTERFEROMETER = SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1.0)
@@ -132,6 +132,19 @@ def check_image_identities() -> tuple[bool, str]:
     return ok, f"null-pattern level {null_level:.2g}, phase-swap residual {swap:.2g}"
 
 
+def check_lens_closed_form() -> tuple[bool, str]:
+    x1 = np.array([0.0, 1e-3, 2e-3])
+    x2 = -ghost_magnification(_IMAGER, _LENS) * x1 + 0.1e-3
+    nodes, bound = lens_plane_nodes(_IMAGER, _LENS, QuadSettings(), x1, x1)
+    closed = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApertureSamplingWarning)
+        quad = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2, quad=QuadSettings(nodes=4096))
+    gap = float(np.max(np.abs(closed - quad)))
+    ok = nodes == 0 and gap <= bound
+    return ok, f"closed form vs 4096-node quadrature {gap:.2g}, clip bound {bound:.2g}"
+
+
 def check_counting_statistics() -> tuple[bool, str]:
     cfg = DetectorConfig(exposure=1800.0, seed=7)
     gates = expected_gate_count(cfg)
@@ -151,6 +164,7 @@ _CHECKS = (
     ("chsh-values", check_chsh),
     ("image-magnification", check_magnification),
     ("image-identities", check_image_identities),
+    ("lens-closed-form", check_lens_closed_form),
     ("counting-statistics", check_counting_statistics),
 )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from ghostsim import (
     envelope_coefficients,
     envelope_magnitude,
     quadrature_oracle_amplitude,
+)
+from ghostsim.biphoton import (
+    DOUBLING_PROBE_POINTS,
+    _leggauss,
+    doubling_check,
+    doubling_probe,
 )
 
 # Frozen reference values for the fringe geometry (lambda=810 nm, sigma=3 mm,
@@ -196,3 +204,89 @@ def test_oracle_widening_window_is_stable(fringe_params):
         QuadSettings(nodes=2048, half_width_sigmas=5.0),
     )
     assert abs(a - b) / abs(b) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre nodes and the doubling check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 512])
+def test_leggauss_matches_numpy(n):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = _leggauss(n)
+    xr, wr = leggauss(n)
+    assert np.max(np.abs(x - xr)) <= 4e-16
+    # numpy's outermost weights are themselves off by up to 1.1e-10 relative
+    # at n = 512 (see the mpmath test below), so the comparison is scaled by
+    # the largest weight
+    assert np.max(np.abs(w - wr)) <= 1e-12 * np.max(wr)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_leggauss_weights_match_extended_precision(n):
+    mpmath = pytest.importorskip("mpmath")
+    x, w = _leggauss(n)
+    # every 8th node of the upper half, and the outermost one, where numpy's
+    # weights are least accurate
+    with mpmath.workdps(40):
+        for i in list(range(n // 2, n, max(1, n // 64))) + [n - 1]:
+            xi = mpmath.mpf(float(x[i]))
+            for _ in range(3):
+                p, q = mpmath.legendre(n, xi), mpmath.legendre(n - 1, xi)
+                xi -= p * (xi * xi - 1) / (n * (xi * p - q))
+            p, q = mpmath.legendre(n, xi), mpmath.legendre(n - 1, xi)
+            exact_w = 2 / ((1 - xi * xi) * (n * (xi * p - q) / (xi * xi - 1)) ** 2)
+            assert abs(x[i] - float(xi)) <= 2.3e-16
+            assert abs(w[i] - float(exact_w)) <= 1e-12 * float(exact_w)
+
+
+@pytest.mark.parametrize("n", [4363, 8192])
+def test_leggauss_moments_at_large_n(n):
+    x, w = _leggauss(n)
+    exact = {
+        "1": (np.sum(w), 2.0),
+        "x^2": (np.sum(w * x * x), 2.0 / 3.0),
+        "cos 50x": (np.sum(w * np.cos(50 * x)), 2.0 * math.sin(50.0) / 50.0),
+        "exp(-400x^2)": (
+            np.sum(w * np.exp(-400 * x * x)), math.sqrt(math.pi) / 20.0 * math.erf(20.0)
+        ),
+    }
+    for name, (got, want) in exact.items():
+        assert abs(got - want) <= 1e-15, name
+
+
+def test_leggauss_is_cached_read_only():
+    x, w = _leggauss(16)
+    assert _leggauss(16)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (1, 5), (1000,), (5, 5, 5, 5)])
+def test_doubling_probe_spans_the_output(shape):
+    probe = doubling_probe(shape)
+    assert len(probe) == len(shape)
+    points = np.zeros(shape, dtype=bool)
+    points[probe] = True
+    assert points.sum() <= max(DOUBLING_PROBE_POINTS, 2 ** len(shape))
+    for axis, n in enumerate(shape):
+        picked = np.unique(probe[axis].ravel())
+        assert picked[0] == 0 and picked[-1] == n - 1
+        gaps = np.diff(picked)
+        if gaps.size:
+            assert gaps.max() - gaps.min() <= 1      # evenly strided
+    if len(shape) == 2:
+        # first and last rows and columns all carry probes
+        assert points[0].any() and points[-1].any()
+        assert points[:, 0].any() and points[:, -1].any()
+    assert doubling_probe(()) == ()
+
+
+def test_doubling_check_raises_above_tolerance():
+    coarse = np.array([1.0, 2.0, 4.0])
+    doubling_check(coarse, coarse + [0, 0, 4e-8], 64, 1e-8, "the map")   # change 1e-8
+    with pytest.raises(ConvergenceError, match="64 -> 128 nodes changed the map by 1.000e-07"):
+        doubling_check(coarse, coarse + [0, 0, 4e-7], 64, 1e-8, "the map")

@@ -179,3 +179,9 @@ def test_per_pixel_counts_are_poisson_distributed():
     fano = frames.var(axis=0) / mean
     assert mean.min() > 25
     assert np.all(np.abs(fano - 1.0) < 0.2)
+
+
+def test_negative_seed_rejected():
+    # numpy's SeedSequence would reject it only once the first frame is drawn
+    with pytest.raises(ParameterError, match="seed"):
+        DetectorConfig(seed=-1)

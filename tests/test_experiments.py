@@ -6,6 +6,7 @@ import pytest
 from ghostsim import (
     ApertureSamplingWarning,
     CoincidenceMap,
+    ConvergenceError,
     DoubleSlit,
     GridMismatchError,
     GridSpec,
@@ -231,6 +232,65 @@ def test_image_map_metadata(imaging_params, imaging_lens):
     assert cmap.meta["aperture_nodes"] == 512
     assert cmap.meta["raw_peak"] > 0
     assert cmap.values.max() == pytest.approx(1.0, abs=1e-12)
+
+
+def _auto_image(params, lens, pattern, d1_deg, grid, quad=QuadSettings()):
+    return ghost_image_map(
+        params, lens, pattern, np.deg2rad(d1_deg), np.deg2rad(-45.0), grid, quad=quad
+    )
+
+
+def test_image_map_records_lens_path(imaging_params, imaging_lens):
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=24, ny=24, extent_x=m * 1e-3, extent_y=m * 1e-3)
+    pattern = half_plane_pattern(n=32)
+    quad = _image(imaging_params, imaging_lens, pattern, -45.0, grid)
+    closed = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid)
+    assert quad.meta["lens_path"] == "quadrature"
+    assert closed.meta["lens_path"] == "closed-form"
+    assert closed.meta["aperture_nodes"] == 0
+    assert quad.meta["clip_bound"] == closed.meta["clip_bound"]
+    assert 0 < closed.meta["clip_bound"] < 1e-5
+
+
+def test_closed_form_map_matches_quadrature_map(imaging_params, imaging_lens):
+    # default geometry: the 4 mm half-plane pattern, camera in the image plane
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=64, ny=64, extent_x=m * 4e-3, extent_y=m * 4e-3)
+    pattern = half_plane_pattern(n=64, extent=4e-3)
+    closed = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid)
+    quad = _image(imaging_params, imaging_lens, pattern, -45.0, grid, nodes=4096)
+    gap = float(np.max(np.abs(closed.values - quad.values)))
+    assert gap <= closed.meta["clip_bound"]
+
+
+def test_polarization_identities_hold_on_closed_form_path(imaging_params, imaging_lens):
+    # acceptance criteria 4a and 4b, with automatic nodes (closed form)
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=64, ny=64, extent_x=m * 2e-3, extent_y=m * 2e-3)
+    flat = uniform_pattern(n=64, extent=4e-3, phi=0.0)
+    dark = _auto_image(imaging_params, imaging_lens, flat, -45.0, grid)
+    ref = _auto_image(imaging_params, imaging_lens, flat, +45.0, grid)
+    assert ref.meta["lens_path"] == "closed-form"
+    assert np.max(dark.raw_values()) / np.max(ref.raw_values()) < 1e-10
+
+    half = half_plane_pattern(n=64, extent=4e-3)
+    shifted = pattern_from_extent(half.grid + np.pi, (4e-3, 4e-3))
+    plus = _auto_image(imaging_params, imaging_lens, half, +45.0, grid)
+    minus_shifted = _auto_image(imaging_params, imaging_lens, shifted, -45.0, grid)
+    assert np.max(np.abs(plus.values - minus_shifted.values)) < 1e-12
+
+
+def test_image_doubling_check_catches_coarse_nodes(imaging_params, imaging_lens):
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=40, ny=24, extent_x=m * 1e-3, extent_y=m * 0.6e-3)
+    pattern = half_plane_pattern(n=32, extent=1e-3)
+    with pytest.raises(ConvergenceError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApertureSamplingWarning)
+        ghost_image_map(
+            imaging_params, imaging_lens, pattern, np.deg2rad(-45.0), np.deg2rad(-45.0),
+            grid, quad=QuadSettings(nodes=64, check=True, tol=1e-10),
+        )
 
 
 def test_camera_grid_must_resolve_magnified_pattern(imaging_params, imaging_lens):

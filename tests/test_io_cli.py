@@ -359,11 +359,42 @@ def test_cli_amplitude_matches_library(tmp_path):
     np.testing.assert_allclose(table[:, 3], np.abs(want), rtol=1e-12)
 
 
+def _fails_fast(argv, out, capsys):
+    """Run the CLI in-process: exit 2, an error line, and no file written."""
+    code, stdout = run_cli(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+    return err
+
+
+def test_cli_montecarlo_negative_seed_fails_before_any_map(tmp_path, capsys, monkeypatch):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed before the seed was checked")
+
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    err = _fails_fast(["montecarlo", "--seed", "-1"], tmp_path / "mc", capsys)
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_amplitude_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    err = _fails_fast(["amplitude", "--samples", samples], tmp_path / "amp", capsys)
+    assert "samples" in err
+
+
 def test_cli_validate_passes():
+    from ghostsim.validate import _CHECKS
+
     code, out = run_cli(["validate"])
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 7
+    assert len(lines) == len(_CHECKS) == 8
+    assert any(ln.startswith("PASS lens-closed-form") for ln in lines)
     assert all(ln.startswith("PASS") for ln in lines)
 
 

@@ -20,7 +20,13 @@ from ghostsim import (
     lens_phase,
     rule_nodes,
 )
-from ghostsim.optics import pattern_image_field
+from ghostsim.optics import (
+    APERTURE_CLIP_TOL,
+    clip_bound,
+    lens_axis_kernel,
+    lens_plane_nodes,
+    pattern_image_field,
+)
 
 # Frozen values for f=1.5 m, u=2.83 m, rho=25 mm at 810 nm:
 #   v from the thin-lens equation, N_F = k rho^2 / (2 pi min(u, v))
@@ -207,3 +213,92 @@ def test_pattern_field_worker_count_does_not_change_bytes(imaging_params, imagin
         for w in (1, 2, 4)
     ]
     assert fields[0].tobytes() == fields[1].tobytes() == fields[2].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# closed-form lens-plane path
+# ---------------------------------------------------------------------------
+
+
+def _wide_source():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        return SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
+
+
+DEFAULT_PATTERN_CENTERS = -2e-3 + (np.arange(128) + 0.5) * (4e-3 / 128)
+
+
+def test_lens_axis_kernel_is_one_on_axis(imaging_params, imaging_lens):
+    assert complex(lens_axis_kernel(imaging_params, imaging_lens, 0.0, 0.0)) == 1.0
+
+
+def test_clip_bound_values(imaging_params, imaging_lens):
+    bound = clip_bound(
+        imaging_params, imaging_lens, DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS
+    )
+    assert bound == pytest.approx(8.6e-6, rel=0.02)
+    assert clip_bound(_wide_source(), imaging_lens, 0.0, 0.0) > 0.5
+    # an object centre imaged onto the lens plane beyond the rim bounds nothing
+    assert clip_bound(imaging_params, imaging_lens, 30e-3, 0.0) > 1.0
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-3, 2e-3, 4e-3])
+def test_clip_bound_covers_closed_form_vs_quadrature(imaging_params, imaging_lens, a):
+    m = ghost_magnification(imaging_params, imaging_lens)
+    x2 = -m * a + np.linspace(-0.3e-3, 0.3e-3, 7)
+    closed = imaging_amplitude(imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None])
+    quad = _quiet_amp(imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None], 4096)
+    gap = float(np.max(np.abs(closed - quad)))
+    assert gap <= clip_bound(imaging_params, imaging_lens, a, a)
+    assert gap < 1e-5
+    assert np.max(np.abs(closed)) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_closed_form_point_path_selected_at_default_geometry(imaging_params, imaging_lens):
+    nodes, bound = lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(),
+        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
+    )
+    assert nodes == 0 and bound <= APERTURE_CLIP_TOL
+    # quad.check with a tolerance the bound meets keeps the closed form
+    nodes, _ = lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(check=True, tol=1e-4), 0.0, 0.0
+    )
+    assert nodes == 0
+
+
+def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
+    rule = rule_nodes(imaging_lens, imaging_params.k)
+    # the aperture clips the lens-plane envelope of a sigma = 40 mm source
+    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == rule
+    # an explicit node count always means quadrature
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApertureSamplingWarning)
+        assert lens_plane_nodes(
+            imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
+        )[0] == 512
+    # a checked tolerance below the bound
+    assert lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(check=True, tol=1e-10),
+        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
+    )[0] == rule
+
+
+def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
+    rng = np.random.default_rng(10)
+    x1c = np.array([-0.4e-3, 0.1e-3, 0.5e-3])
+    y1c = np.array([-0.3e-3, 0.2e-3])
+    weights = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    x2 = np.linspace(-0.7e-3, 0.7e-3, 5)
+    y2 = np.linspace(-0.5e-3, 0.5e-3, 4)
+    field = pattern_image_field(
+        imaging_params, imaging_lens, weights, x1c, y1c, x2, y2, nodes=0
+    )
+    direct = np.zeros((4, 5), dtype=complex)
+    for j, yy in enumerate(y1c):
+        for i, xx in enumerate(x1c):
+            direct += weights[j, i] * imaging_amplitude(
+                imaging_params, imaging_lens, xx, yy, x2[None, :], y2[:, None]
+            )
+    np.testing.assert_allclose(field, direct, rtol=1e-12, atol=1e-14)
