@@ -2,6 +2,7 @@
 ghost imaging with position-polarization hyper-entangled photon pairs."""
 
 from .biphoton import (
+    MAX_NODES,
     QuadSettings,
     SourceParams,
     anticorrelation_locus,

@@ -89,12 +89,21 @@ class SourceParams:
         return 2.0 * np.pi / self.wavelength
 
 
+# largest explicit node count per axis: twice the aperture rule's ceiling
+# optics.AUTO_NODES_MAX, so every rule count can still be given explicitly
+# and doubled. Memory grows with the node count (a point block is about a
+# million (points x nodes) elements, a map block 512 x nodes), so counts
+# beyond it are refused before any work.
+MAX_NODES = 16384
+
+
 @dataclass(frozen=True)
 class QuadSettings:
     """Gauss-Legendre quadrature controls.
 
-    nodes: nodes per axis; None lets each consumer pick its default (2048 for
-      the source oracle, the aperture sampling rule for imaging).
+    nodes: nodes per axis, 64 to MAX_NODES; None lets each consumer pick its
+      default (2048 for the source oracle, the aperture sampling rule for
+      imaging).
     half_width_sigmas: source-integral truncation half-width in units of sigma.
     check: when True, re-evaluate with doubled nodes and fail on disagreement.
     tol: relative tolerance for the doubling check.
@@ -108,6 +117,10 @@ class QuadSettings:
     def __post_init__(self):
         if self.nodes is not None and self.nodes < 64:
             raise ParameterError("quadrature needs at least 64 nodes per axis")
+        if self.nodes is not None and self.nodes > MAX_NODES:
+            raise ParameterError(
+                f"{self.nodes} quadrature nodes per axis exceeds the limit {MAX_NODES}"
+            )
         if self.half_width_sigmas < 4.0:
             raise ParameterError("integration half-width must be >= 4 sigma")
         if self.tol <= 0:

@@ -365,8 +365,8 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         x1, y1 = coords, cfg["fixed"]
     else:
         x1, y1 = cfg["fixed"], coords
+    quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
     if cfg["oracle"]:
-        quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
         phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"], quad)
     else:
         phi = closed_form_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])

@@ -1,5 +1,27 @@
 """Shared exception and warning types."""
 
+import os
+import sys
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def outside_stacklevel() -> int:
+    """warnings.warn stacklevel of the first caller outside this package.
+
+    Called by the function that warns, it counts that function as level 1
+    and walks up past every frame whose code lives in the package, so a
+    warning points at the user's line however deep inside ghostsim it is
+    raised.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and os.path.abspath(
+        frame.f_code.co_filename
+    ).startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level
+
 
 class GhostsimError(Exception):
     """Base class for all package errors."""

@@ -17,10 +17,13 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   two small matrix products, Ky^T W Kx. It leaves out the aperture, which
   ``clip_bound`` shows to change the normalized amplitude by at most
   b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2).
-- quadrature. Gauss-Legendre nodes on the aperture square, the circular
-  aperture as a 0/1 mask applied blockwise, and the x/y separability of Phi
-  turning the double integral into matrix contractions over the node axes.
-  The on-axis reference is clipped the same way.
+- quadrature. Gauss-Legendre nodes on the aperture square, with the x/y
+  separability of Phi turning the double integral into contractions over
+  the node axes, over the lattice nodes inside the circular aperture. At
+  points (imaging_amplitude, and the on-axis reference both paths divide
+  by) the disc is a set of chords, one per xi node, and each inner sum is a
+  difference of two prefix sums: O(nodes) per point. An image map applies
+  the disc as a 0/1 mask, blockwise, to its non-separable object sums.
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
@@ -47,16 +50,25 @@ from .biphoton import (
     doubling_probe,
     envelope_coefficients,
 )
-from .errors import ApertureSamplingWarning, NumericError, ParameterError
+from .errors import (
+    ApertureSamplingWarning,
+    NumericError,
+    ParameterError,
+    outside_stacklevel,
+)
 
 # first zero of the Bessel function J1, fixing the Airy radius 3.83 * v / (k rho)
 AIRY_FIRST_ZERO = 3.8317059702075125
 
 IMAGING_CONDITION_TOL = 1e-9
 
-# node-axis block size of the quadrature contraction; blocks are summed in a
-# fixed order, so the bytes of a result never depend on the worker count
+# node-axis block size of the quadrature map contraction; blocks are summed
+# in a fixed order, so the bytes of a result never depend on the worker count
 _NODE_BLOCK = 512
+
+# (points x nodes) elements per block of the quadrature point contraction:
+# 16 MB per complex array
+_POINT_BLOCK_ELEMENTS = 1 << 20
 
 # clip_bound at or below which the closed form replaces the aperture
 # quadrature when quad.check is off. In the default geometry (sigma = 3 mm,
@@ -160,7 +172,11 @@ def rule_nodes(lens: LensSystem, k: float) -> int:
 
 
 def aperture_nodes(lens: LensSystem, k: float, quad: QuadSettings) -> int:
-    """Resolve the per-axis node count, warning on under-sampling overrides."""
+    """Resolve the per-axis node count, warning on under-sampling overrides.
+
+    The ApertureSamplingWarning points at the first caller outside ghostsim,
+    whether that calls this function, imaging_amplitude or ghost_image_map.
+    """
     wanted = rule_nodes(lens, k)
     if quad.nodes is None:
         return wanted
@@ -169,7 +185,7 @@ def aperture_nodes(lens: LensSystem, k: float, quad: QuadSettings) -> int:
             f"{quad.nodes} aperture nodes per axis is below the sampling-rule "
             f"count {wanted}; oscillations may be unresolved",
             ApertureSamplingWarning,
-            stacklevel=3,
+            stacklevel=outside_stacklevel(),
         )
     return quad.nodes
 
@@ -179,11 +195,21 @@ def aperture_nodes(lens: LensSystem, k: float, quad: QuadSettings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lens_plane_A(params: SourceParams, lens: LensSystem) -> complex:
-    """Quadratic coefficient A of the per-axis lens-plane integrand."""
+def _lens_plane_coefficients(params: SourceParams, lens: LensSystem, a1, a2):
+    """(A, B, C) of the per-axis lens-plane exponent -A xi^2 + B xi + C.
+
+    A is a complex scalar; B and C broadcast a1 (object) against a2 (image).
+    The formulas are in lens_axis_kernel.
+    """
     c_env, c_chirp = envelope_coefficients(params)
     c = complex(c_env, c_chirp)
-    return c / params.s2**2 - 0.5j * params.k * (1 / params.s2 + 1 / lens.v - 1 / lens.f)
+    k, s1, s2 = params.k, params.s1, params.s2
+    a1 = np.asarray(a1, float)
+    a2 = np.asarray(a2, float)
+    A = c / s2**2 - 0.5j * k * (1 / s2 + 1 / lens.v - 1 / lens.f)
+    B = (-2 * c / (s1 * s2)) * a1 - (1j * k / lens.v) * a2
+    C = (-c / s1**2 + 0.5j * k / s1) * (a1 * a1)
+    return A, B, C
 
 
 def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarray:
@@ -203,14 +229,7 @@ def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarr
     K = exp(B^2 / 4A + C). Without an aperture, imaging_amplitude equals
     K(x1, x2) * K(y1, y2) * fresnel_kernel(v, k, x2, y2). Broadcasts a1, a2.
     """
-    c_env, c_chirp = envelope_coefficients(params)
-    c = complex(c_env, c_chirp)
-    k, s1, s2 = params.k, params.s1, params.s2
-    a1 = np.asarray(a1, float)
-    a2 = np.asarray(a2, float)
-    A = _lens_plane_A(params, lens)
-    B = (-2 * c / (s1 * s2)) * a1 - (1j * k / lens.v) * a2
-    C = (-c / s1**2 + 0.5j * k / s1) * (a1 * a1)
+    A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
     return np.exp(B * B / (4 * A) + C)
 
 
@@ -240,7 +259,7 @@ def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
     4 mm pattern, and 1.8 on axis for a sigma = 40 mm source, whose
     lens-plane envelope the aperture clips.
     """
-    A = _lens_plane_A(params, lens)
+    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     rho = lens.aperture_radius
 
     def b(r: float) -> float:
@@ -283,37 +302,73 @@ def _lens_nodes(lens: LensSystem, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return rho * t, rho * w
 
 
-def _point_blocks(params, lens, x1, y1, x2, y2, nodes):
-    """Yield per-node-block partial sums of the aperture integral for points.
+def _walk(pos: np.ndarray, step: int, go) -> np.ndarray:
+    """Move each entry of pos by step for as long as go(pos) holds there."""
+    while True:
+        move = go(pos)
+        if not move.any():
+            return pos
+        pos = pos + step * move
 
-    All inputs are flat arrays of equal length P; each yielded value is the
-    (P,) partial contribution of one xi-block, in fixed block order.
+
+def _chord_bounds(xi: np.ndarray, rho2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Aperture chords on a node axis: (lo, hi) with row a of the disc in [lo[a], hi[a]).
+
+    xi is ascending and mirror-symmetric about 0 (as Gauss-Legendre nodes
+    are). Row a of the disc mask xi[a]**2 + xi[b]**2 <= rho2 is then one
+    contiguous range of b, centred on the middle node, because xi[b]**2
+    falls and then rises along b and rounding is monotone. searchsorted on
+    the chord half-width places lo; lo is then walked node by node with that
+    same predicate, so membership equals the mask's bit for bit, and hi is
+    its mirror image. An empty chord comes out as lo == hi.
     """
-    k = params.k
-    xi, wxi = _lens_nodes(lens, nodes)
-    rho2 = lens.aperture_radius**2
-    # per-node factor common to both axes: lens phase and Fresnel quadratic
-    quad_phase = np.exp(1j * (0.5 * k / lens.v - 0.5 * k / lens.f) * xi * xi) * wxi
-    # (P, nodes) factors: source axis factor times linear Fresnel term
-    vx = axis_amplitude(params, x1[:, None], xi[None, :]) * np.exp(
-        -1j * k * np.outer(x2, xi) / lens.v
-    ) * quad_phase[None, :]
-    vy = axis_amplitude(params, y1[:, None], xi[None, :]) * np.exp(
-        -1j * k * np.outer(y2, xi) / lens.v
-    ) * quad_phase[None, :]
-    for a0 in range(0, nodes, _NODE_BLOCK):
-        a1 = min(a0 + _NODE_BLOCK, nodes)
-        mask = (xi[a0:a1, None] ** 2 + xi[None, :] ** 2) <= rho2
-        inner = vy @ mask.T.astype(float)          # (P, blk): sum over eta nodes
-        yield np.sum(vx[:, a0:a1] * inner, axis=1)
+    n = xi.size
+    sq = xi * xi
+    mid = (n + 1) // 2
+    lo = np.searchsorted(xi, -np.sqrt(np.maximum(rho2 - sq, 0.0)))
+    lo = _walk(lo, -1, lambda b: (b > 0) & (sq + sq[b - 1] <= rho2))
+    lo = _walk(lo, +1, lambda b: (b < mid) & (sq + sq[np.minimum(b, n - 1)] > rho2))
+    return lo, np.maximum(n - lo, lo)
+
+
+def _axis_factors(params, lens, a1, a2, xi, log_w) -> np.ndarray:
+    """(P, nodes) lens-plane factors along one axis, weights included.
+
+    exp(-A xi^2 + B xi + C + log w): the source axis factor, the linear
+    Fresnel term, the lens and Fresnel quadratic phases and the quadrature
+    weight, as one exponent (coefficients of lens_axis_kernel).
+    """
+    A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
+    e = np.multiply.outer(B, xi)
+    e += C[:, None]
+    e += log_w - A * xi * xi
+    return np.exp(e, out=e)
 
 
 def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Unnormalized Phi_I at flat point arrays, without the output phase."""
-    total = None
-    for part in _point_blocks(params, lens, x1, y1, x2, y2, nodes):
-        total = part if total is None else total + part
-    return total
+    """Unnormalized Phi_I at flat point arrays, without the output phase.
+
+    The aperture disc is summed chord by chord on the square Gauss-Legendre
+    lattice, over exactly the nodes of the disc mask: for each outer xi node
+    a the inner eta sum over [lo[a], hi[a]) is a difference of two prefix
+    sums, so each point costs O(nodes). Points run in blocks that bound the
+    memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
+    """
+    xi, wxi = _lens_nodes(lens, nodes)
+    lo, hi = _chord_bounds(xi, lens.aperture_radius**2)
+    log_w = np.log(wxi)
+    out = np.empty(x1.size, dtype=complex)
+    step = max(1, _POINT_BLOCK_ELEMENTS // nodes)
+    for p0 in range(0, x1.size, step):
+        blk = slice(p0, p0 + step)
+        vy = _axis_factors(params, lens, y1[blk], y2[blk], xi, log_w)
+        prefix = np.zeros((vy.shape[0], nodes + 1), dtype=complex)
+        np.cumsum(vy, axis=1, out=prefix[:, 1:])
+        inner = prefix[:, hi]
+        inner -= prefix[:, lo]
+        vx = _axis_factors(params, lens, x1[blk], x2[blk], xi, log_w)
+        out[blk] = np.einsum("pa,pa->p", vx, inner)
+    return out
 
 
 def _on_axis_raw(params, lens, nodes) -> complex:

@@ -387,6 +387,18 @@ def test_cli_amplitude_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
     assert "samples" in err
 
 
+@pytest.mark.parametrize("command", ["image", "montecarlo", "amplitude"])
+def test_cli_rejects_node_counts_above_the_cap(tmp_path, capsys, monkeypatch, command):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed before the node count was checked")
+
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    err = _fails_fast([command, "--nodes", "100000"], tmp_path / command, capsys)
+    assert "100000" in err and "nodes" in err
+
+
 def test_cli_validate_passes():
     from ghostsim.validate import _CHECKS
 

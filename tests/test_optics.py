@@ -5,23 +5,34 @@ import pytest
 
 from ghostsim import (
     AIRY_FIRST_ZERO,
+    MAX_NODES,
     ApertureSamplingWarning,
     ConvergenceError,
+    GridSpec,
     LensSystem,
     ParameterError,
     QuadSettings,
     SourceParams,
     SourceRegimeWarning,
     aperture_nodes,
+    axis_amplitude,
     fresnel_kernel,
     fresnel_number,
+    ghost_image_map,
     ghost_magnification,
     imaging_amplitude,
     lens_phase,
     rule_nodes,
+    uniform_pattern,
 )
+from ghostsim import optics
+from ghostsim.biphoton import _leggauss
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
+    AUTO_NODES_MAX,
+    _chord_bounds,
+    _imaging_raw,
+    _on_axis_raw,
     clip_bound,
     lens_axis_kernel,
     lens_plane_nodes,
@@ -302,3 +313,138 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
                 imaging_params, imaging_lens, xx, yy, x2[None, :], y2[:, None]
             )
     np.testing.assert_allclose(field, direct, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# chord contraction of the clipped-aperture quadrature
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [64, 65, 512, 1536, 4363, 8192])
+def test_chord_bounds_reproduce_the_disc_mask(imaging_lens, n):
+    rho = imaging_lens.aperture_radius
+    xi = rho * _leggauss(n)[0]
+    idx = np.arange(n)
+    pairs = np.random.default_rng(n).integers(0, n, size=(3, 2))
+    # the 25 mm aperture on its own nodes has full rows; a 22.5 mm disc on
+    # the same nodes has empty rows near the rim; a rim through a node pair
+    # puts nodes exactly on it, where rounding decides membership
+    rims = [rho**2, (0.9 * rho) ** 2] + [xi[i] ** 2 + xi[j] ** 2 for i, j in pairs]
+    widths = []
+    for rho2 in rims:
+        lo, hi = _chord_bounds(xi, rho2)
+        widths.append(hi - lo)
+        for a0 in range(0, n, 512):
+            rows = slice(a0, a0 + 512)
+            mask = xi[rows, None] ** 2 + xi[None, :] ** 2 <= rho2
+            chord = (idx >= lo[rows, None]) & (idx < hi[rows, None])
+            assert np.array_equal(chord, mask)
+    assert np.any(widths[0] == n) and np.any(widths[1] == 0)
+
+
+def _dense_mask_amplitude(params, lens, x1, y1, x2, y2, nodes):
+    """Reference: the disc as a dense 0/1 mask matmul over the same nodes."""
+    k = params.k
+    t, w = _leggauss(nodes)
+    xi, wxi = lens.aperture_radius * t, lens.aperture_radius * w
+    mask = (xi[:, None] ** 2 + xi[None, :] ** 2 <= lens.aperture_radius**2).astype(float)
+    quad_phase = np.exp(1j * (0.5 * k / lens.v - 0.5 * k / lens.f) * xi * xi) * wxi
+
+    def raw(a1, b1, a2, b2):
+        vx = axis_amplitude(params, a1[:, None], xi) * np.exp(
+            -1j * k * np.outer(a2, xi) / lens.v
+        ) * quad_phase
+        vy = axis_amplitude(params, b1[:, None], xi) * np.exp(
+            -1j * k * np.outer(b2, xi) / lens.v
+        ) * quad_phase
+        return np.sum(vx * (vy @ mask), axis=1)
+
+    zero = np.zeros(1)
+    return raw(x1, y1, x2, y2) / raw(zero, zero, zero, zero)[0] * fresnel_kernel(
+        lens.v, k, x2, y2
+    )
+
+
+def _psf_line(params, lens, x1=0.7e-3, y1=-0.4e-3, angle=0.6):
+    airy = AIRY_FIRST_ZERO * lens.v / (params.k * lens.aperture_radius)
+    r = np.linspace(0.2, 1.6, 141) * airy
+    m = ghost_magnification(params, lens)
+    x2 = -m * x1 + r * np.cos(angle)
+    y2 = -m * y1 + r * np.sin(angle)
+    return np.full(141, x1), np.full(141, y1), x2, y2
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_chord_contraction_matches_dense_mask_reference(imaging_lens, n):
+    params = _wide_source()
+    pts = _psf_line(params, imaging_lens)
+    amp = _quiet_amp(params, imaging_lens, *pts, n)
+    ref = _dense_mask_amplitude(params, imaging_lens, *pts, n)
+    assert np.max(np.abs(amp - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_on_axis_reference_is_the_point_paths_own(imaging_lens, n):
+    params = _wide_source()
+    x1, y1, x2, y2 = (np.append(a, 0.0) for a in _psf_line(params, imaging_lens))
+    ref = _on_axis_raw(params, imaging_lens, n)
+    # the point path at the origin, inside a batch, is the reference itself
+    assert ref == _imaging_raw(params, imaging_lens, x1, y1, x2, y2, n)[-1]
+    assert abs(_quiet_amp(params, imaging_lens, x1, y1, x2, y2, n)[-1] - 1.0) < 1e-15
+    # an image map divides by the same reference: a unit pixel at the origin
+    field = pattern_image_field(
+        params, imaging_lens, np.ones((1, 1)), np.zeros(1), np.zeros(1),
+        np.zeros(1), np.zeros(1), nodes=n,
+    )
+    assert abs(field[0, 0] - 1.0) < 1e-13
+
+
+def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):
+    params = _wide_source()
+    pts = _psf_line(params, imaging_lens)
+    whole = _quiet_amp(params, imaging_lens, *pts, 512)
+    monkeypatch.setattr(optics, "_POINT_BLOCK_ELEMENTS", 7 * 512)
+    blocked = _quiet_amp(params, imaging_lens, *pts, 512)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_doubling_check_fails_where_the_aperture_clips(imaging_lens):
+    # the square-lattice disc converges to first order only (~1.5e-4 per
+    # doubling at the rule's 4363 nodes), so the default tol = 1e-8 fails
+    # until a disc-conforming rule replaces it
+    params = _wide_source()
+    with pytest.raises(ConvergenceError):
+        imaging_amplitude(
+            params, imaging_lens, *_psf_line(params, imaging_lens), QuadSettings(check=True)
+        )
+
+
+def test_explicit_node_count_is_capped():
+    assert MAX_NODES == 2 * AUTO_NODES_MAX
+    assert QuadSettings(nodes=MAX_NODES).nodes == MAX_NODES
+    with pytest.raises(ParameterError, match="exceeds"):
+        QuadSettings(nodes=MAX_NODES + 1)
+
+
+def _sampling_warning_of(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    found = [w for w in caught if issubclass(w.category, ApertureSamplingWarning)]
+    assert len(found) == 1
+    return found[0]
+
+
+def test_sampling_warning_points_at_the_callers_line(imaging_params, imaging_lens):
+    quad = QuadSettings(nodes=64)
+    pattern = uniform_pattern(8, 4e-3, 0.0)
+    grid = GridSpec(nx=16, ny=16, extent_x=4e-3, extent_y=4e-3)
+    calls = [
+        lambda: aperture_nodes(imaging_lens, imaging_params.k, quad),
+        lambda: imaging_amplitude(imaging_params, imaging_lens, 0.0, 0.0, 0.0, 0.0, quad),
+        lambda: ghost_image_map(imaging_params, imaging_lens, pattern, 0.3, 0.2, grid, quad),
+    ]
+    for call in calls:
+        caught = _sampling_warning_of(call)
+        assert caught.filename == __file__
+        assert caught.lineno == call.__code__.co_firstlineno
