@@ -6,6 +6,8 @@ pair_detection_prob * map(i, j) / sum(map). The gate total is Poisson in
 (trigger_rate * exposure). Gates are split into a fixed number of blocks with
 seeds spawned from the configured seed, so any worker count reproduces the
 same frame bit for bit; the per-pixel marginals remain exactly Poisson.
+Each block's draw is added into one preallocated frame as the block completes,
+in block order, so memory is O(pixels) whatever GATE_BLOCKS is.
 Dark counts are an additive per-pixel Poisson field drawn in row-major order
 from a dedicated child seed.
 """
@@ -13,8 +15,9 @@ from a dedicated child seed.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -112,30 +115,30 @@ def _simulate(
     else:
         pvals = None
 
-    def one_block(b: int) -> Tuple[int, np.ndarray]:
+    def one_block(b: int) -> Tuple[int, Optional[np.ndarray]]:
         rng = np.random.Generator(np.random.PCG64(children[b]))
         n_gates = int(rng.poisson(lam_block))
         if pvals is None or n_gates == 0:
-            return n_gates, np.zeros(npix, dtype=np.int64)
-        draw = rng.multinomial(n_gates, pvals)
-        return n_gates, draw[:npix].astype(np.int64)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_block, range(GATE_BLOCKS)))
-    else:
-        results = [one_block(b) for b in range(GATE_BLOCKS)]
+            return n_gates, None
+        return n_gates, rng.multinomial(n_gates, pvals)
 
     gates = 0
     counts = np.zeros(npix, dtype=np.int64)
-    for n_gates, block_counts in results:
-        gates += n_gates
-        counts += block_counts
+    with ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        # each draw is added in block order as it arrives and then dropped, so
+        # about one draw per worker is alive whatever GATE_BLOCKS is
+        for n_gates, draw in run(one_block, range(GATE_BLOCKS)):
+            gates += n_gates
+            if draw is not None:
+                np.add(counts, draw[:npix], out=counts)
     counts = counts.reshape(shape)
 
     if cfg.dark_rate > 0:
         dark_rng = np.random.Generator(np.random.PCG64(children[GATE_BLOCKS]))
-        counts = counts + dark_rng.poisson(cfg.dark_rate * cfg.exposure, size=shape)
+        counts += dark_rng.poisson(cfg.dark_rate * cfg.exposure, size=shape)
 
     meta = {
         "gates_opened": int(gates),

@@ -4,6 +4,12 @@ matrix-text: '#'-prefixed "key = value" header lines followed by one row of
 space-separated decimal values per y row; UTF-8, LF line endings. Graymaps
 are ASCII portable graymaps (magic "P2"); negative values are clipped to 0
 and noted in a sidecar file.
+
+The written bytes are a contract: each matrix-text value is printf "%.17g"
+of the float (so it reads back exactly, "nan", "inf" and "-0" included), each
+graymap sample is "%d", values in a row are joined by single spaces, and
+every line, the last included, ends in one LF. Readers parse each token with
+Python's float() and int(), so they accept exactly what those accept.
 """
 
 from __future__ import annotations
@@ -27,14 +33,18 @@ _RADIANS_KEY = "values_are_radians"
 # ---------------------------------------------------------------------------
 
 
+def _format_rows(values: np.ndarray, fmt: str) -> list:
+    """One line per row of a 2D array: fmt per value, joined by single spaces."""
+    row_fmt = " ".join([fmt] * values.shape[1])
+    return [row_fmt % tuple(row) for row in values.tolist()]
+
+
 def save_matrix_text(path: str, values: np.ndarray, meta: Optional[dict] = None) -> None:
     """Write a 2D array as headered rows of decimals, one row per y."""
     values = np.asarray(values)
-    lines = []
-    for key in sorted((meta or {})):
-        lines.append(f"# {key} = {(meta or {})[key]}")
-    for row in values:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    meta = meta or {}
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+    lines += _format_rows(values, "%.17g")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -55,7 +65,7 @@ def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
                     meta[key.strip()] = val.strip()
                 continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                rows.append(list(map(float, line.split())))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: non-numeric token ({exc})") from None
     if not rows:
@@ -83,9 +93,7 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
     top = float(vals.max())
     gray = np.rint(vals / top * maxval).astype(int) if top > 0 else vals.astype(int)
     ny, nx = gray.shape
-    lines = ["P2", f"{nx} {ny}", f"{maxval}"]
-    for row in gray:
-        lines.append(" ".join(str(g) for g in row))
+    lines = ["P2", f"{nx} {ny}", f"{maxval}"] + _format_rows(gray, "%d")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     note = path + ".note"
@@ -97,7 +105,12 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
 
 
 def load_pgm(path: str) -> Tuple[np.ndarray, int]:
-    """Read an ASCII graymap; returns (values, maxval)."""
+    """Read an ASCII graymap; returns (values, maxval).
+
+    The header must give a positive width and height and a maxval in
+    [1, PGM_MAXVAL] (the format's limit), and every sample must lie in
+    [0, maxval]; anything else raises ConfigError.
+    """
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -106,12 +119,21 @@ def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     if not tokens or tokens[0] != "P2":
         raise ConfigError(f"{path}: not an ASCII graymap (magic P2 missing)")
     try:
-        nx, ny, maxval = (int(t) for t in tokens[1:4])
-        data = np.array([int(t) for t in tokens[4:]], dtype=float)
-    except ValueError as exc:
+        nx, ny, maxval = map(int, tokens[1:4])
+        data = np.array(list(map(int, tokens[4:])), dtype=float)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed graymap ({exc})") from None
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"{path}: width and height must be positive, got {nx} {ny}")
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ConfigError(f"{path}: maxval must lie in [1, {PGM_MAXVAL}], got {maxval}")
     if data.size != nx * ny:
         raise ConfigError(f"{path}: expected {nx * ny} samples, found {data.size}")
+    if data.min() < 0 or data.max() > maxval:
+        raise ConfigError(
+            f"{path}: samples must lie in [0, {maxval}], found "
+            f"{data.min():.0f} to {data.max():.0f}"
+        )
     return data.reshape(ny, nx), maxval
 
 

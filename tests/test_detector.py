@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,43 @@ def test_dark_counts_added_everywhere():
     # Poisson(500) per pixel, 256 pixels: mean within 5 sigma of 500/sqrt(256)
     assert mean == pytest.approx(500.0, abs=5 * np.sqrt(500.0 / 256))
     assert frame.meta["dark_rate_per_pixel_s"] == 5.0
+
+
+def _digest(counts):
+    return hashlib.sha256(np.asarray(counts).astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_detector_stream_is_pinned(workers):
+    # digests of frames drawn before block draws were summed in place; any
+    # change to the blocks, their child streams or the draw order moves them
+    frame = simulate_exposure(ramp_map(), DetectorConfig(exposure=5.0, seed=13), workers=workers)
+    assert _digest(frame.counts) == (
+        "096894283c5de664a4d33f6d25bba28cfba52c4fedf6a2a09623d4726e9ff50d"
+    )
+    assert frame.meta["gates_opened"] == 99538
+    image = build_ghost_image(
+        ramp_map(), zero_map(8, 8), DetectorConfig(exposure=5.0, seed=21), workers=workers
+    )
+    assert _digest(image.counts) == (
+        "fb0a96dc308dd1d229edcf6d18d9b4c920c22992baf5b29459b9dc394086fdf3"
+    )
+    assert (image.meta["signal_gates"], image.meta["background_gates"]) == (99915, 100262)
+
+
+def test_exposure_memory_is_a_few_frames():
+    # block draws are summed as they complete, so memory does not grow with
+    # GATE_BLOCKS (keeping all 32 block frames peaked near 34 frames)
+    vals = np.random.default_rng(5).random((256, 256))
+    cmap = CoincidenceMap(values=vals / vals.max(), pitch=(1e-5, 1e-5), origin=(0.0, 0.0))
+    frame_bytes = vals.size * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        simulate_exposure(cmap, DetectorConfig(), workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * frame_bytes
 
 
 def test_gate_blocks_partition_is_fixed():

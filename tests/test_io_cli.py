@@ -13,6 +13,7 @@ import pytest
 from ghostsim import (
     ApertureSamplingWarning,
     ConfigError,
+    CountFrame,
     DoubleSlit,
     GridSpec,
     ParameterError,
@@ -85,6 +86,92 @@ def test_matrix_text_error_diagnostics(tmp_path):
         load_matrix_text(str(empty))
 
 
+# The bytes the writers must keep, as the original per-element formatting
+# produced them: f"{v:.17g}" per value, str() per gray level.
+def _reference_matrix_text(values, meta):
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+    for row in np.asarray(values):
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_pgm(values, maxval=65535):
+    vals = np.clip(np.asarray(values, dtype=float), 0.0, None)
+    top = float(vals.max())
+    gray = np.rint(vals / top * maxval).astype(int) if top > 0 else vals.astype(int)
+    lines = ["P2", f"{gray.shape[1]} {gray.shape[0]}", f"{maxval}"]
+    for row in gray:
+        lines.append(" ".join(str(g) for g in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_FORMAT_CASES = {
+    "special": np.array(
+        [[np.nan, np.inf, -np.inf, -0.0], [5e-324, 1 / 3, 1.2345678901234568e17, 2.0]]
+    ),
+    "integer": np.array([[0, 3, 17], [250_000, 1, 2**40]]),
+    "signed": np.array([[5, -3], [0, -2**31]]),
+    "row": np.random.default_rng(33).normal(size=(1, 9)) * 1e-7,
+    "column": np.random.default_rng(34).normal(size=(9, 1)) * 1e7,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+def test_writers_keep_their_bytes_and_loaders_read_them_back(tmp_path, case):
+    values = _FORMAT_CASES[case]
+    txt, pgm = tmp_path / "m.txt", tmp_path / "m.pgm"
+    save_matrix_text(str(txt), values, {"k": "v", "a": 1.5})
+    assert txt.read_bytes() == _reference_matrix_text(values, {"k": "v", "a": 1.5})
+    back, meta = load_matrix_text(str(txt))
+    np.testing.assert_array_equal(back, values)
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
+    assert meta == {"a": "1.5", "k": "v"}
+
+    finite = np.where(np.isfinite(values), values, 0)
+    save_pgm(str(pgm), finite)
+    want = _reference_pgm(finite)
+    assert pgm.read_bytes() == want
+    gray, maxval = load_pgm(str(pgm))
+    levels = [line.split() for line in want.decode().splitlines()[3:]]
+    np.testing.assert_array_equal(gray, np.array(levels, dtype=float))
+    assert maxval == 65535
+
+
+@pytest.mark.parametrize("frame_type", [CountFrame, SignedCountFrame])
+def test_save_map_keeps_count_frame_bytes(tmp_path, frame_type):
+    counts = np.array([[5, 0], [0, 2], [70_000, 1]])
+    if frame_type is SignedCountFrame:
+        counts = counts - 3
+    frame = frame_type(counts=counts, meta={"seed": 4, "signal_gates": 12})
+    save_map(frame, str(tmp_path / "f.txt"))
+    save_map(frame, str(tmp_path / "f.pgm"), fmt="graymap")
+    as_float = counts.astype(float)
+    assert (tmp_path / "f.txt").read_bytes() == _reference_matrix_text(as_float, frame.meta)
+    assert (tmp_path / "f.pgm").read_bytes() == _reference_pgm(as_float)
+
+
+def test_loader_error_messages_are_kept(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\n3 oops\n")
+    with pytest.raises(ConfigError) as err:
+        load_matrix_text(str(bad))
+    assert str(err.value) == (
+        f"{bad}:2: non-numeric token (could not convert string to float: 'oops')"
+    )
+    short = tmp_path / "short.pgm"
+    short.write_text("P2\n2 2\n255\n1 2 3\n")
+    with pytest.raises(ConfigError) as err:
+        load_pgm(str(short))
+    assert str(err.value) == f"{short}: expected 4 samples, found 3"
+    word = tmp_path / "word.pgm"
+    word.write_text("P2\n2 2\n255\n1 2 x 4\n")
+    with pytest.raises(ConfigError) as err:
+        load_pgm(str(word))
+    assert str(err.value) == (
+        f"{word}: malformed graymap (invalid literal for int() with base 10: 'x')"
+    )
+
+
 # ---------------------------------------------------------------------------
 # graymaps
 # ---------------------------------------------------------------------------
@@ -122,6 +209,27 @@ def test_pgm_loader_rejects_truncated_and_foreign_files(tmp_path):
     other.write_text("P5\n2 2\n255\n")
     with pytest.raises(ConfigError, match="P2"):
         load_pgm(str(other))
+
+
+_BAD_GRAYMAPS = {
+    "negative size": ("P2\n-2 -2\n255\n1 2 3 4\n", "width and height must be positive"),
+    "zero maxval": ("P2\n2 2\n0\n0 0 0 0\n", r"maxval must lie in \[1, 65535\], got 0"),
+    "sample above maxval": ("P2\n2 2\n255\n0 999 0 0\n", r"samples must lie in \[0, 255\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GRAYMAPS))
+def test_pgm_loader_rejects_what_its_header_does_not_allow(tmp_path, case):
+    body, match = _BAD_GRAYMAPS[case]
+    path = tmp_path / "bad.pgm"
+    path.write_text(body)
+    with warnings.catch_warnings():
+        # maxval 0 used to reach load_pattern's division by zero
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=match):
+            load_pgm(str(path))
+        with pytest.raises(ConfigError, match=match):
+            load_pattern(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +487,13 @@ def test_cli_montecarlo_negative_seed_fails_before_any_map(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "ghost_image_map", no_maps)
     err = _fails_fast(["montecarlo", "--seed", "-1"], tmp_path / "mc", capsys)
     assert "seed" in err
+
+
+def test_cli_image_rejects_a_graymap_with_a_bad_header(tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_text(_BAD_GRAYMAPS["negative size"][0])
+    err = _fails_fast(["image", "--pattern", str(bad)], tmp_path / "img", capsys)
+    assert "width and height must be positive" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
