@@ -8,10 +8,8 @@ from .biphoton import (
     anticorrelation_locus,
     axis_amplitude,
     closed_form_amplitude,
-    constant_phase,
     correlation_width,
     envelope_coefficients,
-    envelope_magnitude,
     quadrature_oracle_amplitude,
 )
 from .detector import (
@@ -66,11 +64,9 @@ from .optics import (
     LensSystem,
     aperture_nodes,
     fresnel_kernel,
-    fresnel_number,
     ghost_magnification,
     imaging_amplitude,
     lens_phase,
-    rule_nodes,
 )
 from .polarization import (
     STANDARD_CHSH_ANGLES,

@@ -89,12 +89,11 @@ class SourceParams:
         return 2.0 * np.pi / self.wavelength
 
 
-# largest explicit node count per axis: twice the aperture rule's ceiling
-# optics.AUTO_NODES_MAX, so every rule count can still be given explicitly
-# and doubled. Memory grows with the node count (a point block is about a
-# million (points x nodes) elements, a map block 512 x nodes), so counts
-# beyond it are refused before any work.
-MAX_NODES = 16384
+# largest explicit node count per axis, and the most the aperture rule's
+# doubling search accepts. The aperture rule's weights are an n x n matrix
+# built in O(n^3), so the doubled check at 2 * MAX_NODES = 4096 holds 128 MB
+# of weights; larger counts are refused before any work.
+MAX_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,11 @@ class QuadSettings:
     """Gauss-Legendre quadrature controls.
 
     nodes: nodes per axis, 64 to MAX_NODES; None lets each consumer pick its
-      default (2048 for the source oracle, the aperture sampling rule for
-      imaging).
+      default (2048 for the source oracle, a doubling search from 32 for the
+      aperture quadrature).
     half_width_sigmas: source-integral truncation half-width in units of sigma.
-    check: when True, re-evaluate with doubled nodes and fail on disagreement.
+    check: when True, a doubling change above tol raises ConvergenceError
+      (the aperture quadrature always checks, and otherwise warns).
     tol: relative tolerance for the doubling check.
     """
 
@@ -202,21 +202,27 @@ def doubling_probe(shape: Tuple[int, ...]) -> tuple:
     ))
 
 
-def doubling_check(coarse, fine, nodes: int, tol: float, what: str) -> None:
-    """Raise ConvergenceError if doubling nodes moved the probed values too far.
-
-    coarse and fine hold the probed values at nodes and 2 * nodes; the
-    change max|fine - coarse| / max|fine| must not exceed tol. what names
-    the result in the error.
-    """
+def doubling_change(coarse, fine) -> float:
+    """Relative change max|fine - coarse| / max|fine| of probed values."""
     coarse, fine = np.ravel(coarse), np.ravel(fine)
     scale = max(float(np.max(np.abs(fine))), 1e-300)
-    change = float(np.max(np.abs(fine - coarse))) / scale
+    return float(np.max(np.abs(fine - coarse))) / scale
+
+
+def doubling_check(coarse, fine, nodes: int, tol: float, what: str) -> float:
+    """Raise ConvergenceError if doubling nodes moved the probed values too far.
+
+    coarse and fine hold the probed values at nodes and 2 * nodes; their
+    doubling_change must not exceed tol, and is returned. what names the
+    result in the error.
+    """
+    change = doubling_change(coarse, fine)
     if change > tol:
         raise ConvergenceError(
             f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
             f"{change:.3e} relative (tol {tol:g})"
         )
+    return change
 
 
 def envelope_coefficients(params: SourceParams) -> Tuple[float, float]:
@@ -226,16 +232,6 @@ def envelope_coefficients(params: SourceParams) -> Tuple[float, float]:
     c_env = k**2 * sig**2 * s1**2 * s2**2 / D
     c_chirp = k**3 * sig**4 * s1 * s2 * (s1 + s2) / (2 * D)
     return c_env, c_chirp
-
-
-def constant_phase(params: SourceParams) -> float:
-    """Constant phase with tan(phi) = -k sigma^2 (s1+s2) / (2 s1 s2).
-
-    Exposed for completeness; it multiplies the whole amplitude and is excluded
-    from the normalized values.
-    """
-    k, sig, s1, s2 = params.k, params.sigma, params.s1, params.s2
-    return float(np.arctan(-k * sig**2 * (s1 + s2) / (2 * s1 * s2)))
 
 
 def _warn_paraxial(params: SourceParams, *coords) -> None:
@@ -288,14 +284,6 @@ def axis_amplitude(params: SourceParams, a1, a2) -> np.ndarray:
     return np.exp(
         -c_env * u * u + 1j * (-c_chirp * u * u + 0.5 * k * (a1 * a1 / s1 + a2 * a2 / s2))
     )
-
-
-def envelope_magnitude(params: SourceParams, x1, y1, x2, y2) -> np.ndarray:
-    """|Phi| from the envelope expression alone (no phases evaluated)."""
-    c_env, _ = envelope_coefficients(params)
-    ux = np.asarray(x1, float) / params.s1 + np.asarray(x2, float) / params.s2
-    uy = np.asarray(y1, float) / params.s1 + np.asarray(y2, float) / params.s2
-    return np.exp(-c_env * (ux * ux + uy * uy))
 
 
 # ---------------------------------------------------------------------------

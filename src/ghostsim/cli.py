@@ -69,9 +69,9 @@ _INTERFERENCE_DEFAULTS = dict(
     center_y=0.0,
 )
 
-# 0.0 means "derive": image_distance from the lens equation, nodes from the
-# aperture sampling rule, telescope_scale from RELAY_TOTAL_SCALE, and the
-# grid extent from the scaled pattern extent.
+# 0.0 means "derive": image_distance from the lens equation, nodes by node
+# doubling (or none on the closed form), telescope_scale from
+# RELAY_TOTAL_SCALE, and the grid extent from the scaled pattern extent.
 _IMAGE_DEFAULTS = dict(
     _SOURCE_KEYS,
     s2=1.5,

@@ -60,4 +60,4 @@ class SourceRegimeWarning(UserWarning):
 
 
 class ApertureSamplingWarning(UserWarning):
-    """Aperture quadrature uses fewer nodes than the oscillation budget asks."""
+    """Doubling the aperture quadrature's nodes moved a result by more than tol."""

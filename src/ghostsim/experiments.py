@@ -25,7 +25,6 @@ from .biphoton import (
     SourceParams,
     _leggauss,
     closed_form_amplitude,
-    doubling_check,
     doubling_probe,
 )
 from .errors import (
@@ -35,7 +34,9 @@ from .errors import (
     SamplingError,
 )
 from .grids import GridSpec
-from .optics import LensSystem, ghost_magnification, lens_plane_nodes, pattern_image_field
+from .optics import (
+    LensSystem, converged_nodes, ghost_magnification, lens_plane_nodes, pattern_image_field
+)
 from .polarization import pattern_projection_coeff
 
 # minimum pixels per fringe period before the interference map is trusted
@@ -308,9 +309,11 @@ def ghost_image_map(
 
     lens_plane_nodes picks the lens-plane path for the pattern's pixel
     centres; meta records it as lens_path ("closed-form" or "quadrature"),
-    with clip_bound and aperture_nodes (0 on the closed form). quad.check on
-    the quadrature path re-evaluates a strided sub-grid spanning the camera
-    (doubling_probe) at doubled nodes.
+    with clip_bound, aperture_nodes (the count used, 0 on the closed form;
+    converged_nodes picks it from a strided sub-grid spanning the camera),
+    and error_estimate: the measured doubling change on the quadrature path
+    (error_kind "doubling"), else clip_bound ("clip_bound"). workers is
+    accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -339,17 +342,17 @@ def ghost_image_map(
     y2c = image_grid.y_centers() / telescope_scale
 
     def evaluate(n: int, x2, y2) -> np.ndarray:
-        return pattern_image_field(
-            params, lens, weights, x1c, y1c, x2, y2, n, workers=workers
+        return pattern_image_field(params, lens, weights, x1c, y1c, x2, y2, n)
+
+    error, kind = bound, "clip_bound"
+    if nodes:
+        rows, cols = doubling_probe((y2c.size, x2c.size))
+        nodes, error = converged_nodes(
+            lambda n: evaluate(n, x2c[cols.ravel()], y2c[rows.ravel()]),
+            nodes, quad, "the image field",
         )
-
-    fieldvals = evaluate(nodes, x2c, y2c)
-    raw = np.abs(fieldvals) ** 2
-
-    if quad.check and nodes:
-        rows, cols = doubling_probe(fieldvals.shape)
-        fine = evaluate(2 * nodes, x2c[cols.ravel()], y2c[rows.ravel()])
-        doubling_check(fieldvals[rows, cols], fine, nodes, quad.tol, "the image field")
+        kind = "doubling"
+    raw = np.abs(evaluate(nodes, x2c, y2c)) ** 2
 
     meta = {
         "experiment": "ghost image",
@@ -360,6 +363,8 @@ def ghost_image_map(
         "lens_path": "closed-form" if nodes == 0 else "quadrature",
         "clip_bound": bound,
         "aperture_nodes": nodes,
+        "error_estimate": error,
+        "error_kind": kind,
     }
     return _normalized_map(raw, image_grid, meta)
 

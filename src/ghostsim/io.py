@@ -85,9 +85,11 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
     """Write values rescaled to [0, maxval] as an ASCII graymap (magic P2).
 
     Negative inputs are clipped to 0; if any were present, a sidecar file
-    <path>.note records how many.
+    <path>.note records how many. Non-finite values raise ParameterError.
     """
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{path}: a graymap needs finite values")
     clipped = int(np.count_nonzero(values < 0))
     vals = np.clip(values, 0.0, None)
     top = float(vals.max())

@@ -17,19 +17,23 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   two small matrix products, Ky^T W Kx. It leaves out the aperture, which
   ``clip_bound`` shows to change the normalized amplitude by at most
   b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2).
-- quadrature. Gauss-Legendre nodes on the aperture square, with the x/y
-  separability of Phi turning the double integral into contractions over
-  the node axes, over the lattice nodes inside the circular aperture. At
-  points (imaging_amplitude, and the on-axis reference both paths divide
-  by) the disc is a set of chords, one per xi node, and each inner sum is a
-  difference of two prefix sums: O(nodes) per point. An image map applies
-  the disc as a 0/1 mask, blockwise, to its non-separable object sums.
+- quadrature over the aperture disc (``_disc_rule``): outer nodes
+  xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
+  set whose weights W integrate exactly over each outer node's chord. The
+  substitution removes the square-root ends of the chords, so the rule
+  converges spectrally (Davis & Rabinowitz, Methods of Numerical
+  Integration, 2nd ed. 1984, ch. 5). By the x/y separability of Phi, points
+  and image maps contract per-axis factors through the one matrix W, and
+  divide by the point path's on-axis value.
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
 is at most the tolerance (quad.tol under quad.check, else
-APERTURE_CLIP_TOL); quadrature otherwise. The quadrature path is the
-independent oracle the closed form is tested against where nothing clips.
+APERTURE_CLIP_TOL); quadrature otherwise. On the quadrature path
+``converged_nodes`` doubles the node count from APERTURE_START_NODES until a
+strided probe of the output moves by at most quad.tol, or checks an explicit
+count once the same way. The quadrature path is the independent oracle the
+closed form is tested against where nothing clips.
 """
 
 from __future__ import annotations
@@ -37,21 +41,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .biphoton import (
+    MAX_NODES,
     QuadSettings,
     SourceParams,
     _leggauss,
-    axis_amplitude,
+    doubling_change,
     doubling_check,
     doubling_probe,
     envelope_coefficients,
 )
 from .errors import (
     ApertureSamplingWarning,
+    ConvergenceError,
     NumericError,
     ParameterError,
     outside_stacklevel,
@@ -62,13 +69,17 @@ AIRY_FIRST_ZERO = 3.8317059702075125
 
 IMAGING_CONDITION_TOL = 1e-9
 
-# node-axis block size of the quadrature map contraction; blocks are summed
-# in a fixed order, so the bytes of a result never depend on the worker count
+# outer-node block size of the quadrature map contraction, bounding its
+# (block x nodes) arrays; blocks are summed in a fixed order
 _NODE_BLOCK = 512
 
 # (points x nodes) elements per block of the quadrature point contraction:
 # 16 MB per complex array
 _POINT_BLOCK_ELEMENTS = 1 << 20
+
+# points per weight matmul; padded to whole chunks, every matmul has one shape,
+# so a point's value does not depend on the points evaluated with it
+_POINT_CHUNK = 16
 
 # clip_bound at or below which the closed form replaces the aperture
 # quadrature when quad.check is off. In the default geometry (sigma = 3 mm,
@@ -76,8 +87,8 @@ _POINT_BLOCK_ELEMENTS = 1 << 20
 # out to a radius of ~5 mm; the default 4 mm pattern gives 8.6e-6.
 APERTURE_CLIP_TOL = 1e-4
 
-AUTO_NODES_MIN = 256
-AUTO_NODES_MAX = 8192
+# first aperture node count per axis of the doubling search (converged_nodes)
+APERTURE_START_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -156,38 +167,32 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
     return lens.v / u_expected
 
 
-def fresnel_number(lens: LensSystem, k: float) -> float:
-    """Aperture Fresnel number k rho^2 / (2 pi min(u, v))."""
-    return k * lens.aperture_radius**2 / (2.0 * np.pi * min(lens.u, lens.v))
-
-
-def rule_nodes(lens: LensSystem, k: float) -> int:
-    """Node count per axis from the aperture sampling rule.
-
-    Requires uniform-equivalent node spacing 2*rho/n at most rho/(8*N_F),
-    i.e. n >= 16 * N_F, clamped to a practical range.
-    """
-    n = math.ceil(16.0 * fresnel_number(lens, k))
-    return int(min(max(n, AUTO_NODES_MIN), AUTO_NODES_MAX))
-
-
 def aperture_nodes(lens: LensSystem, k: float, quad: QuadSettings) -> int:
-    """Resolve the per-axis node count, warning on under-sampling overrides.
+    """First per-axis node count of the aperture quadrature: quad.nodes, or
+    APERTURE_START_NODES for converged_nodes to double from. lens and k are
+    unused."""
+    return APERTURE_START_NODES if quad.nodes is None else quad.nodes
 
-    The ApertureSamplingWarning points at the first caller outside ghostsim,
-    whether that calls this function, imaging_amplitude or ghost_image_map.
+
+def converged_nodes(probe_at, nodes: int, quad: QuadSettings, what: str) -> Tuple[int, float]:
+    """Aperture node count chosen by node doubling: (nodes, measured change).
+
+    probe_at(n) evaluates the probed output points at n nodes per axis.
+    Without quad.nodes the count doubles from nodes until doubling it moves
+    the probe by at most quad.tol, or reaches MAX_NODES; an explicit count
+    is checked once against its double. A miss raises ConvergenceError under
+    quad.check, else warns ApertureSamplingWarning at the caller's line.
     """
-    wanted = rule_nodes(lens, k)
-    if quad.nodes is None:
-        return wanted
-    if quad.nodes < wanted:
-        warnings.warn(
-            f"{quad.nodes} aperture nodes per axis is below the sampling-rule "
-            f"count {wanted}; oscillations may be unresolved",
-            ApertureSamplingWarning,
-            stacklevel=outside_stacklevel(),
-        )
-    return quad.nodes
+    coarse, fine = probe_at(nodes), probe_at(2 * nodes)
+    while quad.nodes is None and nodes < MAX_NODES and doubling_change(coarse, fine) > quad.tol:
+        nodes, coarse, fine = 2 * nodes, fine, probe_at(4 * nodes)
+    try:
+        return nodes, doubling_check(coarse, fine, nodes, quad.tol, what)
+    except ConvergenceError as miss:
+        if quad.check:
+            raise
+        warnings.warn(str(miss), ApertureSamplingWarning, stacklevel=outside_stacklevel())
+        return nodes, doubling_change(coarse, fine)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +284,9 @@ def lens_plane_nodes(
 
     nodes is 0 for the closed form, which runs iff quad.nodes is None and the
     clip bound is at most the limit: quad.tol when quad.check is set, else
-    APERTURE_CLIP_TOL. Otherwise nodes is the aperture quadrature's count
-    per axis (aperture_nodes, which warns on under-sampling overrides), so an
-    explicit quad.nodes always means quadrature.
+    APERTURE_CLIP_TOL. Otherwise nodes is the aperture quadrature's first
+    count per axis (aperture_nodes), so an explicit quad.nodes always means
+    quadrature.
     """
     nodes = aperture_nodes(lens, params.k, quad)
     bound = clip_bound(params, lens, x1, y1)
@@ -296,79 +301,92 @@ def lens_plane_nodes(
 # ---------------------------------------------------------------------------
 
 
-def _lens_nodes(lens: LensSystem, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    t, w = _leggauss(nodes)
-    rho = lens.aperture_radius
-    return rho * t, rho * w
+@lru_cache(maxsize=8)
+def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product rule on the unit disc: (outer nodes, inner nodes, weights).
 
-
-def _walk(pos: np.ndarray, step: int, go) -> np.ndarray:
-    """Move each entry of pos by step for as long as go(pos) holds there."""
-    while True:
-        move = go(pos)
-        if not move.any():
-            return pos
-        pos = pos + step * move
-
-
-def _chord_bounds(xi: np.ndarray, rho2: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Aperture chords on a node axis: (lo, hi) with row a of the disc in [lo[a], hi[a]).
-
-    xi is ascending and mirror-symmetric about 0 (as Gauss-Legendre nodes
-    are). Row a of the disc mask xi[a]**2 + xi[b]**2 <= rho2 is then one
-    contiguous range of b, centred on the middle node, because xi[b]**2
-    falls and then rises along b and rounding is monotone. searchsorted on
-    the chord half-width places lo; lo is then walked node by node with that
-    same predicate, so membership equals the mask's bit for bit, and hi is
-    its mirror image. An empty chord comes out as lo == hi.
+    Outer nodes sin(theta_a), theta_a Gauss-Legendre on [-pi/2, pi/2] with
+    weights v_a, each with the chord |s| <= h_a = cos(theta_a); inner nodes
+    s_b Gauss-Legendre on [-1, 1] with weights w_b. W[a, b] = v_a h_a times
+    the integral over chord a of the Lagrange basis polynomial l_b of the
+    inner nodes, which is sum over even m of (2m+1)/2 w_b P_m(s_b) I_m(h_a),
+    I_0 = 2h, I_m = 2 (P_(m+1)(h) - P_(m-1)(h)) / (2m+1). A full chord gives
+    back w_b, and W sums to pi. W is mirror-symmetric in a and in b, so one
+    quadrant is built, by one real matmul. The arrays are cached and
+    read-only; W takes 8 n^2 bytes.
     """
-    n = xi.size
-    sq = xi * xi
-    mid = (n + 1) // 2
-    lo = np.searchsorted(xi, -np.sqrt(np.maximum(rho2 - sq, 0.0)))
-    lo = _walk(lo, -1, lambda b: (b > 0) & (sq + sq[b - 1] <= rho2))
-    lo = _walk(lo, +1, lambda b: (b < mid) & (sq + sq[np.minimum(b, n - 1)] > rho2))
-    return lo, np.maximum(n - lo, lo)
+    t, w = _leggauss(n)
+    half, odd = (n + 1) // 2, n % 2
+    h = np.cos(0.5 * np.pi * t[:half])
+    # P_j at the inner nodes (first half) and at the chord ends, in one array
+    x = np.concatenate([t[:half], h])
+    legendre_s = np.empty((half, half))   # row k: P_2k at the inner nodes
+    integral_h = np.empty((half, half))   # row k: (4k+1)/2 I_2k at the chords
+    legendre_s[0], integral_h[0] = 1.0, h
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, half):
+        # p = P_j for j = 2k - 1: step to P_2k, then to P_(2k+1)
+        j = 2 * k - 1
+        p_even = ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        p_next = ((2 * j + 3) * x * p_even - (j + 1) * p) / (j + 2)
+        legendre_s[k] = p_even[:half]
+        np.subtract(p_next[half:], p[half:], out=integral_h[k])
+        p_prev, p = p_even, p_next
+    legendre_s *= w[:half]
+    integral_h *= 0.5 * np.pi * w[:half] * h
+    weights = np.empty((n, n))
+    np.matmul(integral_h.T, legendre_s, out=weights[:half, :half])
+    weights[:half, half:] = weights[:half, half - 1 - odd::-1]
+    weights[half:] = weights[half - 1 - odd::-1]
+    outer = np.sin(0.5 * np.pi * t)
+    for arr in (outer, weights):
+        arr.flags.writeable = False
+    return outer, t, weights
 
 
-def _axis_factors(params, lens, a1, a2, xi, log_w) -> np.ndarray:
-    """(P, nodes) lens-plane factors along one axis, weights included.
+def _axis_factors(params, lens, a1, a2, nodes) -> np.ndarray:
+    """(nodes, P) lens-plane factors along one axis at the given node positions.
 
-    exp(-A xi^2 + B xi + C + log w): the source axis factor, the linear
-    Fresnel term, the lens and Fresnel quadratic phases and the quadrature
-    weight, as one exponent (coefficients of lens_axis_kernel).
+    exp(-A xi^2 + B xi + C): the source axis factor, the linear Fresnel
+    term and the lens and Fresnel quadratic phases, as one exponent
+    (coefficients of lens_axis_kernel).
     """
     A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
-    e = np.multiply.outer(B, xi)
-    e += C[:, None]
-    e += log_w - A * xi * xi
+    e = np.multiply.outer(nodes, B)
+    e += C
+    e -= (A * nodes * nodes)[:, None]
     return np.exp(e, out=e)
 
 
 def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     """Unnormalized Phi_I at flat point arrays, without the output phase.
 
-    The aperture disc is summed chord by chord on the square Gauss-Legendre
-    lattice, over exactly the nodes of the disc mask: for each outer xi node
-    a the inner eta sum over [lo[a], hi[a]) is a difference of two prefix
-    sums, so each point costs O(nodes). Points run in blocks that bound the
-    memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
+    The disc rule's sum over the unit disc scaled to the aperture, without
+    the area factor rho^2, which cancels in the normalization: per point,
+    sum_a X_a (W Y)_a with X on the outer nodes and Y on the inner nodes.
+    W Y is a real matmul over the interleaved real and imaginary parts of
+    each chunk of points. Points run in blocks of whole chunks that bound
+    the memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
     """
-    xi, wxi = _lens_nodes(lens, nodes)
-    lo, hi = _chord_bounds(xi, lens.aperture_radius**2)
-    log_w = np.log(wxi)
+    outer, inner, W = _disc_rule(nodes)
+    xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
+    size = x1.size
+    x1, y1, x2, y2 = (np.pad(a, (0, -size % _POINT_CHUNK)) for a in (x1, y1, x2, y2))
     out = np.empty(x1.size, dtype=complex)
-    step = max(1, _POINT_BLOCK_ELEMENTS // nodes)
+    step = _POINT_CHUNK * max(1, _POINT_BLOCK_ELEMENTS // (nodes * _POINT_CHUNK))
+
+    def chunks(a1, a2, at):
+        """(chunks, nodes, _POINT_CHUNK) factors of whole chunks of points."""
+        v = _axis_factors(params, lens, a1, a2, at)
+        return v.reshape(nodes, -1, _POINT_CHUNK).transpose(1, 0, 2)
+
     for p0 in range(0, x1.size, step):
         blk = slice(p0, p0 + step)
-        vy = _axis_factors(params, lens, y1[blk], y2[blk], xi, log_w)
-        prefix = np.zeros((vy.shape[0], nodes + 1), dtype=complex)
-        np.cumsum(vy, axis=1, out=prefix[:, 1:])
-        inner = prefix[:, hi]
-        inner -= prefix[:, lo]
-        vx = _axis_factors(params, lens, x1[blk], x2[blk], xi, log_w)
-        out[blk] = np.einsum("pa,pa->p", vx, inner)
-    return out
+        vy = np.ascontiguousarray(chunks(y1[blk], y2[blk], eta))
+        chord_sums = (W @ vy.view(float)).view(complex)
+        chord_sums *= chunks(x1[blk], x2[blk], xi)
+        out[blk] = chord_sums.sum(axis=1).ravel()
+    return out[:size]
 
 
 def _on_axis_raw(params, lens, nodes) -> complex:
@@ -398,9 +416,9 @@ def imaging_amplitude(
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
     image points (x2, y2). The lens-plane path is chosen by lens_plane_nodes.
-    On the quadrature path with quad.check, a strided probe spanning the
-    output (doubling_probe) is re-evaluated at doubled nodes and a
-    disagreement above quad.tol raises ConvergenceError.
+    On the quadrature path converged_nodes picks the node count from a
+    strided probe spanning the output (doubling_probe), and the whole output
+    is then evaluated once at that count.
     """
     pts = np.broadcast_arrays(
         np.asarray(x1, float), np.asarray(y1, float),
@@ -408,13 +426,13 @@ def imaging_amplitude(
     )
     shape = pts[0].shape
     nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
+    if nodes:
+        probe = [np.ravel(a[doubling_probe(shape)]) for a in pts]
+        nodes, _ = converged_nodes(
+            lambda n: _point_amplitude(params, lens, *probe, n),
+            nodes, quad, "the imaging amplitude",
+        )
     value = _point_amplitude(params, lens, *(a.ravel() for a in pts), nodes).reshape(shape)
-
-    if quad.check and nodes:
-        probe = doubling_probe(shape)
-        fine = _point_amplitude(params, lens, *(np.ravel(a[probe]) for a in pts), 2 * nodes)
-        doubling_check(value[probe], fine, nodes, quad.tol, "the imaging amplitude")
-
     if not np.all(np.isfinite(value)):
         raise NumericError("imaging amplitude produced non-finite values")
     return value if shape else value[()]
@@ -429,7 +447,6 @@ def pattern_image_field(
     x2c: np.ndarray,
     y2c: np.ndarray,
     nodes: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Coherent image-plane field of a weighted object grid.
 
@@ -439,12 +456,10 @@ def pattern_image_field(
 
     nodes 0 is the closed form: A = Ky^T W Kx times the output phase, with
     the per-axis lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2).
-    Otherwise object sums first collapse onto the lens-plane node lattice,
-    then the masked lens factors propagate to the image grid; the node axis
-    is cut into fixed-size blocks whose partial images are summed in block
-    order. workers is accepted and changes nothing: the blocks run one after
-    another as BLAS calls, whose own threads measured faster than a thread
-    pool over the blocks.
+    Otherwise the object sums collapse onto the disc rule's outer (x) and
+    inner (y) nodes, are weighted by its matrix W, and propagate to the
+    image grid; the outer nodes run in fixed-size blocks whose partial
+    images are summed in block order.
     """
     k = params.k
     out_phase = fresnel_kernel(lens.v, k, x2c[None, :], y2c[:, None])  # (ny2, nx2)
@@ -453,23 +468,20 @@ def pattern_image_field(
         Ky = lens_axis_kernel(params, lens, y1c[:, None], y2c[None, :])
         field = (Ky.T @ weights @ Kx) * out_phase
     else:
-        xi, wxi = _lens_nodes(lens, nodes)
-        rho2 = lens.aperture_radius**2
-        quad_phase = np.exp(1j * (0.5 * k / lens.v - 0.5 * k / lens.f) * xi * xi) * wxi
-
-        Fx = axis_amplitude(params, x1c[:, None], xi[None, :])   # (npx, nodes)
-        Fy = axis_amplitude(params, y1c[:, None], xi[None, :])   # (npy, nodes)
-        WF = weights.T @ Fy                                      # (npx, nodes)
+        outer, inner, W = _disc_rule(nodes)
+        xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
+        # lens-plane factors without the image coordinate, which Ex, Ey carry
+        Fx = _axis_factors(params, lens, x1c, np.zeros_like(x1c), xi)  # (nodes, npx)
+        Fy = _axis_factors(params, lens, y1c, np.zeros_like(y1c), eta)
+        WF = weights.T @ Fy.T                                    # (npx, nodes)
         Ex = np.exp(-1j * k * np.outer(xi, x2c) / lens.v)        # (nodes, nx2)
-        Ey = np.exp(-1j * k * np.outer(xi, y2c) / lens.v)        # (nodes, ny2)
+        Ey = np.exp(-1j * k * np.outer(eta, y2c) / lens.v)       # (nodes, ny2)
 
         acc = None
         for a0 in range(0, nodes, _NODE_BLOCK):
-            a1 = min(a0 + _NODE_BLOCK, nodes)
-            G = Fx[:, a0:a1].T @ WF                              # (blk, nodes)
-            mask = (xi[a0:a1, None] ** 2 + xi[None, :] ** 2) <= rho2
-            H = G * mask * (quad_phase[a0:a1, None] * quad_phase[None, :])
-            part = Ex[a0:a1, :].T @ (H @ Ey)                     # (nx2, ny2)
+            rows = slice(a0, a0 + _NODE_BLOCK)
+            H = (Fx[rows] @ WF) * W[rows]                        # (blk, nodes)
+            part = Ex[rows].T @ (H @ Ey)                         # (nx2, ny2)
             acc = part if acc is None else acc + part
         field = (acc * out_phase.T / _on_axis_raw(params, lens, nodes)).T
     if not np.all(np.isfinite(field)):

@@ -6,8 +6,6 @@ to finish in a few seconds so it can run on every install.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .biphoton import (
@@ -16,7 +14,6 @@ from .biphoton import (
     closed_form_amplitude,
     quadrature_oracle_amplitude,
 )
-from .errors import ApertureSamplingWarning
 from .detector import DetectorConfig, GATE_BLOCKS, expected_gate_count, simulate_exposure
 from .experiments import (
     DoubleSlit,
@@ -90,11 +87,8 @@ def check_magnification() -> tuple[bool, str]:
     m_expect = ghost_magnification(_IMAGER, _LENS)
     x1 = 1e-3
     x2 = np.linspace(-1.3e-3, -0.95e-3, 29)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApertureSamplingWarning)
-        amp = np.abs(
-            imaging_amplitude(_IMAGER, _LENS, x1, 0.0, x2, 0.0, quad=QuadSettings(nodes=1024))
-        )
+    # quad.check forces the aperture quadrature, at the count it converges at
+    amp = np.abs(imaging_amplitude(_IMAGER, _LENS, x1, 0.0, x2, 0.0, quad=QuadSettings(check=True)))
     i = int(np.argmax(amp))
     i = min(max(i, 1), len(x2) - 2)
     denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
@@ -107,17 +101,15 @@ def check_magnification() -> tuple[bool, str]:
 def _small_image(pattern, d1_deg: float):
     m = ghost_magnification(_IMAGER, _LENS)
     grid = GridSpec(nx=48, ny=48, extent_x=m * 2e-3, extent_y=m * 2e-3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApertureSamplingWarning)
-        return ghost_image_map(
-            _IMAGER,
-            _LENS,
-            pattern,
-            np.deg2rad(d1_deg),
-            np.deg2rad(-45.0),
-            grid,
-            quad=QuadSettings(nodes=512),
-        )
+    return ghost_image_map(
+        _IMAGER,
+        _LENS,
+        pattern,
+        np.deg2rad(d1_deg),
+        np.deg2rad(-45.0),
+        grid,
+        quad=QuadSettings(check=True),
+    )
 
 
 def check_image_identities() -> tuple[bool, str]:
@@ -137,12 +129,10 @@ def check_lens_closed_form() -> tuple[bool, str]:
     x2 = -ghost_magnification(_IMAGER, _LENS) * x1 + 0.1e-3
     nodes, bound = lens_plane_nodes(_IMAGER, _LENS, QuadSettings(), x1, x1)
     closed = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApertureSamplingWarning)
-        quad = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2, quad=QuadSettings(nodes=4096))
+    quad = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2, quad=QuadSettings(check=True))
     gap = float(np.max(np.abs(closed - quad)))
     ok = nodes == 0 and gap <= bound
-    return ok, f"closed form vs 4096-node quadrature {gap:.2g}, clip bound {bound:.2g}"
+    return ok, f"closed form vs converged quadrature {gap:.2g}, clip bound {bound:.2g}"
 
 
 def check_counting_statistics() -> tuple[bool, str]:

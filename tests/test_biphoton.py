@@ -13,15 +13,14 @@ from ghostsim import (
     anticorrelation_locus,
     axis_amplitude,
     closed_form_amplitude,
-    constant_phase,
     correlation_width,
     envelope_coefficients,
-    envelope_magnitude,
     quadrature_oracle_amplitude,
 )
 from ghostsim.biphoton import (
     DOUBLING_PROBE_POINTS,
     _leggauss,
+    doubling_change,
     doubling_check,
     doubling_probe,
 )
@@ -31,7 +30,6 @@ from ghostsim.biphoton import (
 # source integral during development.
 C_ENV = 36193.6857665242
 C_CHIRP = 2213321.255917696
-CONSTANT_PHASE = -1.5544451260780103
 CORRELATION_WIDTH = 0.0037167948988360046
 
 
@@ -84,10 +82,6 @@ def test_envelope_coefficients_frozen(fringe_params):
     assert c_chirp == pytest.approx(C_CHIRP, rel=1e-12)
 
 
-def test_constant_phase_frozen(fringe_params):
-    assert constant_phase(fringe_params) == pytest.approx(CONSTANT_PHASE, rel=1e-12)
-
-
 def test_amplitude_is_separable(fringe_params):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2e-3, 2e-3, size=(30, 4))
@@ -120,16 +114,6 @@ def test_far_off_axis_coordinates_warn(fringe_params):
         closed_form_amplitude(fringe_params, 0.08, 0.0, 0.0, 0.0)
 
 
-def test_envelope_magnitude_matches_amplitude_modulus(fringe_params):
-    rng = np.random.default_rng(7)
-    x1, y1, x2, y2 = rng.uniform(-2e-3, 2e-3, size=(4, 15))
-    np.testing.assert_allclose(
-        envelope_magnitude(fringe_params, x1, y1, x2, y2),
-        np.abs(closed_form_amplitude(fringe_params, x1, y1, x2, y2)),
-        rtol=1e-13,
-    )
-
-
 # ---------------------------------------------------------------------------
 # position correlation
 # ---------------------------------------------------------------------------
@@ -145,7 +129,7 @@ def test_locus_maximizes_envelope(fringe_params):
     x1 = 1e-3
     lx, _ = anticorrelation_locus(fringe_params, x1, 0.0)
     x2 = np.linspace(lx - 2e-3, lx + 2e-3, 801)
-    mags = envelope_magnitude(fringe_params, x1, 0.0, x2, 0.0)
+    mags = np.abs(closed_form_amplitude(fringe_params, x1, 0.0, x2, 0.0))
     assert abs(x2[np.argmax(mags)] - lx) < 6e-6
 
 
@@ -153,7 +137,7 @@ def test_correlation_width_frozen_and_one_sigma(fringe_params):
     w = correlation_width(fringe_params)
     assert w == pytest.approx(CORRELATION_WIDTH, rel=1e-12)
     # |Phi| falls to exp(-1/2) when the summed coordinate equals the width
-    mag = envelope_magnitude(fringe_params, 0.0, 0.0, fringe_params.s2 * w, 0.0)
+    mag = np.abs(closed_form_amplitude(fringe_params, 0.0, 0.0, fringe_params.s2 * w, 0.0))
     assert mag == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
@@ -290,3 +274,11 @@ def test_doubling_check_raises_above_tolerance():
     doubling_check(coarse, coarse + [0, 0, 4e-8], 64, 1e-8, "the map")   # change 1e-8
     with pytest.raises(ConvergenceError, match="64 -> 128 nodes changed the map by 1.000e-07"):
         doubling_check(coarse, coarse + [0, 0, 4e-7], 64, 1e-8, "the map")
+
+
+def test_doubling_check_returns_the_change():
+    coarse = np.array([1.0, 2.0, 4.0])
+    assert doubling_check(coarse, coarse + [0, 0, 4e-8], 64, 1e-8, "the map") == (
+        pytest.approx(1e-8)
+    )
+    assert doubling_change(coarse, coarse + [0, 0, -4e-7]) == pytest.approx(1e-7)

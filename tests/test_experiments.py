@@ -14,6 +14,8 @@ from ghostsim import (
     PhasePattern,
     QuadSettings,
     SamplingError,
+    SourceParams,
+    SourceRegimeWarning,
     background_subtract,
     expected_fringe_period,
     ghost_image_map,
@@ -253,13 +255,51 @@ def test_image_map_records_lens_path(imaging_params, imaging_lens):
     assert 0 < closed.meta["clip_bound"] < 1e-5
 
 
+def test_image_map_states_its_error(imaging_params, imaging_lens):
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=24, ny=24, extent_x=m * 1e-3, extent_y=m * 1e-3)
+    pattern = half_plane_pattern(n=32)
+    closed = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid)
+    assert closed.meta["error_kind"] == "clip_bound"
+    assert closed.meta["error_estimate"] == closed.meta["clip_bound"]
+    # quad.check forces quadrature here; the count is the one the doubling
+    # search accepted, and the error its measured doubling change
+    quad = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid,
+                       QuadSettings(check=True))
+    assert quad.meta["error_kind"] == "doubling"
+    assert 0 <= quad.meta["error_estimate"] <= 1e-8
+    n = quad.meta["aperture_nodes"]
+    assert n >= 32 and n & (n - 1) == 0
+    coarser = _image(imaging_params, imaging_lens, pattern, -45.0, grid, nodes=n // 2)
+    assert coarser.meta["error_estimate"] > 1e-8
+    assert coarser.meta["aperture_nodes"] == n // 2
+
+
+def test_clipped_map_converges_at_default_settings(imaging_lens):
+    # a sigma = 40 mm source, whose lens-plane envelope the aperture clips,
+    # imaged over a camera wider than the pattern's image
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
+    m = ghost_magnification(params, imaging_lens)
+    grid = GridSpec(nx=256, ny=256, extent_x=m * 4.5e-3, extent_y=m * 4.5e-3)
+    pattern = half_plane_pattern(n=128, extent=4e-3)
+    auto = _auto_image(params, imaging_lens, pattern, -45.0, grid)
+    assert auto.meta["lens_path"] == "quadrature"
+    assert auto.meta["aperture_nodes"] <= 1024
+    ref = _image(params, imaging_lens, pattern, -45.0, grid, nodes=768)
+    assert np.max(np.abs(auto.values - ref.values)) <= 1e-10
+
+
 def test_closed_form_map_matches_quadrature_map(imaging_params, imaging_lens):
     # default geometry: the 4 mm half-plane pattern, camera in the image plane
     m = ghost_magnification(imaging_params, imaging_lens)
     grid = GridSpec(nx=64, ny=64, extent_x=m * 4e-3, extent_y=m * 4e-3)
     pattern = half_plane_pattern(n=64, extent=4e-3)
     closed = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid)
-    quad = _image(imaging_params, imaging_lens, pattern, -45.0, grid, nodes=4096)
+    quad = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid,
+                       QuadSettings(check=True))
+    assert quad.meta["lens_path"] == "quadrature"
     gap = float(np.max(np.abs(closed.values - quad.values)))
     assert gap <= closed.meta["clip_bound"]
 
@@ -378,7 +418,7 @@ def test_image_workers_do_not_change_bytes(imaging_params, imaging_lens):
             ghost_image_map(
                 imaging_params, imaging_lens, pat,
                 np.deg2rad(-45.0), np.deg2rad(-45.0), grid,
-                quad=QuadSettings(nodes=1536), workers=w,
+                quad=QuadSettings(nodes=512), workers=w,
             )
             for w in (1, 3)
         ]

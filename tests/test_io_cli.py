@@ -200,6 +200,16 @@ def test_pgm_negative_clipping_writes_sidecar(tmp_path):
     assert not note.exists()
 
 
+@pytest.mark.parametrize(
+    "values", [[[np.nan, 1.0], [0.5, 0.0]], [[np.inf, 1.0]], [[-np.inf, 1.0]]]
+)
+def test_pgm_writer_rejects_non_finite_values(tmp_path, values):
+    path = tmp_path / "g.pgm"
+    with pytest.raises(ParameterError, match="finite"):
+        save_pgm(str(path), np.array(values))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pgm_loader_rejects_truncated_and_foreign_files(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_text("P2\n2 2\n255\n1 2 3\n")

@@ -17,33 +17,34 @@ from ghostsim import (
     aperture_nodes,
     axis_amplitude,
     fresnel_kernel,
-    fresnel_number,
     ghost_image_map,
     ghost_magnification,
+    half_plane_pattern,
     imaging_amplitude,
     lens_phase,
-    rule_nodes,
     uniform_pattern,
 )
 from ghostsim import optics
 from ghostsim.biphoton import _leggauss
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
-    AUTO_NODES_MAX,
-    _chord_bounds,
+    APERTURE_START_NODES,
+    _disc_rule,
     _imaging_raw,
+    _lens_plane_coefficients,
     _on_axis_raw,
+    _point_amplitude,
     clip_bound,
+    converged_nodes,
     lens_axis_kernel,
     lens_plane_nodes,
     pattern_image_field,
 )
 
 # Frozen values for f=1.5 m, u=2.83 m, rho=25 mm at 810 nm:
-#   v from the thin-lens equation, N_F = k rho^2 / (2 pi min(u, v))
+#   v from the thin-lens equation
 V_IMAGE = 3.1917293233082713
 MAGNIFICATION = 1.1278195488721807
-FRESNEL_NUMBER = 272.6519216507439
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_ghost_magnification_requires_matching_geometry(imaging_params, imaging_
 
 
 # ---------------------------------------------------------------------------
-# kernels and sampling rule
+# kernels and node counts
 # ---------------------------------------------------------------------------
 
 
@@ -105,24 +106,20 @@ def test_phase_kernels_are_pure_phases(imaging_params):
     )
 
 
-def test_fresnel_number_frozen(imaging_params, imaging_lens):
-    assert fresnel_number(imaging_lens, imaging_params.k) == pytest.approx(
-        FRESNEL_NUMBER, rel=1e-12
-    )
-
-
-def test_rule_nodes_and_clamping(imaging_params, imaging_lens):
-    k = imaging_params.k
-    assert rule_nodes(imaging_lens, k) == int(np.ceil(16 * FRESNEL_NUMBER))
-    assert rule_nodes(LensSystem(f=1.5, u=2.83, aperture_radius=1e-3), k) == 256
-    assert rule_nodes(LensSystem(f=1.5, u=2.83, aperture_radius=0.2), k) == 8192
-
-
 def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
     k = imaging_params.k
-    assert aperture_nodes(imaging_lens, k, QuadSettings()) == rule_nodes(imaging_lens, k)
-    with pytest.warns(ApertureSamplingWarning):
-        assert aperture_nodes(imaging_lens, k, QuadSettings(nodes=512)) == 512
+    # the first count of the doubling search, or the explicit one
+    assert aperture_nodes(imaging_lens, k, QuadSettings()) == APERTURE_START_NODES == 32
+    assert aperture_nodes(imaging_lens, k, QuadSettings(nodes=512)) == 512
+    # an explicit count that misses the doubling check warns, and is kept
+    m = ghost_magnification(_wide_source(), imaging_lens)
+    grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
+    with pytest.warns(ApertureSamplingWarning, match="doubling 64 -> 128"):
+        cmap = ghost_image_map(
+            _wide_source(), imaging_lens, half_plane_pattern(n=8), 0.3, 0.2, grid,
+            QuadSettings(nodes=64),
+        )
+    assert cmap.meta["aperture_nodes"] == 64 and cmap.meta["error_estimate"] > 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +134,21 @@ def _quiet_amp(params, lens, x1, y1, x2, y2, nodes):
 
 
 def test_on_axis_reference_is_one(imaging_params, imaging_lens):
-    val = _quiet_amp(imaging_params, imaging_lens, 0.0, 0.0, 0.0, 0.0, 1024)
+    val = _quiet_amp(imaging_params, imaging_lens, 0.0, 0.0, 0.0, 0.0, 64)
     assert complex(val) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
 def test_point_images_at_minus_m_x1(imaging_params, imaging_lens):
     x1 = 0.8e-3
     x2 = np.linspace(-1.05e-3, -0.75e-3, 61)
-    amp = np.abs(_quiet_amp(imaging_params, imaging_lens, x1, 0.0, x2, 0.0, 1024))
+    amp = np.abs(_quiet_amp(imaging_params, imaging_lens, x1, 0.0, x2, 0.0, 128))
     found = x2[np.argmax(amp)]
     assert found == pytest.approx(-MAGNIFICATION * x1, abs=1.2 * (x2[1] - x2[0]))
 
 
 def test_point_response_is_symmetric_in_the_two_axes(imaging_params, imaging_lens):
-    a = _quiet_amp(imaging_params, imaging_lens, 0.5e-3, 0.2e-3, -0.6e-3, -0.2e-3, 768)
-    b = _quiet_amp(imaging_params, imaging_lens, 0.2e-3, 0.5e-3, -0.2e-3, -0.6e-3, 768)
+    a = _quiet_amp(imaging_params, imaging_lens, 0.5e-3, 0.2e-3, -0.6e-3, -0.2e-3, 128)
+    b = _quiet_amp(imaging_params, imaging_lens, 0.2e-3, 0.5e-3, -0.2e-3, -0.6e-3, 128)
     assert complex(a) == pytest.approx(complex(b), rel=1e-12)
 
 
@@ -165,24 +162,24 @@ def test_psf_first_zero_tracks_aperture_airy_radius():
     lens = LensSystem(f=1.5, u=2.83)
     airy = AIRY_FIRST_ZERO * lens.v / (params.k * lens.aperture_radius)
     offsets = np.linspace(0.2, 1.6, 141) * airy
-    amp = np.abs(_quiet_amp(params, lens, 0.0, 0.0, offsets, 0.0, 2048))
+    amp = np.abs(imaging_amplitude(params, lens, 0.0, 0.0, offsets, 0.0))
     dips = np.nonzero((amp[1:-1] < amp[:-2]) & (amp[1:-1] < amp[2:]))[0] + 1
     assert len(dips) > 0
     assert offsets[dips[0]] == pytest.approx(airy, rel=0.05)
 
 
 def test_imaging_convergence_check(imaging_params, imaging_lens):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApertureSamplingWarning)
+    imaging_amplitude(
+        imaging_params, imaging_lens, 0.5e-3, 0.0, -0.55e-3, 0.0,
+        QuadSettings(check=True, tol=1e-10),
+    )
+    # 64 nodes cannot resolve the lens-plane phase of an image point 2 mm
+    # from the conjugate of its object
+    with pytest.raises(ConvergenceError, match="doubling 64 -> 128"):
         imaging_amplitude(
-            imaging_params, imaging_lens, 0.5e-3, 0.0, -0.55e-3, 0.0,
-            QuadSettings(nodes=2048, check=True, tol=1e-6),
+            imaging_params, imaging_lens, 0.0, 0.0, 2e-3, 0.0,
+            QuadSettings(nodes=64, check=True),
         )
-        with pytest.raises(ConvergenceError):
-            imaging_amplitude(
-                imaging_params, imaging_lens, 0.5e-3, 0.0, -0.55e-3, 0.0,
-                QuadSettings(nodes=128, check=True, tol=1e-10),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +204,6 @@ def test_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
                 imaging_params, imaging_lens, xx, yy, x2[None, :], y2[:, None], 512
             )
     np.testing.assert_allclose(field, direct, rtol=1e-10, atol=1e-12)
-
-
-def test_pattern_field_worker_count_does_not_change_bytes(imaging_params, imaging_lens):
-    rng = np.random.default_rng(9)
-    x1c = np.linspace(-1e-3, 1e-3, 16)
-    y1c = np.linspace(-1e-3, 1e-3, 16)
-    weights = rng.normal(size=(16, 16)) * np.exp(1j * rng.uniform(0, np.pi, (16, 16)))
-    x2 = np.linspace(-1e-3, 1e-3, 12)
-    y2 = np.linspace(-1e-3, 1e-3, 12)
-    fields = [
-        pattern_image_field(
-            imaging_params, imaging_lens, weights, x1c, y1c, x2, y2,
-            nodes=1536, workers=w,
-        )
-        for w in (1, 2, 4)
-    ]
-    assert fields[0].tobytes() == fields[1].tobytes() == fields[2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +239,9 @@ def test_clip_bound_covers_closed_form_vs_quadrature(imaging_params, imaging_len
     m = ghost_magnification(imaging_params, imaging_lens)
     x2 = -m * a + np.linspace(-0.3e-3, 0.3e-3, 7)
     closed = imaging_amplitude(imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None])
-    quad = _quiet_amp(imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None], 4096)
+    quad = imaging_amplitude(
+        imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None], QuadSettings(check=True)
+    )
     gap = float(np.max(np.abs(closed - quad)))
     assert gap <= clip_bound(imaging_params, imaging_lens, a, a)
     assert gap < 1e-5
@@ -280,20 +262,18 @@ def test_closed_form_point_path_selected_at_default_geometry(imaging_params, ima
 
 
 def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
-    rule = rule_nodes(imaging_lens, imaging_params.k)
+    start = APERTURE_START_NODES
     # the aperture clips the lens-plane envelope of a sigma = 40 mm source
-    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == rule
+    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == start
     # an explicit node count always means quadrature
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApertureSamplingWarning)
-        assert lens_plane_nodes(
-            imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
-        )[0] == 512
+    assert lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
+    )[0] == 512
     # a checked tolerance below the bound
     assert lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(check=True, tol=1e-10),
         DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
-    )[0] == rule
+    )[0] == start
 
 
 def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
@@ -316,30 +296,53 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
 
 
 # ---------------------------------------------------------------------------
-# chord contraction of the clipped-aperture quadrature
+# disc rule of the clipped-aperture quadrature
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [64, 65, 512, 1536, 4363, 8192])
-def test_chord_bounds_reproduce_the_disc_mask(imaging_lens, n):
+@pytest.mark.parametrize("n", [16, 33, 64, 512])
+def test_disc_rule_weights_sum_to_the_disc_area(imaging_lens, n):
     rho = imaging_lens.aperture_radius
-    xi = rho * _leggauss(n)[0]
-    idx = np.arange(n)
-    pairs = np.random.default_rng(n).integers(0, n, size=(3, 2))
-    # the 25 mm aperture on its own nodes has full rows; a 22.5 mm disc on
-    # the same nodes has empty rows near the rim; a rim through a node pair
-    # puts nodes exactly on it, where rounding decides membership
-    rims = [rho**2, (0.9 * rho) ** 2] + [xi[i] ** 2 + xi[j] ** 2 for i, j in pairs]
-    widths = []
-    for rho2 in rims:
-        lo, hi = _chord_bounds(xi, rho2)
-        widths.append(hi - lo)
-        for a0 in range(0, n, 512):
-            rows = slice(a0, a0 + 512)
-            mask = xi[rows, None] ** 2 + xi[None, :] ** 2 <= rho2
-            chord = (idx >= lo[rows, None]) & (idx < hi[rows, None])
-            assert np.array_equal(chord, mask)
-    assert np.any(widths[0] == n) and np.any(widths[1] == 0)
+    outer, inner, W = _disc_rule(n)
+    assert abs(rho**2 * W.sum() - np.pi * rho**2) <= 1e-13 * np.pi * rho**2
+    # a chord through the centre has the inner Gauss-Legendre weights
+    if n % 2:
+        w = _leggauss(n)[1]
+        np.testing.assert_allclose(W[n // 2], np.pi / 2 * w[n // 2] * w, rtol=1e-13)
+    assert not W.flags.writeable and _disc_rule(n)[2] is W
+
+
+def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
+    """Reference: Gauss-Legendre on each chord, eta_ab = rho cos(theta_a) t_b."""
+    t, w = _leggauss(n)
+    theta = 0.5 * np.pi * t
+    xi = lens.aperture_radius * np.sin(theta)
+    half = lens.aperture_radius * np.cos(theta)
+    eta = half[:, None] * t                                      # (a, b)
+    wab = (0.5 * np.pi * w * half)[:, None] * half[:, None] * w  # dxi deta
+
+    def raw(a1, b1, a2, b2):
+        A, Bx, Cx = _lens_plane_coefficients(params, lens, a1, a2)
+        _, By, Cy = _lens_plane_coefficients(params, lens, b1, b2)
+        fx = np.exp(-A * xi**2 + np.outer(Bx, xi) + Cx[:, None])
+        fy = np.exp(-A * eta**2 + By[:, None, None] * eta + Cy[:, None, None])
+        return np.einsum("pa,ab,pab->p", fx, wab, fy)
+
+    zero = np.zeros(1)
+    return raw(x1, y1, x2, y2) / raw(zero, zero, zero, zero)[0] * fresnel_kernel(
+        lens.v, params.k, x2, y2
+    )
+
+
+@pytest.mark.parametrize("sigma, obj", [(40e-3, (0.7e-3, -0.4e-3)), (3e-3, (4e-3, 4e-3))])
+def test_disc_rule_matches_a_per_chord_rule(imaging_lens, sigma, obj):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
+    pts = _psf_line(params, imaging_lens, *obj)
+    amp = imaging_amplitude(params, imaging_lens, *pts, QuadSettings(check=True))
+    ref = _per_chord_amplitude(params, imaging_lens, *pts)
+    assert np.max(np.abs(amp - ref)) <= 1e-13
 
 
 def _dense_mask_amplitude(params, lens, x1, y1, x2, y2, nodes):
@@ -374,13 +377,18 @@ def _psf_line(params, lens, x1=0.7e-3, y1=-0.4e-3, angle=0.6):
     return np.full(141, x1), np.full(141, y1), x2, y2
 
 
-@pytest.mark.parametrize("n", [512, 2048])
-def test_chord_contraction_matches_dense_mask_reference(imaging_lens, n):
+def test_dense_mask_lattice_converges_to_the_disc_rule_at_first_order(imaging_lens):
+    # the square Gauss-Legendre lattice masked to the disc, which the disc
+    # rule replaced, approaches the disc rule's value with its error halving
+    # per doubling
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
-    amp = _quiet_amp(params, imaging_lens, *pts, n)
-    ref = _dense_mask_amplitude(params, imaging_lens, *pts, n)
-    assert np.max(np.abs(amp - ref)) <= 1e-12 * np.max(np.abs(ref))
+    amp = imaging_amplitude(params, imaging_lens, *pts)
+    gaps = [
+        np.max(np.abs(_dense_mask_amplitude(params, imaging_lens, *pts, n) - amp))
+        for n in (1024, 2048)
+    ]
+    assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.2)
 
 
 @pytest.mark.parametrize("n", [512, 2048])
@@ -390,7 +398,7 @@ def test_on_axis_reference_is_the_point_paths_own(imaging_lens, n):
     ref = _on_axis_raw(params, imaging_lens, n)
     # the point path at the origin, inside a batch, is the reference itself
     assert ref == _imaging_raw(params, imaging_lens, x1, y1, x2, y2, n)[-1]
-    assert abs(_quiet_amp(params, imaging_lens, x1, y1, x2, y2, n)[-1] - 1.0) < 1e-15
+    assert abs(_point_amplitude(params, imaging_lens, x1, y1, x2, y2, n)[-1] - 1.0) < 1e-15
     # an image map divides by the same reference: a unit pixel at the origin
     field = pattern_image_field(
         params, imaging_lens, np.ones((1, 1)), np.zeros(1), np.zeros(1),
@@ -408,22 +416,33 @@ def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):
     assert blocked.tobytes() == whole.tobytes()
 
 
-def test_doubling_check_fails_where_the_aperture_clips(imaging_lens):
-    # the square-lattice disc converges to first order only (~1.5e-4 per
-    # doubling at the rule's 4363 nodes), so the default tol = 1e-8 fails
-    # until a disc-conforming rule replaces it
+def test_doubling_check_passes_where_the_aperture_clips(imaging_lens):
+    # the disc rule converges spectrally where the aperture clips, so the
+    # default tol = 1e-8 holds at the default node count
     params = _wide_source()
-    with pytest.raises(ConvergenceError):
-        imaging_amplitude(
-            params, imaging_lens, *_psf_line(params, imaging_lens), QuadSettings(check=True)
-        )
+    pts = _psf_line(params, imaging_lens)
+    assert lens_plane_nodes(params, imaging_lens, QuadSettings(check=True), *pts[:2])[0] > 0
+    imaging_amplitude(params, imaging_lens, *pts, QuadSettings(check=True))
 
 
 def test_explicit_node_count_is_capped():
-    assert MAX_NODES == 2 * AUTO_NODES_MAX
+    assert MAX_NODES == 2048
     assert QuadSettings(nodes=MAX_NODES).nodes == MAX_NODES
     with pytest.raises(ParameterError, match="exceeds"):
         QuadSettings(nodes=MAX_NODES + 1)
+
+    # a probe that never settles: the search stops at MAX_NODES, an explicit
+    # count is checked against its double only
+    def never_settles(n):
+        asked.append(n)
+        return np.array([1.0 + 1.0 / n])
+
+    for quad, start, used in ((QuadSettings(), 32, MAX_NODES), (QuadSettings(nodes=64), 64, 64)):
+        asked = []
+        with pytest.warns(ApertureSamplingWarning):
+            nodes, change = converged_nodes(never_settles, start, quad, "the probe")
+        assert nodes == used and asked[-1] == 2 * used and change > quad.tol
+    assert asked == [64, 128]
 
 
 def _sampling_warning_of(call):
@@ -436,12 +455,13 @@ def _sampling_warning_of(call):
 
 
 def test_sampling_warning_points_at_the_callers_line(imaging_params, imaging_lens):
+    # 64 nodes miss the doubling check for both calls: an image point 2 mm
+    # from its object's conjugate, and a map over a 4 mm camera
     quad = QuadSettings(nodes=64)
     pattern = uniform_pattern(8, 4e-3, 0.0)
     grid = GridSpec(nx=16, ny=16, extent_x=4e-3, extent_y=4e-3)
     calls = [
-        lambda: aperture_nodes(imaging_lens, imaging_params.k, quad),
-        lambda: imaging_amplitude(imaging_params, imaging_lens, 0.0, 0.0, 0.0, 0.0, quad),
+        lambda: imaging_amplitude(imaging_params, imaging_lens, 0.0, 0.0, 2e-3, 0.0, quad),
         lambda: ghost_image_map(imaging_params, imaging_lens, pattern, 0.3, 0.2, grid, quad),
     ]
     for call in calls:
