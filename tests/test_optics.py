@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -377,17 +378,33 @@ def _psf_line(params, lens, x1=0.7e-3, y1=-0.4e-3, angle=0.6):
     return np.full(141, x1), np.full(141, y1), x2, y2
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice_gap(lens, nodes):
+    """Largest distance on the clipped PSF line from the dense-mask lattice
+    at ``nodes`` to the disc rule at its default count."""
+    params = _wide_source()
+    pts = _psf_line(params, lens)
+    amp = imaging_amplitude(params, lens, *pts)
+    return np.max(np.abs(_dense_mask_amplitude(params, lens, *pts, nodes) - amp))
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_chord_contraction_matches_dense_mask_reference(imaging_lens, n):
+    # the chord-weight contraction at an explicit count is the converged
+    # value; the dense-mask lattice over the same nodes differs from it by
+    # the mask's first-order defect, 0.207 / n here
+    params = _wide_source()
+    pts = _psf_line(params, imaging_lens)
+    amp = imaging_amplitude(params, imaging_lens, *pts)
+    assert np.max(np.abs(_quiet_amp(params, imaging_lens, *pts, n) - amp)) <= 1e-13
+    assert 0.19 <= _lattice_gap(imaging_lens, n) * n <= 0.23
+
+
 def test_dense_mask_lattice_converges_to_the_disc_rule_at_first_order(imaging_lens):
     # the square Gauss-Legendre lattice masked to the disc, which the disc
     # rule replaced, approaches the disc rule's value with its error halving
     # per doubling
-    params = _wide_source()
-    pts = _psf_line(params, imaging_lens)
-    amp = imaging_amplitude(params, imaging_lens, *pts)
-    gaps = [
-        np.max(np.abs(_dense_mask_amplitude(params, imaging_lens, *pts, n) - amp))
-        for n in (1024, 2048)
-    ]
+    gaps = [_lattice_gap(imaging_lens, n) for n in (1024, 2048)]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.2)
 
 
