@@ -130,8 +130,14 @@ class QuadSettings:
 ORACLE_DEFAULT_NODES = 2048
 
 
-# Newton steps allowed from Tricomi's initial guesses; three suffice up to
-# n = 8192, so hitting the cap means the iteration has gone wrong
+def oracle_nodes(quad: QuadSettings) -> int:
+    """Nodes per axis of the source oracle: quad.nodes, else ORACLE_DEFAULT_NODES."""
+    return quad.nodes if quad.nodes is not None else ORACLE_DEFAULT_NODES
+
+
+# Newton-type passes allowed from Tricomi's initial guesses; two (the second
+# only verifying) suffice from n = 512 to 8192 and three below, so hitting
+# the cap means the iteration has gone wrong
 NEWTON_MAX_STEPS = 10
 
 # output points the doubling check re-evaluates at twice the nodes (at most)
@@ -143,28 +149,48 @@ def _legendre_slope(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     p_prev, p = np.ones_like(x), x.copy()
     for j in range(1, n):
         p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Newton's method on P_n, vectorized over the nodes of the half-interval
-    x >= 0 and started from Tricomi's guesses
-    x_k = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4k - 1) / (4n + 2)), with P_n and
-    P_n' from the three-term recurrence: O(n^2) work, against the O(n^3)
-    eigenvalue solve of numpy's leggauss. The weights 2 / ((1 - x^2) P_n'(x)^2)
-    are evaluated at the converged nodes and the negative half is the mirror
-    image, so the rule is exactly symmetric. The arrays are cached, and
-    read-only.
+    Newton-type iteration on P_n (Swarztrauber, SIAM J. Sci. Comput. 24, 945
+    (2002); Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)),
+    vectorized over the nodes of the half-interval x >= 0 and started from
+    Tricomi's guesses
+    x_k = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4k - 1) / (4n + 2)). Each pass
+    takes P_n and P_n' from the three-term recurrence, O(n^2) work against
+    the O(n^3) eigenvalue solve of numpy's leggauss, and the next two
+    derivatives from Legendre's equation,
+
+        (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n,
+        (1 - x^2) P_n''' = 4x P_n'' - (n(n+1) - 2) P_n'.
+
+    With the Newton step h = -P_n/P_n', a2 = P_n''/(2 P_n') and
+    a3 = P_n'''/(6 P_n'), a pass steps by h - a2 h^2 + (2 a2^2 - a3) h^3: the
+    root of the cubic Taylor polynomial of P_n about x, to third order in h.
+    From Tricomi's guesses one such step converges for n >= 512, and the
+    next pass, whose step is at most 1e-15, only verifies: two recurrence
+    passes in all. The weights 2 / ((1 - x^2) P_n'(x)^2) come from the
+    verifying pass, with P_n' carried to the stepped node as P_n' + P_n'' h.
+    1 - x^2 is computed as (1 - x)(1 + x) throughout. The negative half is
+    the mirror image, so the rule is exactly symmetric. The arrays are
+    cached, and read-only.
     """
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    order = n * (n + 1.0)
     for _ in range(NEWTON_MAX_STEPS):
         p, dp = _legendre_slope(n, x)
-        step = p / dp
-        x -= step
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        d2p = (2.0 * x * dp - order * p) / one_minus_x2
+        d3p = (4.0 * x * d2p - (order - 2.0) * dp) / one_minus_x2
+        a2, a3 = d2p / (2.0 * dp), d3p / (6.0 * dp)
+        h = -p / dp
+        step = h * (1.0 + h * ((2.0 * a2 * a2 - a3) * h - a2))
+        x += step
         if np.max(np.abs(step)) <= 1e-15:
             break
     else:
@@ -175,8 +201,8 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     odd = n % 2
     if odd:
         x[-1] = 0.0
-    _, dp = _legendre_slope(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    dp += d2p * step
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     nodes = np.concatenate([-x, x[::-1][odd:]])
     weights = np.concatenate([w, w[::-1][odd:]])
     nodes.flags.writeable = False
@@ -202,21 +228,27 @@ def doubling_probe(shape: Tuple[int, ...]) -> tuple:
     ))
 
 
-def doubling_change(coarse, fine) -> float:
-    """Relative change max|fine - coarse| / max|fine| of probed values."""
+def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
+    """Relative change max|fine - coarse| / max(max|fine|, floor) of probed values.
+
+    floor is the least scale the change is measured against: a normalized
+    output passes the value it is normalized to, so that probed values far
+    below it are not held to a relative tolerance of their own.
+    """
     coarse, fine = np.ravel(coarse), np.ravel(fine)
-    scale = max(float(np.max(np.abs(fine))), 1e-300)
+    scale = max(float(np.max(np.abs(fine))), floor)
     return float(np.max(np.abs(fine - coarse))) / scale
 
 
-def doubling_check(coarse, fine, nodes: int, tol: float, what: str) -> float:
+def doubling_check(coarse, fine, nodes: int, tol: float, what: str,
+                   floor: float = 1e-300) -> float:
     """Raise ConvergenceError if doubling nodes moved the probed values too far.
 
     coarse and fine hold the probed values at nodes and 2 * nodes; their
-    doubling_change must not exceed tol, and is returned. what names the
-    result in the error.
+    doubling_change (against floor) must not exceed tol, and is returned.
+    what names the result in the error.
     """
-    change = doubling_change(coarse, fine)
+    change = doubling_change(coarse, fine, floor)
     if change > tol:
         raise ConvergenceError(
             f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
@@ -291,21 +323,28 @@ def axis_amplitude(params: SourceParams, a1, a2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _axis_integral(params: SourceParams, a1, a2, nodes: int, half_width: float):
-    """Single-axis source integral for point pairs (a1, a2), vectorized.
+def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int,
+                   half_width: float) -> np.ndarray:
+    """Single-axis source integral without its per-point phase, at shifts u.
 
-    Integrates exp(-t^2/sigma^2) * exp(i k/2 ((a1-t)^2/s1 + (a2-t)^2/s2)) over
-    t in [-half_width, half_width].
+    The oracle's integrand along one axis,
+    exp(-t^2/sigma^2 + i k/2 ((a1-t)^2/s1 + (a2-t)^2/s2)) over
+    t in [-half_width, half_width], expands into
+    exp(i k/2 (a1^2/s1 + a2^2/s2)) * e(t) * exp(-i k t u) with
+    e(t) = exp(-t^2/sigma^2 + i k/2 (1/s1 + 1/s2) t^2) and u = a1/s1 + a2/s2.
+    This returns sum_t w_t e(t) exp(-i k t u) over the Gauss-Legendre nodes
+    for a flat array u. The nodes are symmetric and g(t) = w_t e(t) is even,
+    so the sum is sum over t >= 0 of 2 g(t) cos(k t u), the middle node of
+    an odd count taken once: one real cosine kernel times the real and
+    imaginary parts of g.
     """
-    t, wts = _leggauss(nodes)
-    t = t * half_width
-    wts = wts * half_width
-    a1 = np.atleast_1d(np.asarray(a1, float))[:, None]
-    a2 = np.atleast_1d(np.asarray(a2, float))[:, None]
-    tt = t[None, :]
-    phase = 0.5 * params.k * ((a1 - tt) ** 2 / params.s1 + (a2 - tt) ** 2 / params.s2)
-    integrand = np.exp(-(tt**2) / params.sigma**2 + 1j * phase)
-    return integrand @ wts
+    t, w = _leggauss(nodes)
+    t, w = half_width * t[nodes // 2:], half_width * w[nodes // 2:]  # t >= 0
+    g = w * np.exp(-(t * t) / params.sigma**2
+                   + 0.5j * params.k * (1 / params.s1 + 1 / params.s2) * (t * t))
+    g[nodes % 2:] *= 2.0
+    kernel = np.cos(np.multiply.outer(u, params.k * t))
+    return (kernel @ g.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def quadrature_oracle_amplitude(
@@ -313,26 +352,38 @@ def quadrature_oracle_amplitude(
 ) -> np.ndarray:
     """Two-photon amplitude by direct quadrature of the source integral.
 
-    Independent of the closed form: per-axis Gauss-Legendre integration of the
-    Gaussian-times-chirp integrand, normalized by the origin value so that
+    Independent of the closed form: the source integral factorizes into an
+    x and a y integral of exp(-t^2/sigma^2) * exp(i k/2 ((a1-t)^2/s1 +
+    (a2-t)^2/s2)) over t in +-quad.half_width_sigmas * sigma, each taken by
+    Gauss-Legendre quadrature with oracle_nodes(quad) nodes. Expanding the
+    square splits off the phase exp(i k/2 (a1^2/s1 + a2^2/s2)) and leaves a
+    sum that depends on the point only through u = a1/s1 + a2/s2
+    (_axis_integral). Those sums are taken once per call over the distinct
+    u of the x axis, the y axis and the origin, then scattered back to the
+    points. The result is Ix * Iy / I0^2, normalized so that
     oracle(0,0;0,0) = 1 with phases comparable to closed_form_amplitude.
-    The x and y axes factorize, so the result is Ix * Iy / I0^2.
     """
-    nodes = quad.nodes if quad.nodes is not None else ORACLE_DEFAULT_NODES
+    nodes = oracle_nodes(quad)
     half_width = quad.half_width_sigmas * params.sigma
-    x1b, y1b, x2b, y2b = np.broadcast_arrays(
+    k, s1, s2 = params.k, params.s1, params.s2
+    pts = np.broadcast_arrays(
         np.asarray(x1, float), np.asarray(y1, float),
         np.asarray(x2, float), np.asarray(y2, float),
     )
 
     def evaluate(n: int, index) -> np.ndarray:
-        """Flat values at the points x1b[index], ... with n nodes."""
-        ix = _axis_integral(params, x1b[index].ravel(), x2b[index].ravel(), n, half_width)
-        iy = _axis_integral(params, y1b[index].ravel(), y2b[index].ravel(), n, half_width)
-        i0 = _axis_integral(params, 0.0, 0.0, n, half_width)[0]
-        return ix * iy / i0**2
+        """Flat values at the points pts[i][index] with n nodes."""
+        a1, b1, a2, b2 = (a[index].ravel() for a in pts)
+        shifts, inverse = np.unique(
+            np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]),
+            return_inverse=True,
+        )
+        sums = _axis_integral(params, shifts, n, half_width)[inverse]
+        ix, iy, i0 = sums[:a1.size], sums[a1.size:-1], sums[-1]
+        phase = np.exp(0.5j * k * ((a1 * a1 + b1 * b1) / s1 + (a2 * a2 + b2 * b2) / s2))
+        return phase * ix * iy / i0**2
 
-    value = evaluate(nodes, Ellipsis).reshape(x1b.shape)
+    value = evaluate(nodes, Ellipsis).reshape(pts[0].shape)
     if quad.check:
         probe = doubling_probe(value.shape)
         doubling_check(value[probe], evaluate(2 * nodes, probe), nodes, quad.tol,

@@ -26,6 +26,7 @@ from .biphoton import (
     QuadSettings,
     SourceParams,
     closed_form_amplitude,
+    oracle_nodes,
     quadrature_oracle_amplitude,
 )
 from .detector import DetectorConfig, build_ghost_image
@@ -368,12 +369,14 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
     quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
     if cfg["oracle"]:
         phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"], quad)
+        used = oracle_nodes(quad)
     else:
         phi = closed_form_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])
+        used = 0
     phi = np.broadcast_to(phi, coords.shape)
     table = np.column_stack([coords, phi.real, phi.imag, np.abs(phi)])
     txt, _, echo = _outputs(args, "amplitude")
-    meta = dict(cfg, columns=f"{cfg['axis']}1 re im abs")
+    meta = dict(cfg, columns=f"{cfg['axis']}1 re im abs", quadrature_nodes=used)
     save_matrix_text(txt, table, meta)
     write_config_echo(echo, cfg)
     print(f"wrote {txt}")

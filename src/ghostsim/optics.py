@@ -174,25 +174,29 @@ def aperture_nodes(lens: LensSystem, k: float, quad: QuadSettings) -> int:
     return APERTURE_START_NODES if quad.nodes is None else quad.nodes
 
 
-def converged_nodes(probe_at, nodes: int, quad: QuadSettings, what: str) -> Tuple[int, float]:
+def converged_nodes(
+    probe_at, nodes: int, quad: QuadSettings, what: str, floor: float = 1e-300
+) -> Tuple[int, float]:
     """Aperture node count chosen by node doubling: (nodes, measured change).
 
     probe_at(n) evaluates the probed output points at n nodes per axis.
     Without quad.nodes the count doubles from nodes until doubling it moves
-    the probe by at most quad.tol, or reaches MAX_NODES; an explicit count
-    is checked once against its double. A miss raises ConvergenceError under
-    quad.check, else warns ApertureSamplingWarning at the caller's line.
+    the probe by at most quad.tol (doubling_change against floor), or
+    reaches MAX_NODES; an explicit count is checked once against its double.
+    A miss raises ConvergenceError under quad.check, else warns
+    ApertureSamplingWarning at the caller's line.
     """
     coarse, fine = probe_at(nodes), probe_at(2 * nodes)
-    while quad.nodes is None and nodes < MAX_NODES and doubling_change(coarse, fine) > quad.tol:
+    while (quad.nodes is None and nodes < MAX_NODES
+           and doubling_change(coarse, fine, floor) > quad.tol):
         nodes, coarse, fine = 2 * nodes, fine, probe_at(4 * nodes)
     try:
-        return nodes, doubling_check(coarse, fine, nodes, quad.tol, what)
+        return nodes, doubling_check(coarse, fine, nodes, quad.tol, what, floor)
     except ConvergenceError as miss:
         if quad.check:
             raise
         warnings.warn(str(miss), ApertureSamplingWarning, stacklevel=outside_stacklevel())
-        return nodes, doubling_change(coarse, fine)
+        return nodes, doubling_change(coarse, fine, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +432,12 @@ def imaging_amplitude(
     nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
     if nodes:
         probe = [np.ravel(a[doubling_probe(shape)]) for a in pts]
+        # measured against at least the on-axis value 1 the amplitude is
+        # normalized to: image points far from their object's conjugate,
+        # ~1e-9 of it, are not held to tol relative to themselves
         nodes, _ = converged_nodes(
             lambda n: _point_amplitude(params, lens, *probe, n),
-            nodes, quad, "the imaging amplitude",
+            nodes, quad, "the imaging amplitude", floor=1.0,
         )
     value = _point_amplitude(params, lens, *(a.ravel() for a in pts), nodes).reshape(shape)
     if not np.all(np.isfinite(value)):

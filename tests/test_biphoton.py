@@ -17,6 +17,7 @@ from ghostsim import (
     envelope_coefficients,
     quadrature_oracle_amplitude,
 )
+from ghostsim import biphoton
 from ghostsim.biphoton import (
     DOUBLING_PROBE_POINTS,
     _leggauss,
@@ -178,6 +179,52 @@ def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params):
         )
 
 
+def _direct_axis_integral(params, a1, a2, nodes, half_width):
+    """The oracle's per-axis integral as first written: one complex exp over
+    every (point, node) pair, then the weighted sum."""
+    t, wts = _leggauss(nodes)
+    t = t * half_width
+    wts = wts * half_width
+    a1 = np.atleast_1d(np.asarray(a1, float))[:, None]
+    a2 = np.atleast_1d(np.asarray(a2, float))[:, None]
+    tt = t[None, :]
+    phase = 0.5 * params.k * ((a1 - tt) ** 2 / params.s1 + (a2 - tt) ** 2 / params.s2)
+    integrand = np.exp(-(tt**2) / params.sigma**2 + 1j * phase)
+    return integrand @ wts
+
+
+def _direct_oracle(params, x1, y1, x2, y2, quad):
+    x1, y1, x2, y2 = (np.ravel(a) for a in np.broadcast_arrays(x1, y1, x2, y2))
+    half_width = quad.half_width_sigmas * params.sigma
+    ix = _direct_axis_integral(params, x1, x2, quad.nodes, half_width)
+    iy = _direct_axis_integral(params, y1, y2, quad.nodes, half_width)
+    i0 = _direct_axis_integral(params, 0.0, 0.0, quad.nodes, half_width)[0]
+    return ix * iy / i0**2
+
+
+_LATTICE = np.array([-1.5e-3, 0.0, 0.7e-3, 0.7e-3, 2e-3])   # 0.7 mm twice
+_LINE = np.linspace(-3e-3, 3e-3, 41)
+
+
+@pytest.mark.parametrize("nodes", [65, 2048])
+@pytest.mark.parametrize("half_width_sigmas", [4.0, 5.0])
+@pytest.mark.parametrize("points", [
+    (_LATTICE[:, None, None, None], _LATTICE[None, :, None, None],
+     _LATTICE[None, None, :, None], _LATTICE[None, None, None, :]),
+    (_LINE, 0.0, -0.4e-3, 0.0),
+    (0.0, _LINE, 0.0, 1.1e-3),
+], ids=["lattice", "x-line", "y-line"])
+def test_oracle_matches_direct_quadrature(fringe_params, nodes, half_width_sigmas, points):
+    # the folded cosine sum over distinct shifts is the same quadrature as
+    # the direct sum over all points and nodes, up to rounding; the direct
+    # oracle's origin value is 1
+    quad = QuadSettings(nodes=nodes, half_width_sigmas=half_width_sigmas)
+    folded = quadrature_oracle_amplitude(fringe_params, *points, quad)
+    direct = _direct_oracle(fringe_params, *points, quad)
+    assert folded.shape == np.broadcast_shapes(*(np.shape(a) for a in points))
+    assert np.max(np.abs(folded.ravel() - direct)) <= 1e-12
+
+
 def test_oracle_widening_window_is_stable(fringe_params):
     # truncating the source integral at 4 sigma already buries the tail
     a = quadrature_oracle_amplitude(
@@ -227,7 +274,7 @@ def test_leggauss_weights_match_extended_precision(n):
             assert abs(w[i] - float(exact_w)) <= 1e-12 * float(exact_w)
 
 
-@pytest.mark.parametrize("n", [4363, 8192])
+@pytest.mark.parametrize("n", [2048, 4363, 8192])
 def test_leggauss_moments_at_large_n(n):
     x, w = _leggauss(n)
     exact = {
@@ -240,6 +287,26 @@ def test_leggauss_moments_at_large_n(n):
     }
     for name, (got, want) in exact.items():
         assert abs(got - want) <= 1e-15, name
+
+
+@pytest.mark.parametrize("n", [512, 2048, 4363])
+def test_leggauss_takes_two_recurrence_passes(n, monkeypatch):
+    # one third-order step from Tricomi's guesses converges, and the second
+    # pass verifies it and supplies the weights
+    passes = []
+
+    def counted(n, x):
+        passes.append(n)
+        return slope(n, x)
+
+    slope = biphoton._legendre_slope
+    monkeypatch.setattr(biphoton, "_legendre_slope", counted)
+    _leggauss.cache_clear()
+    try:
+        _leggauss(n)
+    finally:
+        _leggauss.cache_clear()
+    assert passes == [n, n]
 
 
 def test_leggauss_is_cached_read_only():

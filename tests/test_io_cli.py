@@ -469,12 +469,23 @@ def test_cli_amplitude_matches_library(tmp_path):
     table, meta = load_matrix_text(str(out / "amplitude.txt"))
     assert table.shape == (9, 4)
     assert meta["columns"] == "x1 re im abs"
+    assert meta["quadrature_nodes"] == "0"
     p = SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = closed_form_amplitude(p, table[:, 0], 0.0, 0.0, 0.0)
     np.testing.assert_allclose(table[:, 1] + 1j * table[:, 2], want, rtol=1e-12)
     np.testing.assert_allclose(table[:, 3], np.abs(want), rtol=1e-12)
+
+
+@pytest.mark.parametrize("flags, nodes", [([], "2048"), (["--nodes", "128"], "128")])
+def test_cli_amplitude_oracle_reports_its_node_count(tmp_path, flags, nodes):
+    out = tmp_path / "amp"
+    code, _ = run_cli(["amplitude", "--samples", "9", "--oracle", "1", *flags, "--out", str(out)])
+    assert code == 0
+    table, meta = load_matrix_text(str(out / "amplitude.txt"))
+    assert meta["quadrature_nodes"] == nodes
+    assert table.shape == (9, 4)
 
 
 def _fails_fast(argv, out, capsys):

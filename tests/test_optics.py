@@ -183,6 +183,27 @@ def test_imaging_convergence_check(imaging_params, imaging_lens):
         )
 
 
+def test_far_from_conjugate_point_converges_against_on_axis_value(
+    imaging_params, imaging_lens, monkeypatch
+):
+    # |Phi_I| ~ 2e-9 here; measured against that alone, the doubling change
+    # stalls near 1e-7 and the search ran to 2048 nodes and raised, although
+    # the change is ~1e-16 of the on-axis value 1
+    chosen = []
+
+    def recorded(*args, **kwargs):
+        chosen.append(converged_nodes(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(optics, "converged_nodes", recorded)
+    value = imaging_amplitude(
+        imaging_params, imaging_lens, 0.0, 0.0, 1e-3, 0.0, QuadSettings(check=True)
+    )
+    assert abs(value) < 1e-8
+    [(nodes, change)] = chosen
+    assert nodes <= 256 and change <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # pattern-weighted field
 # ---------------------------------------------------------------------------
