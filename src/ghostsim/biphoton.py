@@ -23,6 +23,7 @@ that every quadrature in the package runs under ``QuadSettings.check``
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,8 +49,6 @@ class SourceParams:
 
     wavelength: vacuum wavelength in meters.
     sigma: transverse Gaussian width of the pair-creation region, meters.
-    w: longitudinal Gaussian width, meters; inert under the collapsed
-       normalization but kept for completeness.
     s1: distance from the source to the object plane, meters.
     s2: distance from the source to the second plane (interference plane or
         imaging lens), meters.
@@ -59,13 +58,21 @@ class SourceParams:
     sigma: float
     s1: float
     s2: float
-    w: float = 1e-3
 
     def __post_init__(self):
-        for name in ("wavelength", "sigma", "s1", "s2", "w"):
+        for name in ("wavelength", "sigma", "s1", "s2"):
             val = getattr(self, name)
             if not np.isfinite(val) or val <= 0:
                 raise ParameterError(f"{name} must be finite and > 0, got {val!r}")
+        try:
+            c_env, c_chirp = envelope_coefficients(self)
+        except OverflowError:
+            c_env = c_chirp = math.inf
+        if not (0 < c_env < math.inf and math.isfinite(c_chirp)):
+            raise ParameterError(
+                "wavelength, sigma, s1 and s2 give no finite, positive envelope "
+                f"coefficient (c_env = {c_env:g})"
+            )
         for name in ("s1", "s2"):
             s = getattr(self, name)
             if s < 50.0 * self.sigma:

@@ -51,7 +51,6 @@ RELAY_TOTAL_SCALE = 0.87
 _SOURCE_KEYS = dict(
     wavelength=810e-9,
     sigma=3e-3,
-    pump_waist=1e-3,
     s1=1.33,
 )
 
@@ -102,8 +101,6 @@ _IMAGE_DEFAULTS = dict(
 _MONTECARLO_DEFAULTS = dict(
     _IMAGE_DEFAULTS,
     trigger_rate=2e4,
-    gate_width=10e-9,
-    gate_delay=20e-9,
     exposure=1800.0,
     pair_detection_prob=0.1,
     dark_rate=0.0,
@@ -205,7 +202,6 @@ def _source(cfg: dict) -> SourceParams:
         sigma=cfg["sigma"],
         s1=cfg["s1"],
         s2=cfg["s2"],
-        w=cfg["pump_waist"],
     )
 
 
@@ -315,19 +311,17 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     # built first, so a bad detector setting fails before either map is made
     det = DetectorConfig(
         trigger_rate=cfg["trigger_rate"],
-        gate_width=cfg["gate_width"],
-        gate_delay=cfg["gate_delay"],
         exposure=cfg["exposure"],
         pair_detection_prob=cfg["pair_detection_prob"],
         dark_rate=cfg["dark_rate"],
         seed=cfg["seed"],
     )
-    signal = _image_map(cfg)
     # The background run images a flat (no-pattern) plane at the same
     # polarizer settings, mirroring the subtraction procedure at the camera.
     flat = uniform_pattern(
         n=cfg["pattern_n"], extent=cfg["pattern_extent_x"], phi=0.0
     )
+    signal = _image_map(cfg)
     background = _image_map(cfg, pattern=flat)
     frame = build_ghost_image(signal, background, det, workers=cfg["workers"])
     txt, pgm, echo = _outputs(args, "montecarlo")

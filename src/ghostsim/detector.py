@@ -27,14 +27,17 @@ from .experiments import CoincidenceMap
 # fixed shard count; workers consume shards, they never repartition them
 GATE_BLOCKS = 32
 
+# largest expected gate count, and expected dark count per pixel, of one
+# exposure: numpy's Poisson sampler refuses means above ~9.2e18, and the
+# int64 frame must hold the counts
+MAX_MEAN_COUNT = 1e18
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     """Acquisition parameters of the triggered single-photon camera.
 
     trigger_rate: herald detections per second opening the gate.
-    gate_width: electronic shutter open time per trigger, seconds.
-    gate_delay: trigger-to-shutter delay, seconds (bookkeeping only).
     exposure: total frame-accumulation time, seconds.
     pair_detection_prob: probability per gate that the partner photon is
       detected anywhere on the camera.
@@ -43,18 +46,23 @@ class DetectorConfig:
     """
 
     trigger_rate: float = 2e4
-    gate_width: float = 10e-9
-    gate_delay: float = 20e-9
     exposure: float = 1800.0
     pair_detection_prob: float = 0.1
     dark_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("trigger_rate", "gate_width", "gate_delay", "exposure", "dark_rate"):
+        for name in ("trigger_rate", "exposure", "dark_rate"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {val!r}")
+        for name in ("trigger_rate", "dark_rate"):
+            mean = getattr(self, name) * self.exposure
+            if mean > MAX_MEAN_COUNT:
+                raise ParameterError(
+                    f"{name} * exposure = {mean:g} exceeds the largest mean count "
+                    f"{MAX_MEAN_COUNT:g} of one exposure"
+                )
         if not (0.0 <= self.pair_detection_prob <= 1.0):
             raise ParameterError("pair_detection_prob must lie in [0, 1]")
         if not isinstance(self.seed, (int, np.integer)):

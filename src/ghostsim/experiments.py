@@ -133,10 +133,16 @@ def pattern_from_extent(
     return PhasePattern(grid=grid, pitch=(px, py), origin=origin, aperture=aperture)
 
 
+def _check_pattern_size(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"pattern size n must be >= 1, got {n}")
+
+
 def half_plane_pattern(
     n: int = 128, extent: float = 4e-3, phi: float = np.pi, axis: str = "x"
 ) -> PhasePattern:
     """Binary two-region pattern: phase phi on the negative half, 0 on the other."""
+    _check_pattern_size(n)
     coords = -extent / 2 + (np.arange(n) + 0.5) * (extent / n)
     if axis == "x":
         grid = np.where(coords[None, :] < 0, phi, 0.0) * np.ones((n, 1))
@@ -149,6 +155,7 @@ def half_plane_pattern(
 
 def uniform_pattern(n: int = 128, extent: float = 4e-3, phi: float = 0.0) -> PhasePattern:
     """Spatially uniform phase pattern (the background configuration)."""
+    _check_pattern_size(n)
     return pattern_from_extent(np.full((n, n), float(phi)), (extent, extent))
 
 

@@ -16,7 +16,11 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   (``lens_axis_kernel``) and Phi_I = Kx * Ky * output phase; an image map is
   two small matrix products, Ky^T W Kx. It leaves out the aperture, which
   ``clip_bound`` shows to change the normalized amplitude by at most
-  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2).
+  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2). In a map the
+  kernels are Gaussian bands with tails down to 1e-250 and below, and
+  products of tails are subnormal, which slows the matmuls several-fold; so
+  the map zeroes kernel entries below KERNEL_FLOOR = 1e-100, which moves any
+  point amplitude by at most 2 * KERNEL_FLOOR.
 - quadrature over the aperture disc (``_disc_rule``): outer nodes
   xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
   set whose weights W integrate exactly over each outer node's chord. The
@@ -25,6 +29,11 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   Integration, 2nd ed. 1984, ch. 5). By the x/y separability of Phi, points
   and image maps contract per-axis factors through the one matrix W, and
   divide by the point path's on-axis value.
+
+The output phase exp(i k (x2^2 + y2^2) / 2v) is separable too (Collins,
+JOSA 60, 1168 (1970)): image maps apply it as one factor per image axis, on
+the columns of Kx and Ky or on the image-side factors Ex and Ey of the
+quadrature, and never build an (ny2, nx2) phase map.
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
@@ -89,6 +98,19 @@ APERTURE_CLIP_TOL = 1e-4
 
 # first aperture node count per axis of the doubling search (converged_nodes)
 APERTURE_START_NODES = 32
+
+# |K| below which the closed-form map zeroes a lens_axis_kernel entry. The
+# kernels are Gaussian bands whose tails reach 1e-250 and below in the
+# default geometry; products of such tails are subnormal, which makes the
+# map's complex matmuls ~5x slower (Dooley & Kale, "Quantifying the
+# interference caused by subnormal floating-point values", 2006).
+# Speed: a product of two kept entries (>= 1e-100) and a weight down to
+# 1e-29 is >= 1e-229, far above the subnormal range below 2.2e-308; any
+# floor above ~1e-140 would do.
+# Accuracy: K(0, 0) = 1 and |K| <= 1 up to 2e-4, so a point amplitude
+# Kx Ky changes by at most 2 * KERNEL_FLOOR in on-axis units, 90 orders of
+# magnitude below clip_bound.
+KERNEL_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -267,6 +289,11 @@ def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
     two add to clip_bound = b(r_c) + b(0). It is 8.6e-6 for the default
     4 mm pattern, and 1.8 on axis for a sigma = 40 mm source, whose
     lens-plane envelope the aperture clips.
+
+    Closed-form image maps also zero kernel entries below KERNEL_FLOOR,
+    which adds at most 2 * KERNEL_FLOOR = 2e-100 per point to their error.
+    The returned bound leaves that out: it is 90 orders of magnitude below
+    the default pattern's bound.
     """
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     rho = lens.aperture_radius
@@ -445,6 +472,13 @@ def imaging_amplitude(
     return value if shape else value[()]
 
 
+def _map_kernel(params, lens, a1, a2) -> np.ndarray:
+    """(a1.size, a2.size) lens_axis_kernel with entries below KERNEL_FLOOR zeroed."""
+    K = lens_axis_kernel(params, lens, a1[:, None], a2[None, :])
+    K[np.abs(K) < KERNEL_FLOOR] = 0.0
+    return K
+
+
 def pattern_image_field(
     params: SourceParams,
     lens: LensSystem,
@@ -461,19 +495,31 @@ def pattern_image_field(
     weights[iy, ix] * Phi_I(x1c[ix], y1c[iy]; x2c[jx], y2c[jy]), in the same
     normalization as imaging_amplitude, using the x/y separability of Phi_I.
 
-    nodes 0 is the closed form: A = Ky^T W Kx times the output phase, with
-    the per-axis lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2).
+    The output phase exp(i k (x2^2 + y2^2) / 2v) is applied per axis, as
+    exp(i k x2^2 / 2v) on the x2 columns and exp(i k y2^2 / 2v) on the y2
+    columns of the image-side factors, so no (ny2, nx2) exponential is built.
+
+    nodes 0 is the closed form: A = Ky^T W Kx, with the per-axis
+    lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2) times their
+    output phase. Their entries below KERNEL_FLOOR are exactly zero, so no
+    product in the matmuls is subnormal (slow); each point amplitude moves
+    by at most 2 * KERNEL_FLOOR in on-axis units.
     Otherwise the object sums collapse onto the disc rule's outer (x) and
     inner (y) nodes, are weighted by its matrix W, and propagate to the
-    image grid; the outer nodes run in fixed-size blocks whose partial
-    images are summed in block order.
+    image grid through Ex and Ey, which carry the output phase; the outer
+    nodes run in fixed-size blocks whose partial images are summed in block
+    order.
     """
     k = params.k
-    out_phase = fresnel_kernel(lens.v, k, x2c[None, :], y2c[:, None])  # (ny2, nx2)
+    # the output phase exp(i k (x2^2 + y2^2) / 2v), one factor per image axis
+    phase_x = fresnel_kernel(lens.v, k, x2c, 0.0)
+    phase_y = fresnel_kernel(lens.v, k, y2c, 0.0)
     if nodes == 0:
-        Kx = lens_axis_kernel(params, lens, x1c[:, None], x2c[None, :])
-        Ky = lens_axis_kernel(params, lens, y1c[:, None], y2c[None, :])
-        field = (Ky.T @ weights @ Kx) * out_phase
+        Kx = _map_kernel(params, lens, x1c, x2c)                 # (npx, nx2)
+        Ky = _map_kernel(params, lens, y1c, y2c)                 # (npy, ny2)
+        Kx *= phase_x
+        Ky *= phase_y
+        field = Ky.T @ weights @ Kx
     else:
         outer, inner, W = _disc_rule(nodes)
         xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
@@ -481,8 +527,8 @@ def pattern_image_field(
         Fx = _axis_factors(params, lens, x1c, np.zeros_like(x1c), xi)  # (nodes, npx)
         Fy = _axis_factors(params, lens, y1c, np.zeros_like(y1c), eta)
         WF = weights.T @ Fy.T                                    # (npx, nodes)
-        Ex = np.exp(-1j * k * np.outer(xi, x2c) / lens.v)        # (nodes, nx2)
-        Ey = np.exp(-1j * k * np.outer(eta, y2c) / lens.v)       # (nodes, ny2)
+        Ex = np.exp(-1j * k * np.outer(xi, x2c) / lens.v) * phase_x   # (nodes, nx2)
+        Ey = np.exp(-1j * k * np.outer(eta, y2c) / lens.v) * phase_y  # (nodes, ny2)
 
         acc = None
         for a0 in range(0, nodes, _NODE_BLOCK):
@@ -490,7 +536,7 @@ def pattern_image_field(
             H = (Fx[rows] @ WF) * W[rows]                        # (blk, nodes)
             part = Ex[rows].T @ (H @ Ey)                         # (nx2, ny2)
             acc = part if acc is None else acc + part
-        field = (acc * out_phase.T / _on_axis_raw(params, lens, nodes)).T
+        field = acc.T / _on_axis_raw(params, lens, nodes)
     if not np.all(np.isfinite(field)):
         raise NumericError("image-field contraction produced non-finite values")
     return field

@@ -46,6 +46,13 @@ def test_source_params_validation():
         SourceParams(wavelength=810e-9, sigma=0.0, s1=1.33, s2=1.0)
     with pytest.raises(ParameterError):
         SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=np.inf)
+    # finite inputs whose envelope coefficients overflow or vanish
+    with pytest.raises(ParameterError, match="envelope"):
+        SourceParams(wavelength=810e-9, sigma=1e300, s1=1.33, s2=1.0)
+    with pytest.raises(ParameterError, match="envelope"):
+        SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1e300)
+    with pytest.raises(ParameterError, match="envelope"):
+        SourceParams(wavelength=1e300, sigma=3e-3, s1=1.33, s2=1.0)
 
 
 def test_wavenumber():

@@ -1,0 +1,158 @@
+"""Property test of the command line: any argv ends in exit 0 or in exit 2
+with an ``error:`` line, never in a traceback.
+
+Grids stay small (cameras up to 32 x 32, patterns up to 16 x 16, exposures
+of at most a few seconds), so one run takes milliseconds. Every other value
+is drawn from plausible settings and from zero, negative, huge, non-finite
+and non-numeric text.
+"""
+
+import contextlib
+import io as stdio
+import tempfile
+import warnings
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ghostsim.cli import main  # noqa: E402
+
+BAD_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "inf", "-inf", "nan", "abc", "", "1.5"]
+# counts and sizes: bad values, but none huge enough to cost time or memory
+BAD_COUNTS = ["0", "-1", "-7", "abc", "", "1.5", "nan"]
+
+SOURCE = dict(
+    wavelength=["810e-9", "1e-6"],
+    sigma=["3e-3", "1e-3", "40e-3"],
+    s1=["1.33", "0.5"],
+    s2=["1.0", "1.5"],
+)
+IMAGE = dict(
+    SOURCE,
+    focal_length=["1.5"],
+    object_distance=["2.83", "3.0"],
+    image_distance=["0", "3.1917293233082713"],
+    aperture_radius=["25e-3", "5e-3"],
+    delta1=["-45", "45", "0"],
+    delta2=["-45", "45"],
+    phase_scale=["3.14159"],
+    pattern_phi=["180", "90"],
+    pattern_extent_x=["4e-3", "2e-3"],
+    pattern_extent_y=["4e-3"],
+    extent_x=["0", "4e-3"],
+    extent_y=["0", "4e-3"],
+    center_x=["0", "1e-3"],
+    center_y=["0"],
+    telescope_scale=["0", "1"],
+)
+# keys that set sizes or counts, always present so that grids stay small
+IMAGE_SIZES = dict(nx=["16", "32"], ny=["16", "32"], pattern_n=["4", "8", "16"])
+MONTECARLO = dict(
+    IMAGE,
+    trigger_rate=["2e4", "100"],
+    exposure=["1", "0.01"],
+    pair_detection_prob=["0.1", "1", "0"],
+    dark_rate=["0", "5"],
+)
+COMMANDS = {
+    "interference": (
+        dict(
+            SOURCE,
+            slit_separation=["2e-3", "1e-3"],
+            slit_width=["0", "0.2e-3"],
+            slit_center=["0", "1e-4"],
+            axis=["x", "y", "z"],
+            extent_y=["2e-3"],
+            center_x=["0"],
+            center_y=["0"],
+        ),
+        # 2 mm slits fringe with a ~0.94 mm period: 8 pixels a period need
+        # a pitch of at most ~0.12 mm
+        dict(nx=["32"], ny=["8", "16"], extent_x=["2e-3", "3e-3"]),
+        {},
+    ),
+    "image": (IMAGE, IMAGE_SIZES, dict(nodes=["0", "64", "100000"], workers=["1", "2"])),
+    "montecarlo": (
+        MONTECARLO,
+        dict(IMAGE_SIZES, exposure=["1", "0.01"]),
+        dict(nodes=["0", "100000"], workers=["1", "2"], seed=["0", "7", "99999999999999999999"]),
+    ),
+    "amplitude": (
+        dict(
+            SOURCE,
+            axis=["x", "y", "z"],
+            extent=["6e-3", "1e-3"],
+            fixed=["0", "1e-3"],
+            x2=["0", "1e-3"],
+            y2=["0"],
+            oracle=["0", "1"],
+        ),
+        dict(samples=["1", "5", "17"]),
+        dict(nodes=["0", "64", "100000"]),
+    ),
+    "chsh": (
+        dict(
+            state=["psi_minus", "phi_plus", "bogus"],
+            a=["0", "45"],
+            a_prime=["45"],
+            b=["22.5"],
+            b_prime=["67.5"],
+            visibility=["1", "0.9086"],
+        ),
+        {},
+        {},
+    ),
+}
+
+
+def _value(good, bad):
+    """One value in four from bad, so that most runs get far enough to work."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 3 else good))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    free, sized, counts = COMMANDS[command]
+    chosen = {}
+    # sizes are always given: a good small value or a bad count, never the
+    # large default
+    for key, good in sized.items():
+        chosen[key] = draw(_value(good, BAD_COUNTS))
+    for key, good in counts.items():
+        if draw(st.booleans()):
+            chosen[key] = draw(_value(good, BAD_COUNTS))
+    keys = draw(st.lists(st.sampled_from(sorted(free)), max_size=4, unique=True))
+    for key in keys:
+        chosen[key] = draw(_value(free[key], BAD_NUMBERS))
+    # --key=value: a value that starts with '-' is not read as a flag
+    return [command] + [f"--{key.replace('_', '-')}={text}" for key, text in chosen.items()]
+
+
+# each of these ended in a traceback before its input was checked up front
+@settings(derandomize=True, deadline=None, max_examples=120)
+@example(argv=["image", "--nx=32", "--ny=32", "--pattern-n=0"])
+@example(argv=["image", "--nx=32", "--ny=32", "--pattern-n=-1"])
+@example(argv=["amplitude", "--samples=5", "--sigma=1e300"])
+@example(argv=["amplitude", "--samples=5", "--s2=1e300"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=8", "--exposure=1e300"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=8", "--trigger-rate=1e300"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=8", "--dark-rate=1e300"])
+@given(argv=argvs())
+def test_cli_ends_in_exit_0_or_an_error_line(argv):
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", tmp])
+            except SystemExit as exc:   # argparse rejects a value it cannot parse
+                code = exc.code
+    text = err.getvalue()
+    assert code in (0, 2), (argv, code, text)
+    assert "Traceback" not in text
+    if code == 2:
+        assert any("error: " in line for line in text.splitlines()), (argv, text)

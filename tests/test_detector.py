@@ -15,6 +15,7 @@ from ghostsim import (
     expected_gate_count,
     simulate_exposure,
 )
+from ghostsim.detector import MAX_MEAN_COUNT
 
 
 def ramp_map(ny=8, nx=8):
@@ -219,6 +220,22 @@ def test_per_pixel_counts_are_poisson_distributed():
     fano = frames.var(axis=0) / mean
     assert mean.min() > 25
     assert np.all(np.abs(fano - 1.0) < 0.2)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(trigger_rate=1e300), dict(exposure=1e300), dict(exposure=1.0, dark_rate=1e300),
+])
+def test_mean_counts_beyond_the_sampler_rejected(kw):
+    # numpy's Poisson sampler would refuse these means once the frame is drawn
+    with pytest.raises(ParameterError, match="mean count"):
+        DetectorConfig(**kw)
+
+
+def test_mean_counts_at_the_cap_are_drawn():
+    cap = DetectorConfig(trigger_rate=MAX_MEAN_COUNT, exposure=1.0, dark_rate=MAX_MEAN_COUNT)
+    frame = simulate_exposure(ramp_map(), cap)
+    assert frame.meta["gates_opened"] == pytest.approx(MAX_MEAN_COUNT, rel=1e-6)
+    assert frame.counts.min() > 0.9 * MAX_MEAN_COUNT
 
 
 def test_negative_seed_rejected():

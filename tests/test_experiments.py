@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -302,6 +303,30 @@ def test_closed_form_map_matches_quadrature_map(imaging_params, imaging_lens):
     assert quad.meta["lens_path"] == "quadrature"
     gap = float(np.max(np.abs(closed.values - quad.values)))
     assert gap <= closed.meta["clip_bound"]
+
+
+def test_default_closed_form_map_peak_memory(imaging_params, imaging_lens):
+    # the image subcommand's default map: 128^2 half-plane pattern, 256^2
+    # camera at a total scale of 0.87. The output phase is applied per axis,
+    # so no (256 x 256) complex phase map or product is allocated.
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=256, ny=256, extent_x=0.87 * 4e-3, extent_y=0.87 * 4e-3)
+    pattern = half_plane_pattern(n=128, extent=4e-3, phi=np.pi)
+    d = np.deg2rad(-45.0)
+
+    def one_map():
+        return ghost_image_map(
+            imaging_params, imaging_lens, pattern, d, d, grid, telescope_scale=0.87 / m
+        )
+
+    assert one_map().meta["lens_path"] == "closed-form"
+    tracemalloc.start()
+    try:
+        one_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2**20
 
 
 def test_polarization_identities_hold_on_closed_form_path(imaging_params, imaging_lens):

@@ -431,6 +431,19 @@ def test_cli_rejects_unknown_and_malformed_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["pump_waist", "gate_width", "gate_delay"])
+def test_cli_rejects_removed_inert_keys(tmp_path, capsys, key):
+    # the pump waist and the gate width and delay changed no output and are gone
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 1e-9\n")
+    err = _fails_fast(["montecarlo", "--config", str(cfg)], tmp_path / "cfg", capsys)
+    assert f"unknown configuration key '{key}'" in err
+    with pytest.raises(SystemExit) as flag:
+        main(["montecarlo", "--" + key.replace("_", "-"), "1e-9"])
+    assert flag.value.code == 2
+    assert "error: unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_shared_config_drives_image_and_montecarlo(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -521,6 +534,25 @@ def test_cli_image_rejects_a_graymap_with_a_bad_header(tmp_path, capsys):
 def test_cli_amplitude_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
     err = _fails_fast(["amplitude", "--samples", samples], tmp_path / "amp", capsys)
     assert "samples" in err
+
+
+def test_cli_montecarlo_rejects_an_empty_background_before_any_map(
+    tmp_path, capsys, monkeypatch
+):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed before the pattern size was checked")
+
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    # the flat background pattern has pattern_n pixels a side even when the
+    # signal pattern comes from a file
+    pattern = tmp_path / "p.txt"
+    save_pattern(str(pattern), uniform_pattern(n=4))
+    err = _fails_fast(
+        ["montecarlo", "--pattern-n", "0", "--pattern", str(pattern)], tmp_path / "mc", capsys
+    )
+    assert "pattern size" in err
 
 
 @pytest.mark.parametrize("command", ["image", "montecarlo", "amplitude"])

@@ -23,13 +23,16 @@ from ghostsim import (
     half_plane_pattern,
     imaging_amplitude,
     lens_phase,
+    pattern_from_extent,
     uniform_pattern,
 )
-from ghostsim import optics
+from ghostsim import experiments, optics
 from ghostsim.biphoton import _leggauss
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     APERTURE_START_NODES,
+    KERNEL_FLOOR,
+    _axis_factors,
     _disc_rule,
     _imaging_raw,
     _lens_plane_coefficients,
@@ -315,6 +318,97 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
                 imaging_params, imaging_lens, xx, yy, x2[None, :], y2[:, None]
             )
     np.testing.assert_allclose(field, direct, rtol=1e-12, atol=1e-14)
+
+
+def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
+    """pattern_image_field as it was before the per-axis output phase: the
+    full-map fresnel_kernel phase, and closed-form kernels with their tails."""
+    out_phase = fresnel_kernel(lens.v, params.k, x2c[None, :], y2c[:, None])
+    if nodes == 0:
+        Kx = lens_axis_kernel(params, lens, x1c[:, None], x2c[None, :])
+        Ky = lens_axis_kernel(params, lens, y1c[:, None], y2c[None, :])
+        return (Ky.T @ weights @ Kx) * out_phase
+    outer, inner, W = _disc_rule(nodes)
+    xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
+    Fx = _axis_factors(params, lens, x1c, np.zeros_like(x1c), xi)
+    Fy = _axis_factors(params, lens, y1c, np.zeros_like(y1c), eta)
+    Ex = np.exp(-1j * params.k * np.outer(xi, x2c) / lens.v)
+    Ey = np.exp(-1j * params.k * np.outer(eta, y2c) / lens.v)
+    H = (Fx @ (weights.T @ Fy.T)) * W
+    acc = Ex.T @ (H @ Ey)
+    return (acc * out_phase.T / _on_axis_raw(params, lens, nodes)).T
+
+
+def _map_fields(monkeypatch, *args, **kwargs):
+    """(field, reference) of the last contraction a ghost_image_map call runs;
+    the reference is _full_phase_field on the same arguments."""
+    seen = []
+
+    def both(*field_args):
+        field = pattern_image_field(*field_args)
+        seen.append((field, _full_phase_field(*field_args)))
+        return field
+
+    monkeypatch.setattr(experiments, "pattern_image_field", both)
+    ghost_image_map(*args, **kwargs)
+    return seen[-1]
+
+
+def _default_cli_map_args(params, lens, pattern):
+    """ghost_image_map arguments of the image subcommand's defaults: 256^2
+    camera, relay telescope to a total scale of 0.87, both polarizers at -45."""
+    scale = 0.87 / ghost_magnification(params, lens)
+    grid = GridSpec(nx=256, ny=256, extent_x=0.87 * 4e-3, extent_y=0.87 * 4e-3)
+    d = np.deg2rad(-45.0)
+    return (params, lens, pattern, d, d, grid), dict(telescope_scale=scale)
+
+
+@pytest.mark.parametrize("which", ["half-plane", "random phase"])
+def test_closed_form_map_field_matches_full_map_phase(
+    imaging_params, imaging_lens, monkeypatch, which
+):
+    if which == "half-plane":
+        pattern = half_plane_pattern(n=128, extent=4e-3, phi=np.pi)
+    else:
+        phases = np.random.default_rng(81).uniform(0.0, 2 * np.pi, (128, 128))
+        pattern = pattern_from_extent(phases, (4e-3, 4e-3))
+    args, kwargs = _default_cli_map_args(imaging_params, imaging_lens, pattern)
+    field, ref = _map_fields(monkeypatch, *args, **kwargs)
+    assert field.shape == (256, 256)
+    assert np.max(np.abs(field - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_quadrature_map_field_matches_full_map_phase(imaging_lens, monkeypatch):
+    params = _wide_source()
+    m = ghost_magnification(params, imaging_lens)
+    grid = GridSpec(nx=128, ny=128, extent_x=m * 4.5e-3, extent_y=m * 4.5e-3)
+    pattern = half_plane_pattern(n=64, extent=4e-3)
+    field, ref = _map_fields(monkeypatch, params, imaging_lens, pattern, 0.3, -0.5, grid)
+    assert field.shape == (128, 128)
+    assert np.max(np.abs(field - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_closed_form_map_kernels_have_no_entry_below_the_floor(
+    imaging_params, imaging_lens, monkeypatch
+):
+    magnitudes = []
+    map_kernel = optics._map_kernel
+
+    def recorded(*args):
+        K = map_kernel(*args)
+        magnitudes.append(np.abs(K))
+        return K
+
+    monkeypatch.setattr(optics, "_map_kernel", recorded)
+    args, kwargs = _default_cli_map_args(
+        imaging_params, imaging_lens, half_plane_pattern(n=128, extent=4e-3, phi=np.pi)
+    )
+    ghost_image_map(*args, **kwargs)
+    assert [a.shape for a in magnitudes] == [(128, 256), (128, 256)]
+    for a in magnitudes:
+        assert not np.any((a > 0) & (a < KERNEL_FLOOR))
+        # the default geometry's kernels do have tails below the floor
+        assert 0 < np.count_nonzero(a == 0) < a.size
 
 
 # ---------------------------------------------------------------------------
