@@ -15,7 +15,7 @@ Python's float() and int(), so they accept exactly what those accept.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,20 +33,20 @@ _RADIANS_KEY = "values_are_radians"
 # ---------------------------------------------------------------------------
 
 
-def _format_rows(values: np.ndarray, fmt: str) -> list:
-    """One line per row of a 2D array: fmt per value, joined by single spaces."""
-    row_fmt = " ".join([fmt] * values.shape[1])
-    return [row_fmt % tuple(row) for row in values.tolist()]
+def _format_rows(values: np.ndarray, fmt: str) -> Iterator[str]:
+    """One LF-ended line per row of a 2D array, made as it is consumed: fmt
+    per value, joined by single spaces."""
+    row_fmt = " ".join([fmt] * values.shape[1]) + "\n"
+    return (row_fmt % tuple(row.tolist()) for row in values)
 
 
 def save_matrix_text(path: str, values: np.ndarray, meta: Optional[dict] = None) -> None:
     """Write a 2D array as headered rows of decimals, one row per y."""
     values = np.asarray(values)
     meta = meta or {}
-    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
-    lines += _format_rows(values, "%.17g")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {key} = {meta[key]}\n" for key in sorted(meta))
+        fh.writelines(_format_rows(values, "%.17g"))
 
 
 def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
@@ -95,9 +95,9 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
     top = float(vals.max())
     gray = np.rint(vals / top * maxval).astype(int) if top > 0 else vals.astype(int)
     ny, nx = gray.shape
-    lines = ["P2", f"{nx} {ny}", f"{maxval}"] + _format_rows(gray, "%d")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"P2\n{nx} {ny}\n{maxval}\n")
+        fh.writelines(_format_rows(gray, "%d"))
     note = path + ".note"
     if clipped:
         with open(note, "w", encoding="utf-8", newline="\n") as fh:
@@ -154,7 +154,8 @@ def load_pattern(
 
     Gray value g maps to phase phase_scale * g / g_max, so a binary image at
     the default scale becomes a pi/0 two-region pattern. Matrix files saved by
-    save_pattern carry their values in radians and are restored exactly.
+    save_pattern carry their values in radians and are restored exactly. A
+    matrix file holding a non-finite value raises ConfigError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(2)
@@ -163,6 +164,8 @@ def load_pattern(
         grid = phase_scale * gray / maxval
     else:
         gray, meta = load_matrix_text(path)
+        if not np.all(np.isfinite(gray)):
+            raise ConfigError(f"{path}: pattern values must be finite")
         if meta.get(_RADIANS_KEY) == "true":
             grid = gray
         else:

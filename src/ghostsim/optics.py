@@ -20,7 +20,12 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   kernels are Gaussian bands with tails down to 1e-250 and below, and
   products of tails are subnormal, which slows the matmuls several-fold; so
   the map zeroes kernel entries below KERNEL_FLOOR = 1e-100, which moves any
-  point amplitude by at most 2 * KERNEL_FLOOR.
+  point amplitude by at most 2 * KERNEL_FLOOR. The kernels depend on the
+  geometry only, never on the pattern or the polarizer angles, so each is
+  built once, output phase included, and cached read-only by (params, lens,
+  float64 bytes of its object and image coordinates); the four most recent
+  are kept, 16 npx nx2 bytes each, and a sweep over one geometry is two
+  matmuls a map.
 - quadrature over the aperture disc (``_disc_rule``): outer nodes
   xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
   set whose weights W integrate exactly over each outer node's chord. The
@@ -420,8 +425,10 @@ def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     return out[:size]
 
 
+@lru_cache(maxsize=8)
 def _on_axis_raw(params, lens, nodes) -> complex:
-    """Clipped on-axis reference Phi_I(0,0;0,0) of the quadrature path."""
+    """Clipped on-axis reference Phi_I(0,0;0,0) of the quadrature path; cached
+    per (params, lens, nodes)."""
     zero = np.zeros(1)
     return _imaging_raw(params, lens, zero, zero, zero, zero, nodes)[0]
 
@@ -472,11 +479,32 @@ def imaging_amplitude(
     return value if shape else value[()]
 
 
-def _map_kernel(params, lens, a1, a2) -> np.ndarray:
-    """(a1.size, a2.size) lens_axis_kernel with entries below KERNEL_FLOOR zeroed."""
+@lru_cache(maxsize=4)
+def _phased_map_kernel(params, lens, a1_bytes, a2_bytes) -> np.ndarray:
+    """_map_kernel's array, built once per (params, lens, a1 bytes, a2 bytes).
+
+    lens_axis_kernel over a1 x a2, entries below KERNEL_FLOOR zeroed, times
+    the output phase fresnel_kernel(v, k, a2, 0) on each a2 column. Cached
+    and read-only; an entry takes 16 a1.size a2.size bytes (0.5 MB for a
+    128-pixel pattern axis on a 256-pixel camera axis), four at most.
+    """
+    a1, a2 = np.frombuffer(a1_bytes), np.frombuffer(a2_bytes)
     K = lens_axis_kernel(params, lens, a1[:, None], a2[None, :])
     K[np.abs(K) < KERNEL_FLOOR] = 0.0
+    K *= fresnel_kernel(lens.v, params.k, a2, 0.0)
+    K.flags.writeable = False
     return K
+
+
+def _map_kernel(params, lens, a1, a2) -> np.ndarray:
+    """Read-only (a1.size, a2.size) closed-form map kernel of one axis: the
+    floored lens_axis_kernel times the axis's output phase, cached by the
+    float64 bytes of the coordinates."""
+    return _phased_map_kernel(
+        params, lens,
+        np.ascontiguousarray(a1, float).tobytes(),
+        np.ascontiguousarray(a2, float).tobytes(),
+    )
 
 
 def pattern_image_field(
@@ -503,24 +531,26 @@ def pattern_image_field(
     lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2) times their
     output phase. Their entries below KERNEL_FLOOR are exactly zero, so no
     product in the matmuls is subnormal (slow); each point amplitude moves
-    by at most 2 * KERNEL_FLOOR in on-axis units.
+    by at most 2 * KERNEL_FLOOR in on-axis units. Kx and Ky come from
+    _map_kernel's cache, keyed by (params, lens, coordinate bytes) and
+    holding four kernels of 16 npx nx2 bytes at most, so a map on a
+    geometry seen before pays only the two matmuls; a square, centred
+    geometry uses one kernel for both axes.
     Otherwise the object sums collapse onto the disc rule's outer (x) and
     inner (y) nodes, are weighted by its matrix W, and propagate to the
     image grid through Ex and Ey, which carry the output phase; the outer
     nodes run in fixed-size blocks whose partial images are summed in block
     order.
     """
-    k = params.k
-    # the output phase exp(i k (x2^2 + y2^2) / 2v), one factor per image axis
-    phase_x = fresnel_kernel(lens.v, k, x2c, 0.0)
-    phase_y = fresnel_kernel(lens.v, k, y2c, 0.0)
     if nodes == 0:
         Kx = _map_kernel(params, lens, x1c, x2c)                 # (npx, nx2)
         Ky = _map_kernel(params, lens, y1c, y2c)                 # (npy, ny2)
-        Kx *= phase_x
-        Ky *= phase_y
         field = Ky.T @ weights @ Kx
     else:
+        k = params.k
+        # the output phase exp(i k (x2^2 + y2^2) / 2v), one factor per image axis
+        phase_x = fresnel_kernel(lens.v, k, x2c, 0.0)
+        phase_y = fresnel_kernel(lens.v, k, y2c, 0.0)
         outer, inner, W = _disc_rule(nodes)
         xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
         # lens-plane factors without the image coordinate, which Ex, Ey carry

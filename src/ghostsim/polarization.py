@@ -49,10 +49,15 @@ class VisibilityModel:
             raise ParameterError(f"visibility must lie in [0, 1], got {self.V}")
 
 
+def _check_angles(*deltas) -> None:
+    """Raise ParameterError unless every polarizer angle is finite."""
+    if not np.all(np.isfinite(deltas)):
+        raise ParameterError("polarizer angle must be finite")
+
+
 def canonical_angle(delta: float) -> float:
     """Fold a polarizer angle in radians into (-pi/2, pi/2]."""
-    if not np.isfinite(delta):
-        raise ParameterError("polarizer angle must be finite")
+    _check_angles(delta)
     folded = (delta + np.pi / 2) % np.pi - np.pi / 2
     if folded == -np.pi / 2:
         folded = np.pi / 2
@@ -98,7 +103,9 @@ def pattern_projection_coeff(phi, d1: float, d2: float) -> np.ndarray:
 
     Equals project_linear(apply_pattern_phase(psi_minus, phi), d1, d2) but
     accepts an array of phase values, which is what map evaluation needs.
+    Non-finite angles raise ParameterError.
     """
+    _check_angles(d1, d2)
     phi = np.asarray(phi, dtype=float)
     c1, s1 = np.cos(d1), np.sin(d1)
     c2, s2 = np.cos(d2), np.sin(d2)
@@ -112,7 +119,11 @@ def pattern_projection_coeff(phi, d1: float, d2: float) -> np.ndarray:
 
 
 def project_linear(state: TwoQubitPolState, d1: float, d2: float) -> complex:
-    """Amplitude <d(d1)| <d(d2)| state for linear polarizers at angles d1, d2."""
+    """Amplitude <d(d1)| <d(d2)| state for linear polarizers at angles d1, d2.
+
+    Non-finite angles raise ParameterError.
+    """
+    _check_angles(d1, d2)
     c1, s1 = np.cos(d1), np.sin(d1)
     c2, s2 = np.cos(d2), np.sin(d2)
     a = state.amps

@@ -284,6 +284,19 @@ def test_load_pattern_scales_foreign_matrix_by_its_max(tmp_path):
     np.testing.assert_allclose(pat.grid, np.pi / 4 * np.array([[0, 1], [2, 4]]))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1 nan\n0 1\n", "1 0\ninf 1\n", "# values_are_radians = true\n1 nan\n0 1\n"],
+    ids=["scaled nan", "scaled inf", "radians nan"],
+)
+def test_load_pattern_rejects_non_finite_values(tmp_path, text):
+    # a NaN maximum used to make top > 0 false, so the pattern came back blank
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.txt: pattern values must be finite"):
+        load_pattern(str(path))
+
+
 # ---------------------------------------------------------------------------
 # map serialization
 # ---------------------------------------------------------------------------
@@ -528,6 +541,39 @@ def test_cli_image_rejects_a_graymap_with_a_bad_header(tmp_path, capsys):
     bad.write_text(_BAD_GRAYMAPS["negative size"][0])
     err = _fails_fast(["image", "--pattern", str(bad)], tmp_path / "img", capsys)
     assert "width and height must be positive" in err
+
+
+def test_cli_image_rejects_a_non_finite_pattern_before_any_map(tmp_path, capsys, monkeypatch):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed from a non-finite pattern")
+
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1 nan\n0 1\n")
+    err = _fails_fast(["image", "--pattern", str(bad)], tmp_path / "img", capsys)
+    assert "nan.txt" in err and "finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--a=nan", "--b=inf", "--a-prime=-inf", "--b-prime=nan"])
+def test_cli_chsh_rejects_non_finite_angles(tmp_path, capsys, flag):
+    err = _fails_fast(["chsh", flag], tmp_path / "chsh", capsys)
+    assert "polarizer angle must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--delta1=nan", "--delta2=inf"])
+def test_cli_image_rejects_non_finite_angles_before_the_contraction(
+    tmp_path, capsys, monkeypatch, flag
+):
+    from ghostsim import experiments
+
+    def no_contraction(*args, **kwargs):
+        raise AssertionError("the image field was contracted at a non-finite angle")
+
+    monkeypatch.setattr(experiments, "pattern_image_field", no_contraction)
+    err = _fails_fast(["image", flag], tmp_path / "img", capsys)
+    assert "polarizer angle must be finite" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

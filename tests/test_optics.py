@@ -339,14 +339,15 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
     return (acc * out_phase.T / _on_axis_raw(params, lens, nodes)).T
 
 
-def _map_fields(monkeypatch, *args, **kwargs):
+def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
     """(field, reference) of the last contraction a ghost_image_map call runs;
-    the reference is _full_phase_field on the same arguments."""
+    the reference is reference, _full_phase_field by default, on the same
+    arguments."""
     seen = []
 
     def both(*field_args):
         field = pattern_image_field(*field_args)
-        seen.append((field, _full_phase_field(*field_args)))
+        seen.append((field, reference(*field_args)))
         return field
 
     monkeypatch.setattr(experiments, "pattern_image_field", both)
@@ -409,6 +410,110 @@ def test_closed_form_map_kernels_have_no_entry_below_the_floor(
         assert not np.any((a > 0) & (a < KERNEL_FLOOR))
         # the default geometry's kernels do have tails below the floor
         assert 0 < np.count_nonzero(a == 0) < a.size
+
+
+def _uncached_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
+    """The closed-form contraction with its kernels built for every call:
+    lens_axis_kernel, the floor, then the per-axis output phase."""
+    assert nodes == 0
+
+    def kernel(a1, a2):
+        K = lens_axis_kernel(params, lens, a1[:, None], a2[None, :])
+        K[np.abs(K) < KERNEL_FLOOR] = 0.0
+        return K
+
+    Kx = kernel(x1c, x2c)
+    Ky = kernel(y1c, y2c)
+    Kx *= fresnel_kernel(lens.v, params.k, x2c, 0.0)
+    Ky *= fresnel_kernel(lens.v, params.k, y2c, 0.0)
+    return Ky.T @ weights @ Kx
+
+
+def _random_pattern(seed, n=128):
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (n, n))
+    return pattern_from_extent(phases, (4e-3, 4e-3))
+
+
+def _cached_vs_uncached(monkeypatch, *args, **kwargs):
+    field, ref = _map_fields(monkeypatch, *args, reference=_uncached_field, **kwargs)
+    assert np.array_equal(field, ref)
+    return field
+
+
+@pytest.mark.parametrize("which", ["half-plane", "random phase"])
+def test_cached_map_kernels_give_the_uncached_map_bitwise(
+    imaging_params, imaging_lens, monkeypatch, which
+):
+    if which == "half-plane":
+        args, kwargs = _default_cli_map_args(
+            imaging_params, imaging_lens, half_plane_pattern(n=128, extent=4e-3, phi=np.pi)
+        )
+    else:
+        args, kwargs = _default_cli_map_args(imaging_params, imaging_lens, _random_pattern(82))
+        args = args[:3] + (0.3, -1.1) + args[5:]
+    optics._phased_map_kernel.cache_clear()
+    cold = _cached_vs_uncached(monkeypatch, *args, **kwargs)
+    warm = _cached_vs_uncached(monkeypatch, *args, **kwargs)
+    assert np.array_equal(cold, warm)
+    # a square, centred geometry: one kernel serves both axes of both maps
+    info = optics._phased_map_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_cached_kernels_of_an_off_centre_camera_give_the_uncached_map(
+    imaging_params, imaging_lens, monkeypatch
+):
+    grid = GridSpec(nx=200, ny=150, extent_x=3e-3, extent_y=2.5e-3, center=(1e-4, -2e-4))
+    args = (imaging_params, imaging_lens, _random_pattern(83), 0.7, 0.2, grid)
+    optics._phased_map_kernel.cache_clear()
+    for _ in ("cold", "warm"):
+        _cached_vs_uncached(monkeypatch, *args, telescope_scale=0.9)
+    info = optics._phased_map_kernel.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_a_pattern_sweep_builds_its_kernel_once(imaging_params, imaging_lens, monkeypatch):
+    args, kwargs = _default_cli_map_args(imaging_params, imaging_lens, None)
+    optics._phased_map_kernel.cache_clear()
+    for seed in range(5):
+        d1, d2 = np.random.default_rng(seed).uniform(-np.pi, np.pi, 2)
+        sweep_args = args[:2] + (_random_pattern(90 + seed), d1, d2) + args[5:]
+        _cached_vs_uncached(monkeypatch, *sweep_args, **kwargs)
+    info = optics._phased_map_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+@pytest.mark.parametrize("change", ["s2", "telescope_scale", "camera centre"])
+def test_a_changed_geometry_misses_the_kernel_cache(
+    imaging_params, imaging_lens, monkeypatch, change
+):
+    pattern = _random_pattern(84, n=64)
+    args, kwargs = _default_cli_map_args(imaging_params, imaging_lens, pattern)
+    optics._phased_map_kernel.cache_clear()
+    _cached_vs_uncached(monkeypatch, *args, **kwargs)
+    params, lens, grid = imaging_params, imaging_lens, args[5]
+    if change == "s2":
+        params = SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1.6)
+        lens = LensSystem(f=1.5, u=1.33 + 1.6)
+    elif change == "telescope_scale":
+        kwargs = dict(telescope_scale=1.1 * kwargs["telescope_scale"])
+    else:
+        grid = GridSpec(nx=256, ny=256, extent_x=grid.extent_x, extent_y=grid.extent_y,
+                        center=(1e-4, 0.0))
+    _cached_vs_uncached(monkeypatch, params, lens, pattern, *args[3:5], grid, **kwargs)
+    # one more miss each; a centre moved along x leaves y on the kernel built before
+    assert optics._phased_map_kernel.cache_info().misses == 2
+
+
+def test_cached_map_kernels_are_read_only(imaging_params, imaging_lens):
+    K = optics._map_kernel(
+        imaging_params, imaging_lens, DEFAULT_PATTERN_CENTERS, np.linspace(-2e-3, 2e-3, 64)
+    )
+    assert K.shape == (128, 64)
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        K *= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +642,16 @@ def test_on_axis_reference_is_the_point_paths_own(imaging_lens, n):
         np.zeros(1), np.zeros(1), nodes=n,
     )
     assert abs(field[0, 0] - 1.0) < 1e-13
+
+
+def test_a_psf_scan_builds_each_on_axis_reference_once(imaging_lens):
+    params = _wide_source()
+    _on_axis_raw.cache_clear()
+    for _ in range(2):
+        imaging_amplitude(params, imaging_lens, *_psf_line(params, imaging_lens))
+    # the doubling search probes 32 and 64 nodes and evaluates at 32
+    info = _on_axis_raw.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):

@@ -117,6 +117,18 @@ def test_projection_coeff_complementarity():
     np.testing.assert_allclose(total, 0.5, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projections_reject_non_finite_angles(bad):
+    s = make_bell("psi_minus")
+    for d1, d2 in ((bad, 0.3), (0.3, bad)):
+        with pytest.raises(ParameterError, match="polarizer angle must be finite"):
+            project_linear(s, d1, d2)
+        with pytest.raises(ParameterError, match="polarizer angle must be finite"):
+            pattern_projection_coeff(np.zeros((2, 2)), d1, d2)
+    with pytest.raises(ParameterError, match="polarizer angle must be finite"):
+        chsh_S(s, 0.0, bad, 0.1, 0.2)
+
+
 def test_projection_coeff_vectorizes_over_phase():
     phi = np.linspace(0, np.pi, 7).reshape(7, 1)
     out = pattern_projection_coeff(phi, 0.3, -0.2)
