@@ -29,7 +29,7 @@ from .biphoton import (
     oracle_nodes,
     quadrature_oracle_amplitude,
 )
-from .detector import DetectorConfig, build_ghost_image
+from .detector import DetectorConfig, build_ghost_image, check_workers
 from .errors import ConfigError, GhostsimError
 from .experiments import (
     DoubleSlit,
@@ -297,6 +297,7 @@ def cmd_interference(args: argparse.Namespace) -> int:
 
 def cmd_image(args: argparse.Namespace) -> int:
     cfg = resolve_config(_IMAGE_DEFAULTS, args)
+    check_workers(cfg["workers"])
     cmap = _image_map(cfg)
     txt, pgm, echo = _outputs(args, "image")
     save_map(cmap, txt, fmt="matrix-text")
@@ -308,7 +309,8 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = resolve_config(_MONTECARLO_DEFAULTS, args)
-    # built first, so a bad detector setting fails before either map is made
+    # checked first, so a bad detector setting fails before either map is made
+    check_workers(cfg["workers"])
     det = DetectorConfig(
         trigger_rate=cfg["trigger_rate"],
         exposure=cfg["exposure"],

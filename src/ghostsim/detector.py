@@ -102,10 +102,17 @@ def expected_gate_count(cfg: DetectorConfig) -> int:
     return int(round(cfg.trigger_rate * cfg.exposure))
 
 
+def check_workers(workers: int) -> None:
+    """Raise ParameterError unless workers is at least 1."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
 def _simulate(
     cmap: CoincidenceMap, cfg: DetectorConfig, seedseq: np.random.SeedSequence,
     workers: int,
 ) -> CountFrame:
+    check_workers(workers)
     if cmap.signed:
         raise ParameterError("cannot simulate counts from a signed map")
     values = cmap.values

@@ -8,8 +8,16 @@ and noted in a sidecar file.
 The written bytes are a contract: each matrix-text value is printf "%.17g"
 of the float (so it reads back exactly, "nan", "inf" and "-0" included), each
 graymap sample is "%d", values in a row are joined by single spaces, and
-every line, the last included, ends in one LF. Readers parse each token with
-Python's float() and int(), so they accept exactly what those accept.
+every line, the last included, ends in one LF. An integer array whose values
+all lie within +-2**53 is written with "%d", which gives those same bytes.
+
+Readers accept exactly what Python's float() and int() accept per token, with
+the same values and the same ConfigError messages. A matrix-text row is
+converted in one numpy call, which applies float() to each token. A graymap
+body is parsed in one numpy call when it holds only ASCII digits and
+whitespace and no sample exceeds maxval; any other body (signs, "1_0",
+non-ASCII digits, bad tokens, int64 overflow) is parsed with int() per
+token, which also names a bad token.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from .errors import ConfigError, ParameterError
 from .experiments import CoincidenceMap, PhasePattern, pattern_from_extent
 
 PGM_MAXVAL = 65535
+
+# every integer of at most this magnitude is exactly a float64
+_EXACT_INT = 2**53
 
 _RADIANS_KEY = "values_are_radians"
 
@@ -40,13 +51,26 @@ def _format_rows(values: np.ndarray, fmt: str) -> Iterator[str]:
     return (row_fmt % tuple(row.tolist()) for row in values)
 
 
+def _exact_integers(values: np.ndarray) -> bool:
+    """True when values is a non-empty integer array whose every entry float
+    holds exactly, so "%d" prints what "%.17g" of its float would."""
+    # min and max, not abs: abs of int64's minimum overflows
+    return (
+        np.issubdtype(values.dtype, np.integer)
+        and values.size > 0
+        and -_EXACT_INT <= values.min()
+        and values.max() <= _EXACT_INT
+    )
+
+
 def save_matrix_text(path: str, values: np.ndarray, meta: Optional[dict] = None) -> None:
     """Write a 2D array as headered rows of decimals, one row per y."""
     values = np.asarray(values)
+    fmt = "%d" if _exact_integers(values) else "%.17g"
     meta = meta or {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {key} = {meta[key]}\n" for key in sorted(meta))
-        fh.writelines(_format_rows(values, "%.17g"))
+        fh.writelines(_format_rows(values, fmt))
 
 
 def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
@@ -65,15 +89,15 @@ def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
                     meta[key.strip()] = val.strip()
                 continue
             try:
-                rows.append(list(map(float, line.split())))
+                rows.append(np.array(line.split(), dtype=float))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: non-numeric token ({exc})") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = rows[0].size
+    if any(r.size != width for r in rows):
         raise ConfigError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float), meta
+    return np.stack(rows), meta
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +130,26 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
         os.remove(note)
 
 
+def _bulk_samples(body: str, maxval: int) -> Optional[np.ndarray]:
+    """The graymap samples of body as floats, parsed in one numpy call, or None
+    when that parse might differ from int() per token.
+
+    numpy's parser lets whitespace follow a sign ("+ 1" reads as 1), so a body
+    with a sign is left to int(). Without one, a body numpy reads to its end is
+    ASCII digits and whitespace, split as str.split() splits it. int64
+    overflow saturates, so a sample above maxval is left to int() as well.
+    """
+    if "+" in body or "-" in body:
+        return None
+    try:
+        data = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if data.size and data.max() > maxval:
+        return None
+    return data.astype(float)
+
+
 def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     """Read an ASCII graymap; returns (values, maxval).
 
@@ -113,16 +157,19 @@ def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     [1, PGM_MAXVAL] (the format's limit), and every sample must lie in
     [0, maxval]; anything else raises ConfigError.
     """
-    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
+        text = fh.read()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    head = text.split(None, 4)
+    if not head or head[0] != "P2":
         raise ConfigError(f"{path}: not an ASCII graymap (magic P2 missing)")
+    body = head.pop() if len(head) == 5 else ""
     try:
-        nx, ny, maxval = map(int, tokens[1:4])
-        data = np.array(list(map(int, tokens[4:])), dtype=float)
+        nx, ny, maxval = map(int, head[1:4])
+        data = _bulk_samples(body, maxval)
+        if data is None:
+            data = np.array(list(map(int, body.split())), dtype=float)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed graymap ({exc})") from None
     if nx < 1 or ny < 1:
@@ -207,9 +254,10 @@ def _values_and_meta(obj: Saveable) -> Tuple[np.ndarray, dict]:
             meta[str(key)] = val
         return obj.values, meta
     if isinstance(obj, (CountFrame, SignedCountFrame)):
-        return np.asarray(obj.counts, dtype=float), {
-            str(k): v for k, v in obj.meta.items()
-        }
+        counts = np.asarray(obj.counts)
+        if not _exact_integers(counts):
+            counts = counts.astype(float)
+        return counts, {str(k): v for k, v in obj.meta.items()}
     raise ParameterError(f"cannot serialize {type(obj).__name__}")
 
 

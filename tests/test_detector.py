@@ -242,3 +242,12 @@ def test_negative_seed_rejected():
     # numpy's SeedSequence would reject it only once the first frame is drawn
     with pytest.raises(ParameterError, match="seed"):
         DetectorConfig(seed=-1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_counts_below_one_rejected(workers):
+    cfg = DetectorConfig(trigger_rate=100.0, exposure=1.0, seed=1)
+    with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+        simulate_exposure(ramp_map(), cfg, workers=workers)
+    with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+        build_ghost_image(ramp_map(), ramp_map(), cfg, workers=workers)

@@ -4,6 +4,7 @@ import io as stdio
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -170,6 +171,218 @@ def test_loader_error_messages_are_kept(tmp_path):
     assert str(err.value) == (
         f"{word}: malformed graymap (invalid literal for int() with base 10: 'x')"
     )
+
+
+# The readers as they were before their bulk paths: float() and int() per
+# token. The bulk readers must give the same values, bit for bit, and the
+# same messages.
+def _per_token_matrix_text(path):
+    meta = {}
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, val = body.partition("=")
+                    meta[key.strip()] = val.strip()
+                continue
+            try:
+                rows.append(list(map(float, line.split())))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: non-numeric token ({exc})") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ConfigError(f"{path}: ragged rows")
+    return np.array(rows, dtype=float), meta
+
+
+def _per_token_pgm(path):
+    tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            body = line.split("#", 1)[0]
+            tokens.extend(body.split())
+    if not tokens or tokens[0] != "P2":
+        raise ConfigError(f"{path}: not an ASCII graymap (magic P2 missing)")
+    try:
+        nx, ny, maxval = map(int, tokens[1:4])
+        data = np.array(list(map(int, tokens[4:])), dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: malformed graymap ({exc})") from None
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"{path}: width and height must be positive, got {nx} {ny}")
+    if not 1 <= maxval <= 65535:
+        raise ConfigError(f"{path}: maxval must lie in [1, 65535], got {maxval}")
+    if data.size != nx * ny:
+        raise ConfigError(f"{path}: expected {nx * ny} samples, found {data.size}")
+    if data.min() < 0 or data.max() > maxval:
+        raise ConfigError(
+            f"{path}: samples must lie in [0, {maxval}], found "
+            f"{data.min():.0f} to {data.max():.0f}"
+        )
+    return data.reshape(ny, nx), maxval
+
+
+def _outcome(reader, path):
+    try:
+        return reader(str(path)), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+def _assert_reads_like_per_token(reader, reference, path):
+    """reader and reference agree on path: bit-identical values (NaN, signs of
+    zero) and the other return value, or the same ConfigError message."""
+    got, got_err = _outcome(reader, path)
+    want, want_err = _outcome(reference, path)
+    assert got_err == want_err
+    if want is None:
+        return want_err
+    assert got[0].dtype == want[0].dtype == np.float64
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+    assert got[1] == want[1]
+    return None
+
+
+def _mc_frame():
+    """A 256^2 background-subtracted count frame like the Monte Carlo's."""
+    rng = np.random.default_rng(41)
+    counts = rng.poisson(300, size=(256, 256)) - rng.poisson(300, size=(256, 256))
+    return SignedCountFrame(counts=counts, meta={"seed": 41, "signal_gates": 9})
+
+
+def test_readers_match_per_token_readers_on_a_saved_frame(tmp_path):
+    frame = _mc_frame()
+    txt, pgm = tmp_path / "f.txt", tmp_path / "f.pgm"
+    save_map(frame, str(txt))
+    save_map(frame, str(pgm), fmt="graymap")
+    assert _assert_reads_like_per_token(load_matrix_text, _per_token_matrix_text, txt) is None
+    assert _assert_reads_like_per_token(load_pgm, _per_token_pgm, pgm) is None
+    np.testing.assert_array_equal(load_matrix_text(str(txt))[0], frame.counts)
+
+
+def test_load_pgm_peak_memory_stays_small(tmp_path):
+    # the per-token reader held a str and an int per sample: 4.3 MB on this file
+    pgm = tmp_path / "f.pgm"
+    save_map(_mc_frame(), str(pgm), fmt="graymap")
+    load_pgm(str(pgm))
+    tracemalloc.start()
+    try:
+        load_pgm(str(pgm))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+# body of each graymap after its "P2\n2 2\n" header line, and the message
+# both readers must give (None: it reads)
+_GRAYMAP_BODIES = {
+    "plain": ("255\n1 2 3 4\n", None),
+    "comments between samples": ("# a\n255 # b\n1 2# c\n3 # d 9 9\n4\n", None),
+    "form feed inside a comment": ("255\n1 2 # c\x0c 9\v9\n3 4\n", None),
+    "tabs, CR and space runs": ("255\r\n1\t2\r\n   3 \t  4   \r\n", None),
+    "lone CR line ends": ("255\r1\r2\r3\r4\r", None),
+    "signed and padded tokens": ("255\n+5 007 +0 -0\n", None),
+    "underscore and Arabic digit": ("255\n1_0 \u0663 0 1\n", None),
+    "sign before a space": ("255\n+ 1 2 3 4\n", "malformed graymap"),
+    "minus before a space": ("255\n- 0 1 2 3\n", "malformed graymap"),
+    "non-breaking space": ("255\n1\xa02 3 4\n", None),
+    "word": ("255\n1 2 x 4\n", "malformed graymap"),
+    "decimal point": ("255\n1 2.0 3 4\n", "malformed graymap"),
+    "negative sample": ("255\n1 -7 3 4\n", "found -7 to 4"),
+    "sample above maxval": ("255\n1 256 3 4\n", "found 1 to 256"),
+    "int64 overflow": ("255\n1 99999999999999999999 3 4\n", "found 1 to 100000000000000000000"),
+    "negative int64 overflow": ("255\n1 -99999999999999999999 3 4\n", "to 4"),
+    "too few samples": ("255\n1 2 3\n", "expected 4 samples, found 3"),
+    "too many samples": ("255\n1 2 3 4 5\n", "expected 4 samples, found 5"),
+    "no samples": ("255\n", "expected 4 samples, found 0"),
+    "maxval too large": ("70000\n1 2 3 4\n", "maxval must lie"),
+    "overflow beyond a bad maxval": ("99999999999999999999999\n1 99999999999999999999 3 4\n",
+                                     "maxval must lie"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRAYMAP_BODIES))
+def test_load_pgm_matches_per_token_reader(tmp_path, case):
+    body, message = _GRAYMAP_BODIES[case]
+    path = tmp_path / "g.pgm"
+    path.write_text("P2\n2 2\n" + body, encoding="utf-8", newline="")
+    err = _assert_reads_like_per_token(load_pgm, _per_token_pgm, path)
+    if message is None:
+        assert err is None
+    else:
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["P2\n", "P2\n2 2\n", "P2\n0 0\n255\n", "P2\n2 x\n255\n1 2 3 4\n", "P2 2 2 255 1 2 3 4"],
+)
+def test_load_pgm_matches_per_token_reader_on_headers(tmp_path, text):
+    path = tmp_path / "g.pgm"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_reads_like_per_token(load_pgm, _per_token_pgm, path)
+
+
+_MATRIX_TEXTS = {
+    "specials": "nan -nan inf -inf\n-0 0 1e400 -1e400\n",
+    "python float spellings": "1_0 \u0663 infinity +1.5\n1e-400 4.9e-324 007 .5\n",
+    "tabs, CR and headers": "# k = v\r\n1\t2\r\n\r\n  3    4 \r\n# note\n",
+    "bad token on line 4": "# k = v\n1 2\n3 4\n5 oops 6\n7 8\n",
+    "first bad token named": "1 x y\n",
+    "ragged": "1 2\n3\n",
+    "no rows": "# k = v\n\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATRIX_TEXTS))
+def test_load_matrix_text_matches_per_token_reader(tmp_path, case):
+    path = tmp_path / "m.txt"
+    path.write_text(_MATRIX_TEXTS[case], encoding="utf-8", newline="")
+    _assert_reads_like_per_token(load_matrix_text, _per_token_matrix_text, path)
+
+
+def test_load_matrix_text_names_the_line_and_token(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(_MATRIX_TEXTS["bad token on line 4"])
+    with pytest.raises(ConfigError) as err:
+        load_matrix_text(str(path))
+    assert str(err.value) == (
+        f"{path}:4: non-numeric token (could not convert string to float: 'oops')"
+    )
+
+
+_INT64 = np.iinfo(np.int64)
+_INTEGER_ARRAYS = {
+    "small": np.array([[0, 1, -1], [7, -250_000, 3]]),
+    "at 2**53": np.array([[2**53, -(2**53)], [0, 1]]),
+    "beyond 2**53": np.array([[2**53 + 1, -(2**53 + 1)], [0, 1]]),
+    "int64 extremes": np.array([[_INT64.min, _INT64.max], [0, -1]], dtype=np.int64),
+    # np.abs of int64's minimum overflows to itself
+    "int64 minimum alone": np.array([[_INT64.min, 0]], dtype=np.int64),
+    "uint64 max": np.array([[np.iinfo(np.uint64).max, 0]], dtype=np.uint64),
+    "int8": np.array([[-128, 127]], dtype=np.int8),
+    "uint16": np.array([[65535, 0]], dtype=np.uint16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGER_ARRAYS))
+def test_integer_matrix_text_bytes_match_their_floats(tmp_path, case):
+    values = _INTEGER_ARRAYS[case]
+    path = tmp_path / "m.txt"
+    save_matrix_text(str(path), values, {"k": "v"})
+    assert path.read_bytes() == _reference_matrix_text(values.astype(float), {"k": "v"})
+    frame = tmp_path / "f.txt"
+    save_map(SignedCountFrame(counts=values, meta={"k": "v"}), str(frame))
+    assert frame.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +824,19 @@ def test_cli_rejects_node_counts_above_the_cap(tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr(cli, "ghost_image_map", no_maps)
     err = _fails_fast([command, "--nodes", "100000"], tmp_path / command, capsys)
     assert "100000" in err and "nodes" in err
+
+
+@pytest.mark.parametrize("command", ["image", "montecarlo"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch, command, workers):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed before the worker count was checked")
+
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    err = _fails_fast([command, "--workers", workers], tmp_path / command, capsys)
+    assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
 def test_cli_validate_passes():
