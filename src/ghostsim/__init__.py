@@ -16,7 +16,6 @@ from .detector import (
     GATE_BLOCKS,
     CountFrame,
     DetectorConfig,
-    SignedCountFrame,
     build_ghost_image,
     expected_gate_count,
     simulate_exposure,

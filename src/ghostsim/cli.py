@@ -17,6 +17,7 @@ configuration so runs can be diffed and reproduced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -33,10 +34,10 @@ from .detector import DetectorConfig, build_ghost_image, check_workers
 from .errors import ConfigError, GhostsimError
 from .experiments import (
     DoubleSlit,
+    check_pattern_size,
     ghost_image_map,
     ghost_interference_map,
     half_plane_pattern,
-    uniform_pattern,
 )
 from .grids import GridSpec
 from .io import load_pattern, parse_config, save_map, save_matrix_text, write_config_echo
@@ -95,11 +96,11 @@ _IMAGE_DEFAULTS = dict(
     center_y=0.0,
     nodes=0,
     telescope_scale=0.0,
-    workers=1,
 )
 
 _MONTECARLO_DEFAULTS = dict(
     _IMAGE_DEFAULTS,
+    workers=1,
     trigger_rate=2e4,
     exposure=1800.0,
     pair_detection_prob=0.1,
@@ -226,8 +227,14 @@ def _pattern(cfg: dict):
     )
 
 
-def _image_pieces(cfg: dict):
-    """Resolve the shared image/montecarlo geometry; fills derived entries."""
+def _grid(cfg: dict) -> GridSpec:
+    center = (cfg["center_x"], cfg["center_y"])
+    return GridSpec(cfg["nx"], cfg["ny"], cfg["extent_x"], cfg["extent_y"], center)
+
+
+def _image_maps(cfg: dict, flat_background: bool = False) -> list:
+    """Ghost image maps of the configured pattern and, with flat_background,
+    of a flat (zero-phase) pattern on the same pixels; fills derived entries."""
     params = _source(cfg)
     lens = _lens(cfg)
     cfg["image_distance"] = lens.v
@@ -240,32 +247,17 @@ def _image_pieces(cfg: dict):
         cfg["extent_x"] = total * cfg["pattern_extent_x"]
     if cfg["extent_y"] <= 0:
         cfg["extent_y"] = total * cfg["pattern_extent_y"]
-    grid = GridSpec(
-        nx=cfg["nx"],
-        ny=cfg["ny"],
-        extent_x=cfg["extent_x"],
-        extent_y=cfg["extent_y"],
-        center=(cfg["center_x"], cfg["center_y"]),
-    )
+    grid = _grid(cfg)
     quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
-    return params, lens, pattern, grid, quad
-
-
-def _image_map(cfg: dict, pattern=None):
-    params, lens, pat, grid, quad = _image_pieces(cfg)
-    if pattern is not None:
-        pat = pattern
-    return ghost_image_map(
-        params,
-        lens,
-        pat,
-        np.deg2rad(cfg["delta1"]),
-        np.deg2rad(cfg["delta2"]),
-        grid,
-        quad=quad,
-        telescope_scale=cfg["telescope_scale"],
-        workers=cfg["workers"],
-    )
+    patterns = [pattern]
+    if flat_background:
+        patterns.append(dataclasses.replace(pattern, grid=np.zeros_like(pattern.grid)))
+    d1, d2 = np.deg2rad(cfg["delta1"]), np.deg2rad(cfg["delta2"])
+    return [
+        ghost_image_map(params, lens, pat, d1, d2, grid, quad=quad,
+                        telescope_scale=cfg["telescope_scale"])
+        for pat in patterns
+    ]
 
 
 # --- subcommands --------------------------------------------------------------
@@ -279,14 +271,7 @@ def cmd_interference(args: argparse.Namespace) -> int:
         slit_width=cfg["slit_width"],
         center=cfg["slit_center"],
     )
-    grid = GridSpec(
-        nx=cfg["nx"],
-        ny=cfg["ny"],
-        extent_x=cfg["extent_x"],
-        extent_y=cfg["extent_y"],
-        center=(cfg["center_x"], cfg["center_y"]),
-    )
-    cmap = ghost_interference_map(params, slit, grid)
+    cmap = ghost_interference_map(params, slit, _grid(cfg))
     txt, pgm, echo = _outputs(args, "interference")
     save_map(cmap, txt, fmt="matrix-text")
     save_map(cmap, pgm, fmt="graymap")
@@ -297,8 +282,7 @@ def cmd_interference(args: argparse.Namespace) -> int:
 
 def cmd_image(args: argparse.Namespace) -> int:
     cfg = resolve_config(_IMAGE_DEFAULTS, args)
-    check_workers(cfg["workers"])
-    cmap = _image_map(cfg)
+    (cmap,) = _image_maps(cfg)
     txt, pgm, echo = _outputs(args, "image")
     save_map(cmap, txt, fmt="matrix-text")
     save_map(cmap, pgm, fmt="graymap")
@@ -318,13 +302,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         dark_rate=cfg["dark_rate"],
         seed=cfg["seed"],
     )
+    # pattern_n is checked even when a pattern file leaves it unused
+    check_pattern_size(cfg["pattern_n"])
     # The background run images a flat (no-pattern) plane at the same
     # polarizer settings, mirroring the subtraction procedure at the camera.
-    flat = uniform_pattern(
-        n=cfg["pattern_n"], extent=cfg["pattern_extent_x"], phi=0.0
-    )
-    signal = _image_map(cfg)
-    background = _image_map(cfg, pattern=flat)
+    signal, background = _image_maps(cfg, flat_background=True)
     frame = build_ghost_image(signal, background, det, workers=cfg["workers"])
     txt, pgm, echo = _outputs(args, "montecarlo")
     save_map(frame, txt, fmt="matrix-text")
@@ -387,8 +369,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it cannot parse as a ConfigError, so that main
+    prints one error: line and returns 2; subparsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghostsim",
         description="Ghost interference and ghost imaging simulator "
         "for hyper-entangled photon pairs.",
@@ -428,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GhostsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

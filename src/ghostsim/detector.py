@@ -9,7 +9,9 @@ same frame bit for bit; the per-pixel marginals remain exactly Poisson.
 Each block's draw is added into one preallocated frame as the block completes,
 in block order, so memory is O(pixels) whatever GATE_BLOCKS is.
 Dark counts are an additive per-pixel Poisson field drawn in row-major order
-from a dedicated child seed.
+from a dedicated child seed. Every frame is a CountFrame of integer counts:
+one exposure's are nonnegative, and build_ghost_image returns the signed
+difference of a signal and a background exposure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import ParameterError
 from .experiments import CoincidenceMap
 
 # fixed shard count; workers consume shards, they never repartition them
@@ -73,10 +75,15 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class CountFrame:
-    """Accumulated nonnegative integer counts on the camera grid."""
+    """Accumulated integer counts on the camera grid.
+
+    signed frames (differences of two exposures) may hold negative counts;
+    every frame is a non-empty 2D integer array.
+    """
 
     counts: np.ndarray
     meta: dict = field(default_factory=dict)
+    signed: bool = False
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -84,17 +91,9 @@ class CountFrame:
             raise ParameterError("count frame must be a non-empty 2D array")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ParameterError("counts must be integers")
-        if np.any(counts < 0):
+        if not self.signed and np.any(counts < 0):
             raise ParameterError("counts cannot be negative")
         object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
-class SignedCountFrame:
-    """Difference of two count frames; negative values are expected."""
-
-    counts: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def expected_gate_count(cfg: DetectorConfig) -> int:
@@ -177,16 +176,14 @@ def build_ghost_image(
     background_map: CoincidenceMap,
     cfg: DetectorConfig,
     workers: int = 1,
-) -> SignedCountFrame:
-    """Background-corrected count image: signal frame minus background frame.
+) -> CountFrame:
+    """Background-corrected count image, a signed CountFrame: signal frame
+    minus background frame, of two maps on one grid (check_same_grid).
 
     The two exposures use independent child seeds spawned from cfg.seed, so
     the pair is reproducible as a unit.
     """
-    if signal_map.shape != background_map.shape:
-        raise GridMismatchError(
-            f"shape mismatch: {signal_map.shape} vs {background_map.shape}"
-        )
+    signal_map.check_same_grid(background_map)
     sig_seed, bg_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     sig = _simulate(signal_map, cfg, sig_seed, workers)
     bg = _simulate(background_map, cfg, bg_seed, workers)
@@ -196,4 +193,4 @@ def build_ghost_image(
         "exposure_s": cfg.exposure,
         "seed": cfg.seed,
     }
-    return SignedCountFrame(counts=sig.counts - bg.counts, meta=meta)
+    return CountFrame(counts=sig.counts - bg.counts, meta=meta, signed=True)

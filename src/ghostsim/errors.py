@@ -60,4 +60,4 @@ class SourceRegimeWarning(UserWarning):
 
 
 class ApertureSamplingWarning(UserWarning):
-    """Doubling the aperture quadrature's nodes moved a result by more than tol."""
+    """Doubling a quadrature's nodes (aperture or slit) moved a result by more than tol."""

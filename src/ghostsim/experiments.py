@@ -2,7 +2,8 @@
 
 Ghost interference: a double slit in the object plane, no lens; the
 coincidence amplitude is the sum of the two-photon amplitude over the slit
-positions and the map is its squared magnitude over the far plane.
+positions, one factor per plane axis (finite slits choose their node count
+by doubling), and the map is its squared magnitude over the far plane.
 
 Ghost imaging: a polarization-sensitive phase pattern in the object plane and
 a thin lens in photon 2's arm. Each pattern pixel contributes its imaging
@@ -15,7 +16,8 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,25 +26,24 @@ from .biphoton import (
     QuadSettings,
     SourceParams,
     _leggauss,
-    closed_form_amplitude,
+    _warn_paraxial,
+    axis_amplitude,
     doubling_probe,
 )
-from .errors import (
-    GridMismatchError,
-    NumericError,
-    ParameterError,
-    SamplingError,
-)
-from .grids import GridSpec
+from .errors import NumericError, ParameterError, SamplingError
+from .grids import GridSpec, PixelGrid, pixel_geometry
 from .optics import (
-    LensSystem, converged_nodes, ghost_magnification, lens_plane_nodes, pattern_image_field
+    APERTURE_START_NODES, LensSystem, converged_nodes, ghost_magnification, lens_plane_nodes,
+    pattern_image_field,
 )
 from .polarization import pattern_projection_coeff
 
 # minimum pixels per fringe period before the interference map is trusted
 MIN_PIXELS_PER_FRINGE = 8
 
-_FINITE_SLIT_NODES = 64
+# slit nodes per block of the interference sum, bounding its (block x n)
+# arrays to 4 MB per 1024 pixels along the slit axis
+_SLIT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class DoubleSlit:
 
 
 @dataclass(frozen=True)
-class PhasePattern:
+class PhasePattern(PixelGrid):
     """Discretized polarization-sensitive phase pattern phi(x1, y1).
 
     grid: (ny, nx) phase values in radians.
@@ -107,12 +108,6 @@ class PhasePattern:
     def shape(self) -> Tuple[int, int]:
         return self.grid.shape
 
-    def x_centers(self) -> np.ndarray:
-        return self.origin[0] + self.pitch[0] * np.arange(self.grid.shape[1])
-
-    def y_centers(self) -> np.ndarray:
-        return self.origin[1] + self.pitch[1] * np.arange(self.grid.shape[0])
-
     def transmission(self) -> np.ndarray:
         if self.aperture is None:
             return np.ones_like(self.grid)
@@ -127,13 +122,12 @@ def pattern_from_extent(
 ) -> PhasePattern:
     """Wrap a phase array as a pattern covering a centered physical extent."""
     grid = np.asarray(grid, dtype=float)
-    ny, nx = grid.shape
-    px, py = extent[0] / nx, extent[1] / ny
-    origin = (center[0] - extent[0] / 2 + px / 2, center[1] - extent[1] / 2 + py / 2)
-    return PhasePattern(grid=grid, pitch=(px, py), origin=origin, aperture=aperture)
+    pitch, origin = pixel_geometry(grid.shape, extent, center)
+    return PhasePattern(grid=grid, pitch=pitch, origin=origin, aperture=aperture)
 
 
-def _check_pattern_size(n: int) -> None:
+def check_pattern_size(n: int) -> None:
+    """Raise ParameterError unless a pattern has n >= 1 pixels a side."""
     if n < 1:
         raise ParameterError(f"pattern size n must be >= 1, got {n}")
 
@@ -142,7 +136,7 @@ def half_plane_pattern(
     n: int = 128, extent: float = 4e-3, phi: float = np.pi, axis: str = "x"
 ) -> PhasePattern:
     """Binary two-region pattern: phase phi on the negative half, 0 on the other."""
-    _check_pattern_size(n)
+    check_pattern_size(n)
     coords = -extent / 2 + (np.arange(n) + 0.5) * (extent / n)
     if axis == "x":
         grid = np.where(coords[None, :] < 0, phi, 0.0) * np.ones((n, 1))
@@ -155,7 +149,7 @@ def half_plane_pattern(
 
 def uniform_pattern(n: int = 128, extent: float = 4e-3, phi: float = 0.0) -> PhasePattern:
     """Spatially uniform phase pattern (the background configuration)."""
-    _check_pattern_size(n)
+    check_pattern_size(n)
     return pattern_from_extent(np.full((n, n), float(phi)), (extent, extent))
 
 
@@ -169,12 +163,7 @@ def rotate_pattern_90(pattern: PhasePattern) -> PhasePattern:
     if abs(cx) > 1e-12 or abs(cy) > 1e-12:
         raise ParameterError("rotation is defined for centered patterns only")
     ap = None if pattern.aperture is None else np.rot90(pattern.aperture).copy()
-    return PhasePattern(
-        grid=np.rot90(pattern.grid).copy(),
-        pitch=pattern.pitch,
-        origin=pattern.origin,
-        aperture=ap,
-    )
+    return replace(pattern, grid=np.rot90(pattern.grid).copy(), aperture=ap)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +172,7 @@ def rotate_pattern_90(pattern: PhasePattern) -> PhasePattern:
 
 
 @dataclass(frozen=True)
-class CoincidenceMap:
+class CoincidenceMap(PixelGrid):
     """Gridded coincidence probabilities over the detection plane.
 
     values: (ny, nx) array, peak-normalized to 1 unless identically zero;
@@ -217,12 +206,6 @@ class CoincidenceMap:
     def shape(self) -> Tuple[int, int]:
         return self.values.shape
 
-    def x_centers(self) -> np.ndarray:
-        return self.origin[0] + self.pitch[0] * np.arange(self.values.shape[1])
-
-    def y_centers(self) -> np.ndarray:
-        return self.origin[1] + self.pitch[1] * np.arange(self.values.shape[0])
-
     def raw_values(self) -> np.ndarray:
         """Values on the common pre-normalization scale."""
         return self.values * self.meta.get("raw_peak", 1.0)
@@ -250,8 +233,14 @@ def ghost_interference_map(
     """Coincidence map of the double-slit ghost interference experiment.
 
     The slit plane is the object plane; the map lives in the far plane with no
-    lens. For delta slits the amplitude is the normalized two-term sum of the
-    closed form; finite slit widths integrate over each opening.
+    lens. By the separability of the closed form the amplitude is
+    axis_amplitude(0, across) times one sum over slit nodes of
+    w * axis_amplitude(offset, along). A delta slit is one node of weight 1; a
+    finite slit averages Gauss-Legendre nodes over its width, doubled from
+    APERTURE_START_NODES by converged_nodes until the whole along-axis factor
+    moves by at most QuadSettings().tol. meta records slit_nodes (per slit)
+    and error_estimate: that doubling change (error_kind "doubling"), or 0
+    for delta slits ("closed-form").
     """
     period = expected_fringe_period(params, slit.d)
     pitch = plane_grid.pitch[0] if slit.axis == "x" else plane_grid.pitch[1]
@@ -261,29 +250,34 @@ def ghost_interference_map(
             f"fringe period {period:g} m; need >= {MIN_PIXELS_PER_FRINGE}"
         )
 
-    X2 = plane_grid.x_centers()[None, :]
-    Y2 = plane_grid.y_centers()[:, None]
-    centers = (slit.center + slit.d / 2, slit.center - slit.d / 2)
+    x2, y2 = plane_grid.x_centers(), plane_grid.y_centers()
+    along, across = (x2, y2) if slit.axis == "x" else (y2, x2)
+    centers = np.array([slit.center + slit.d / 2, slit.center - slit.d / 2])
+    _warn_paraxial(params, np.abs(centers) + slit.slit_width / 2, along, across)
 
-    def slit_amplitude(pos: float) -> np.ndarray:
-        if slit.slit_width == 0.0:
-            if slit.axis == "x":
-                return closed_form_amplitude(params, pos, 0.0, X2, Y2)
-            return closed_form_amplitude(params, 0.0, pos, X2, Y2)
-        # width-normalized average across the opening; GL weights sum to 2
-        t, w = _leggauss(_FINITE_SLIT_NODES)
-        offs = pos + 0.5 * slit.slit_width * t
-        wts = 0.5 * w
-        acc = np.zeros((plane_grid.ny, plane_grid.nx), dtype=complex)
-        for off, wt in zip(offs, wts):
-            if slit.axis == "x":
-                acc += wt * closed_form_amplitude(params, off, 0.0, X2, Y2)
-            else:
-                acc += wt * closed_form_amplitude(params, 0.0, off, X2, Y2)
-        return acc
+    def slit_factor(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # the rule (t, w) on [-1, 1] spread over each opening; w sums to 2
+        offs = np.add.outer(centers, 0.5 * slit.slit_width * t).ravel()
+        wts = np.tile(0.5 * w, 2)
+        return sum(
+            wts[i:i + _SLIT_BLOCK]
+            @ axis_amplitude(params, offs[i:i + _SLIT_BLOCK, None], along)
+            for i in range(0, offs.size, _SLIT_BLOCK)
+        )
 
-    amp = (slit_amplitude(centers[0]) + slit_amplitude(centers[1])) / np.sqrt(2.0)
-    raw = np.abs(amp) ** 2
+    if slit.slit_width == 0.0:
+        nodes, error, kind = 1, 0.0, "closed-form"
+        factor = slit_factor(np.zeros(1), np.full(1, 2.0))
+    else:
+        factor_at = lru_cache()(lambda n: slit_factor(*_leggauss(n)))
+        nodes, error = converged_nodes(
+            factor_at, APERTURE_START_NODES, QuadSettings(), "the slit integral"
+        )
+        kind, factor = "doubling", factor_at(nodes)
+    along_raw = np.abs(factor) ** 2
+    across_raw = np.abs(axis_amplitude(params, 0.0, across)) ** 2
+    x_raw, y_raw = (along_raw, across_raw) if slit.axis == "x" else (across_raw, along_raw)
+    raw = np.outer(y_raw, x_raw) / 2
     if not np.all(np.isfinite(raw)):
         raise NumericError("interference map produced non-finite values")
     meta = {
@@ -291,6 +285,9 @@ def ghost_interference_map(
         "slit_separation_m": slit.d,
         "slit_axis": slit.axis,
         "fringe_period_expected_m": period,
+        "slit_nodes": nodes,
+        "error_estimate": error,
+        "error_kind": kind,
     }
     return _normalized_map(raw, plane_grid, meta)
 
@@ -384,17 +381,7 @@ def background_subtract(
     The result may contain negative values and is normalized by its largest
     magnitude.
     """
-    if signal.shape != background.shape:
-        raise GridMismatchError(
-            f"shape mismatch: {signal.shape} vs {background.shape}"
-        )
-    for a, b, what in (
-        (signal.pitch, background.pitch, "pitch"),
-        (signal.origin, background.origin, "origin"),
-    ):
-        if any(abs(x - y) > 1e-12 for x, y in zip(a, b)):
-            raise GridMismatchError(f"{what} mismatch: {a} vs {b}")
-
+    signal.check_same_grid(background)
     raw = signal.raw_values() - background.raw_values()
     peak = float(np.max(np.abs(raw)))
     vals = raw / peak if peak > 0 else raw

@@ -1,4 +1,8 @@
-"""Rectangular detection-plane grids."""
+"""Pixel geometry, defined once for grids, phase patterns and maps.
+
+A (ny, nx) pixel array over a rectangle has pitch extent / n per axis, and
+coordinates refer to pixel centers, pixel (0, 0) at the most negative corner.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +11,62 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GridMismatchError, ParameterError
+
+# largest pitch or origin difference, in meters, of two grids held to be one
+SAME_GRID_TOL = 1e-12
+
+
+def pixel_geometry(
+    shape: Tuple[int, int],
+    extent: Tuple[float, float],
+    center: Tuple[float, float] = (0.0, 0.0),
+) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """(pitch, origin) of a (ny, nx) pixel array covering an (x, y) extent
+    centered on center; origin is the center of pixel (0, 0)."""
+    ny, nx = shape
+    px, py = extent[0] / nx, extent[1] / ny
+    origin = (center[0] - extent[0] / 2 + px / 2, center[1] - extent[1] / 2 + py / 2)
+    return (px, py), origin
+
+
+class PixelGrid:
+    """Pixel centers, header entries and grid comparison of a subclass's
+    shape (ny, nx), pitch (px, py) and origin (center of pixel (0, 0))."""
+
+    def x_centers(self) -> np.ndarray:
+        return self.origin[0] + self.pitch[0] * np.arange(self.shape[1])
+
+    def y_centers(self) -> np.ndarray:
+        return self.origin[1] + self.pitch[1] * np.arange(self.shape[0])
+
+    def pixel_header(self) -> dict:
+        """Pitch and origin as matrix-text header entries, in meters."""
+        return {
+            "pitch_x_m": f"{self.pitch[0]:.17g}",
+            "pitch_y_m": f"{self.pitch[1]:.17g}",
+            "origin_x_m": f"{self.origin[0]:.17g}",
+            "origin_y_m": f"{self.origin[1]:.17g}",
+        }
+
+    def check_same_grid(self, other: "PixelGrid") -> None:
+        """Raise GridMismatchError unless other has this shape, and this pitch
+        and origin to within SAME_GRID_TOL."""
+        if self.shape != other.shape:
+            raise GridMismatchError(f"shape mismatch: {self.shape} vs {other.shape}")
+        for what in ("pitch", "origin"):
+            a, b = getattr(self, what), getattr(other, what)
+            if any(abs(x - y) > SAME_GRID_TOL for x, y in zip(a, b)):
+                raise GridMismatchError(f"{what} mismatch: {a} vs {b}")
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(PixelGrid):
     """Pixel grid over a rectangle of the detection plane.
 
-    nx, ny: pixel counts along x and y.
+    nx, ny: pixel counts along x and y, at least 2 each.
     extent_x, extent_y: full physical widths in meters.
     center: (cx, cy) of the rectangle in meters.
-
-    Pixel (0, 0) sits at the most negative corner; coordinates refer to pixel
-    centers.
     """
 
     nx: int
@@ -37,22 +84,14 @@ class GridSpec:
             raise ParameterError("grid center must be two finite coordinates")
 
     @property
+    def shape(self) -> Tuple[int, int]:
+        return self.ny, self.nx
+
+    @property
     def pitch(self) -> Tuple[float, float]:
-        return self.extent_x / self.nx, self.extent_y / self.ny
+        return pixel_geometry(self.shape, (self.extent_x, self.extent_y), self.center)[0]
 
     @property
     def origin(self) -> Tuple[float, float]:
         """Coordinates of the center of pixel (0, 0)."""
-        px, py = self.pitch
-        return (
-            self.center[0] - self.extent_x / 2 + px / 2,
-            self.center[1] - self.extent_y / 2 + py / 2,
-        )
-
-    def x_centers(self) -> np.ndarray:
-        px, _ = self.pitch
-        return self.origin[0] + px * np.arange(self.nx)
-
-    def y_centers(self) -> np.ndarray:
-        _, py = self.pitch
-        return self.origin[1] + py * np.arange(self.ny)
+        return pixel_geometry(self.shape, (self.extent_x, self.extent_y), self.center)[1]

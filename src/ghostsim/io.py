@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .detector import CountFrame, SignedCountFrame
+from .detector import CountFrame
 from .errors import ConfigError, ParameterError
 from .experiments import CoincidenceMap, PhasePattern, pattern_from_extent
 
@@ -225,36 +225,23 @@ def load_pattern(
 
 def save_pattern(path: str, pattern: PhasePattern) -> None:
     """Write a pattern's phase grid (radians) as matrix-text; loads back exactly."""
-    meta = {
-        _RADIANS_KEY: "true",
-        "pitch_x_m": f"{pattern.pitch[0]:.17g}",
-        "pitch_y_m": f"{pattern.pitch[1]:.17g}",
-        "origin_x_m": f"{pattern.origin[0]:.17g}",
-        "origin_y_m": f"{pattern.origin[1]:.17g}",
-    }
-    save_matrix_text(path, pattern.grid, meta)
+    save_matrix_text(path, pattern.grid, {_RADIANS_KEY: "true", **pattern.pixel_header()})
 
 
 # ---------------------------------------------------------------------------
 # map / frame serialization
 # ---------------------------------------------------------------------------
 
-Saveable = Union[CoincidenceMap, CountFrame, SignedCountFrame]
+Saveable = Union[CoincidenceMap, CountFrame]
 
 
 def _values_and_meta(obj: Saveable) -> Tuple[np.ndarray, dict]:
     if isinstance(obj, CoincidenceMap):
-        meta = {
-            "pitch_x_m": f"{obj.pitch[0]:.17g}",
-            "pitch_y_m": f"{obj.pitch[1]:.17g}",
-            "origin_x_m": f"{obj.origin[0]:.17g}",
-            "origin_y_m": f"{obj.origin[1]:.17g}",
-        }
-        for key, val in obj.meta.items():
-            meta[str(key)] = val
+        meta = obj.pixel_header()
+        meta.update((str(key), val) for key, val in obj.meta.items())
         return obj.values, meta
-    if isinstance(obj, (CountFrame, SignedCountFrame)):
-        counts = np.asarray(obj.counts)
+    if isinstance(obj, CountFrame):
+        counts = obj.counts
         if not _exact_integers(counts):
             counts = counts.astype(float)
         return counts, {str(k): v for k, v in obj.meta.items()}

@@ -62,6 +62,21 @@ def test_count_frame_validation():
         CountFrame(counts=np.full((2, 2), -1, dtype=np.int64))
 
 
+def test_signed_count_frame_validation():
+    frame = CountFrame(counts=np.full((2, 2), -1, dtype=np.int64), signed=True)
+    assert frame.counts.min() == -1
+    # only the sign check is skipped: shape and dtype are checked as before
+    with pytest.raises(ParameterError, match="2D"):
+        CountFrame(counts=np.array([1, -2]), signed=True)
+    with pytest.raises(ParameterError, match="integers"):
+        CountFrame(counts=np.array([[1.0, -2.5]]), signed=True)
+
+
+def test_ghost_image_is_a_signed_count_frame():
+    frame = build_ghost_image(ramp_map(), ramp_map(), DetectorConfig(exposure=1.0))
+    assert isinstance(frame, CountFrame) and frame.signed
+
+
 # ---------------------------------------------------------------------------
 # single exposures
 # ---------------------------------------------------------------------------
@@ -191,6 +206,12 @@ def test_build_ghost_image_difference_and_determinism():
 def test_build_ghost_image_shape_mismatch():
     with pytest.raises(GridMismatchError):
         build_ghost_image(ramp_map(8, 8), zero_map(4, 4), DetectorConfig(exposure=1.0))
+
+
+def test_build_ghost_image_needs_one_grid():
+    shifted = CoincidenceMap(values=np.zeros((8, 8)), pitch=(1e-5, 1e-5), origin=(1e-6, 0.0))
+    with pytest.raises(GridMismatchError, match="origin mismatch"):
+        build_ghost_image(ramp_map(), shifted, DetectorConfig(exposure=1.0))
 
 
 def test_signal_and_background_use_independent_streams():

@@ -18,6 +18,7 @@ from ghostsim import (
     SourceParams,
     SourceRegimeWarning,
     background_subtract,
+    closed_form_amplitude,
     expected_fringe_period,
     ghost_image_map,
     ghost_interference_map,
@@ -202,6 +203,62 @@ def test_finite_slit_width_runs_and_softens_contrast(fringe_params):
     )
     assert soft.values.max() == pytest.approx(1.0, abs=1e-12)
     assert not np.allclose(soft.values, sharp.values)
+
+
+def _slit_reference(params, slit, grid, nodes=1024):
+    """Normalized map of the 2D closed form summed over numpy's Gauss-Legendre
+    rule across each slit of a DoubleSlit along x."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    x2 = grid.x_centers()[None, None, :]
+    y2 = grid.y_centers()[None, :, None]
+    amp = 0.0
+    for center in (slit.center + slit.d / 2, slit.center - slit.d / 2):
+        offs = (center + 0.5 * slit.slit_width * t)[:, None, None]
+        amp = amp + np.tensordot(0.5 * w, closed_form_amplitude(params, offs, 0.0, x2, y2), 1)
+    raw = np.abs(amp) ** 2
+    return raw / raw.max()
+
+
+@pytest.mark.parametrize("d, width", [(2e-3, 0.5e-3), (20e-3, 5e-3), (20e-3, 19e-3)])
+def test_finite_slits_match_a_high_node_reference(fringe_params, d, width):
+    # a fixed 64-node rule was off by 0.9 of peak for the 19 mm slits
+    grid = GridSpec(nx=256, ny=4, extent_x=1.5e-3, extent_y=2e-3)
+    slit = DoubleSlit(d=d, slit_width=width)
+    cmap = ghost_interference_map(fringe_params, slit, grid)
+    tol = QuadSettings().tol
+    # the map is |factor|^2 over its peak: twice the factor's relative error,
+    # and as much again from the peak it is normalized by
+    np.testing.assert_allclose(cmap.values, _slit_reference(fringe_params, slit, grid),
+                               rtol=0, atol=4 * tol)
+    assert cmap.meta["error_kind"] == "doubling"
+    assert cmap.meta["error_estimate"] <= tol
+    assert cmap.meta["slit_nodes"] >= (256 if width > 10e-3 else 32)
+
+
+def test_delta_slits_are_exact_single_nodes(fringe_params):
+    grid = GridSpec(nx=64, ny=8, extent_x=4e-3, extent_y=1e-3)
+    cmap = ghost_interference_map(fringe_params, DoubleSlit(d=2e-3), grid)
+    meta = cmap.meta
+    assert (meta["slit_nodes"], meta["error_estimate"], meta["error_kind"]) == (
+        1, 0.0, "closed-form"
+    )
+    x2, y2 = grid.x_centers()[None, :], grid.y_centers()[:, None]
+    amp = closed_form_amplitude(fringe_params, 1e-3, 0.0, x2, y2) + closed_form_amplitude(
+        fringe_params, -1e-3, 0.0, x2, y2
+    )
+    want = np.abs(amp) ** 2
+    np.testing.assert_allclose(cmap.values, want / want.max(), rtol=0, atol=1e-14)
+
+
+def test_maps_and_patterns_share_their_grids_pixel_centers(fringe_params):
+    grid = GridSpec(nx=96, ny=5, extent_x=6e-3, extent_y=0.5e-3, center=(2e-4, -1e-4))
+    cmap = ghost_interference_map(fringe_params, DoubleSlit(d=2e-3), grid)
+    np.testing.assert_array_equal(cmap.x_centers(), grid.x_centers())
+    np.testing.assert_array_equal(cmap.y_centers(), grid.y_centers())
+    pat = pattern_from_extent(np.zeros((5, 96)), (6e-3, 0.5e-3), (2e-4, -1e-4))
+    np.testing.assert_array_equal(pat.x_centers(), grid.x_centers())
+    np.testing.assert_array_equal(pat.y_centers(), grid.y_centers())
+    assert pat.pixel_header() == cmap.pixel_header()
 
 
 # ---------------------------------------------------------------------------

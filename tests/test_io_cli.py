@@ -13,18 +13,20 @@ import pytest
 
 from ghostsim import (
     ApertureSamplingWarning,
+    CoincidenceMap,
     ConfigError,
     CountFrame,
     DoubleSlit,
     GridSpec,
     ParameterError,
-    SignedCountFrame,
     SourceParams,
+    build_ghost_image,
     ghost_interference_map,
     load_matrix_text,
     load_pattern,
     load_pgm,
     parse_config,
+    pattern_from_extent,
     save_map,
     save_matrix_text,
     save_pattern,
@@ -138,12 +140,12 @@ def test_writers_keep_their_bytes_and_loaders_read_them_back(tmp_path, case):
     assert maxval == 65535
 
 
-@pytest.mark.parametrize("frame_type", [CountFrame, SignedCountFrame])
-def test_save_map_keeps_count_frame_bytes(tmp_path, frame_type):
+@pytest.mark.parametrize("signed", [False, True], ids=["CountFrame", "signed-CountFrame"])
+def test_save_map_keeps_count_frame_bytes(tmp_path, signed):
     counts = np.array([[5, 0], [0, 2], [70_000, 1]])
-    if frame_type is SignedCountFrame:
+    if signed:
         counts = counts - 3
-    frame = frame_type(counts=counts, meta={"seed": 4, "signal_gates": 12})
+    frame = CountFrame(counts=counts, meta={"seed": 4, "signal_gates": 12}, signed=signed)
     save_map(frame, str(tmp_path / "f.txt"))
     save_map(frame, str(tmp_path / "f.pgm"), fmt="graymap")
     as_float = counts.astype(float)
@@ -255,7 +257,7 @@ def _mc_frame():
     """A 256^2 background-subtracted count frame like the Monte Carlo's."""
     rng = np.random.default_rng(41)
     counts = rng.poisson(300, size=(256, 256)) - rng.poisson(300, size=(256, 256))
-    return SignedCountFrame(counts=counts, meta={"seed": 41, "signal_gates": 9})
+    return CountFrame(counts=counts, meta={"seed": 41, "signal_gates": 9}, signed=True)
 
 
 def test_readers_match_per_token_readers_on_a_saved_frame(tmp_path):
@@ -381,7 +383,7 @@ def test_integer_matrix_text_bytes_match_their_floats(tmp_path, case):
     save_matrix_text(str(path), values, {"k": "v"})
     assert path.read_bytes() == _reference_matrix_text(values.astype(float), {"k": "v"})
     frame = tmp_path / "f.txt"
-    save_map(SignedCountFrame(counts=values, meta={"k": "v"}), str(frame))
+    save_map(CountFrame(counts=values, meta={"k": "v"}, signed=True), str(frame))
     assert frame.read_bytes() == path.read_bytes()
 
 
@@ -547,8 +549,8 @@ def test_save_map_graymap_keeps_fringes_countable(tmp_path):
 
 
 def test_save_map_signed_frame_and_unknown_format(tmp_path):
-    frame = SignedCountFrame(
-        counts=np.array([[5, -3], [0, 2]]), meta={"seed": 1}
+    frame = CountFrame(
+        counts=np.array([[5, -3], [0, 2]]), meta={"seed": 1}, signed=True
     )
     save_map(frame, str(tmp_path / "f.txt"))
     vals, meta = load_matrix_text(str(tmp_path / "f.txt"))
@@ -558,6 +560,36 @@ def test_save_map_signed_frame_and_unknown_format(tmp_path):
     assert (tmp_path / "f.pgm.note").exists()
     with pytest.raises(ParameterError):
         save_map(frame, str(tmp_path / "f.bin"), fmt="binary")
+
+
+def test_geometry_header_bytes_are_kept(tmp_path):
+    # pitch and origin are written as "%.17g" of the floats
+    pat = pattern_from_extent(np.zeros((3, 5)), (3e-3, 2e-3), center=(1e-3, -0.5e-3))
+    save_pattern(str(tmp_path / "p.txt"), pat)
+    grid = GridSpec(nx=7, ny=3, extent_x=6e-3, extent_y=0.3e-3, center=(0.1e-3, 0.0))
+    cmap = CoincidenceMap(
+        values=np.ones((3, 7)), pitch=grid.pitch, origin=grid.origin, meta={"raw_peak": 1.0}
+    )
+    save_map(cmap, str(tmp_path / "m.txt"))
+
+    def header(name):
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        return b"".join(line for line in lines if line.startswith(b"#"))
+
+    assert header("p.txt") == (
+        b"# origin_x_m = -0.00019999999999999998\n"
+        b"# origin_y_m = -0.0011666666666666668\n"
+        b"# pitch_x_m = 0.00060000000000000006\n"
+        b"# pitch_y_m = 0.00066666666666666664\n"
+        b"# values_are_radians = true\n"
+    )
+    assert header("m.txt") == (
+        b"# origin_x_m = -0.0024714285714285715\n"
+        b"# origin_y_m = -9.9999999999999991e-05\n"
+        b"# pitch_x_m = 0.00085714285714285721\n"
+        b"# pitch_y_m = 9.9999999999999991e-05\n"
+        b"# raw_peak = 1.0\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +696,9 @@ def test_cli_rejects_removed_inert_keys(tmp_path, capsys, key):
     cfg.write_text(f"{key} = 1e-9\n")
     err = _fails_fast(["montecarlo", "--config", str(cfg)], tmp_path / "cfg", capsys)
     assert f"unknown configuration key '{key}'" in err
-    with pytest.raises(SystemExit) as flag:
-        main(["montecarlo", "--" + key.replace("_", "-"), "1e-9"])
-    assert flag.value.code == 2
-    assert "error: unrecognized arguments" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    err = _fails_fast(["montecarlo", flag, "1e-9"], tmp_path / "flag", capsys)
+    assert err == f"error: unrecognized arguments: {flag} 1e-9\n"
 
 
 def test_cli_shared_config_drives_image_and_montecarlo(tmp_path):
@@ -804,14 +835,71 @@ def test_cli_montecarlo_rejects_an_empty_background_before_any_map(
         raise AssertionError("a map was computed before the pattern size was checked")
 
     monkeypatch.setattr(cli, "ghost_image_map", no_maps)
-    # the flat background pattern has pattern_n pixels a side even when the
-    # signal pattern comes from a file
+    # pattern_n is checked even though the background takes its pixels from
+    # the pattern file
     pattern = tmp_path / "p.txt"
     save_pattern(str(pattern), uniform_pattern(n=4))
     err = _fails_fast(
         ["montecarlo", "--pattern-n", "0", "--pattern", str(pattern)], tmp_path / "mc", capsys
     )
     assert "pattern size" in err
+
+
+def test_cli_montecarlo_background_has_the_pattern_files_pixels(tmp_path, monkeypatch):
+    import ghostsim.cli as cli
+
+    maps = []
+
+    def keep_maps(signal, background, *args, **kwargs):
+        maps.extend((signal, background))
+        return build_ghost_image(signal, background, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ghost_image", keep_maps)
+    # a flat, non-square pattern: its background map is its signal map. A
+    # background built from pattern_n and pattern_extent_x alone was square,
+    # 4 x 4 mm, and left a residual of 0.55 of peak here
+    pattern = tmp_path / "flat.txt"
+    save_pattern(str(pattern), pattern_from_extent(np.zeros((32, 64)), (4e-3, 2e-3)))
+    code, _ = run_cli([
+        "montecarlo", "--pattern", str(pattern), "--pattern-extent-x", "4e-3",
+        "--pattern-extent-y", "2e-3", "--pattern-n", "64", "--nx", "64", "--ny", "32",
+        "--delta2", "45", "--exposure", "0.01", "--out", str(tmp_path / "mc"),
+    ])
+    assert code == 0
+    signal, background = maps
+    assert signal.meta["raw_peak"] > 0
+    np.testing.assert_array_equal(background.values, signal.values)
+    assert background.meta["raw_peak"] == signal.meta["raw_peak"]
+
+
+def test_cli_image_has_no_workers_key(tmp_path, capsys):
+    err = _fails_fast(["image", "--workers", "2"], tmp_path / "image", capsys)
+    assert err == "error: unrecognized arguments: --workers 2\n"
+    code, _ = run_cli(["image", "--nx", "32", "--ny", "32", "--pattern-n", "16",
+                       "--out", str(tmp_path / "ok")])
+    assert code == 0
+    assert "workers" not in parse_config(str(tmp_path / "ok" / "image_config.txt"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["montecarlo", "--nx=abc"], "argument --nx: invalid int value: 'abc'"),
+    (["interference", "--slit-width"], "argument --slit-width: expected one argument"),
+    (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_bad_command_lines_end_in_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["montecarlo", "--help"])
+    assert done.value.code == 0
+    assert "--workers" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["image", "montecarlo", "amplitude"])
@@ -826,7 +914,8 @@ def test_cli_rejects_node_counts_above_the_cap(tmp_path, capsys, monkeypatch, co
     assert "100000" in err and "nodes" in err
 
 
-@pytest.mark.parametrize("command", ["image", "montecarlo"])
+# image has no workers key: its map is one process's matmuls
+@pytest.mark.parametrize("command", ["montecarlo"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch, command, workers):
     import ghostsim.cli as cli
