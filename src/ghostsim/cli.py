@@ -9,9 +9,16 @@ Subcommands
     amplitude     biphoton amplitude sampled along a line
 
 Configuration is a flat key=value text file (SI units; angles in degrees).
-Precedence: built-in defaults < --config file < command-line flags.  Every
-file-writing run also writes a ``*_config.txt`` echo of the fully resolved
-configuration so runs can be diffed and reproduced.
+Precedence: built-in defaults < --config file < command-line flags; a flag
+and a file entry are read by one conversion, so a bad value gives the same
+error either way.  Every file-writing run also writes a ``*_config.txt`` echo
+of the fully resolved configuration; fed back through --config it
+reproduces the run.
+
+The imaging geometry is derived, not configured: the lens images the object
+plane at u = s1 + s2 (through the source), its image distance v follows
+from 1/u + 1/v = 1/f, and the camera extent is the imaged pattern's extent
+times the total object-to-camera scale.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .experiments import (
     ghost_image_map,
     ghost_interference_map,
     half_plane_pattern,
+    pattern_from_extent,
 )
 from .grids import GridSpec
 from .io import load_pattern, parse_config, save_map, save_matrix_text, write_config_echo
@@ -70,15 +78,13 @@ _INTERFERENCE_DEFAULTS = dict(
     center_y=0.0,
 )
 
-# 0.0 means "derive": image_distance from the lens equation, nodes by node
-# doubling (or none on the closed form), telescope_scale from
-# RELAY_TOTAL_SCALE, and the grid extent from the scaled pattern extent.
+# 0.0 means "derive": nodes by node doubling (or none on the closed form),
+# telescope_scale from RELAY_TOTAL_SCALE, and the grid extent from the
+# extent of the pattern imaged, scaled onto the camera.
 _IMAGE_DEFAULTS = dict(
     _SOURCE_KEYS,
     s2=1.5,
     focal_length=1.5,
-    object_distance=2.83,
-    image_distance=0.0,
     aperture_radius=25e-3,
     delta1=-45.0,
     delta2=-45.0,
@@ -130,14 +136,6 @@ _AMPLITUDE_DEFAULTS = dict(
     nodes=0,
 )
 
-_ALL_KEYS = (
-    _INTERFERENCE_DEFAULTS.keys()
-    | _MONTECARLO_DEFAULTS.keys()
-    | _CHSH_DEFAULTS.keys()
-    | _AMPLITUDE_DEFAULTS.keys()
-)
-
-
 # --- configuration resolution -------------------------------------------------
 
 def _coerce(key: str, text: str, defaults: dict):
@@ -154,47 +152,43 @@ def _coerce(key: str, text: str, defaults: dict):
 
 
 def resolve_config(defaults: dict, args: argparse.Namespace) -> dict:
-    """Merge defaults, --config file entries, and explicit flags.
+    """Merge defaults, --config file entries, and explicit flags, each
+    converted from its text by _coerce.
 
     One config file may drive several subcommands, so keys used only by a
     different subcommand are ignored here; keys unknown to every subcommand
     are typos and rejected.
     """
-    resolved = dict(defaults)
-    if args.config:
+    texts = {}
+    if getattr(args, "config", None):
+        known = set().union(*(keys for _, keys, _ in COMMANDS.values()))
         for key, text in parse_config(args.config).items():
-            if key not in defaults:
-                if key in _ALL_KEYS:
-                    continue
+            if key not in known:
                 raise ConfigError(f"unknown configuration key '{key}'")
-            resolved[key] = _coerce(key, text, defaults)
+            if key in defaults:
+                texts[key] = text
     for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+        if getattr(args, key) is not None:
+            texts[key] = getattr(args, key)
+    return dict(defaults, **{key: _coerce(key, text, defaults) for key, text in texts.items()})
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--out", default=".", help="output directory (default: .)")
-    for key, ref in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(ref, int) and not isinstance(ref, bool):
-            sub.add_argument(flag, type=int, default=None)
-        elif isinstance(ref, float):
-            sub.add_argument(flag, type=float, default=None)
-        else:
-            sub.add_argument(flag, default=None)
+    for key in defaults:
+        sub.add_argument("--" + key.replace("_", "-"), default=None)
 
 
-def _outputs(args: argparse.Namespace, stem: str):
-    os.makedirs(args.out, exist_ok=True)
-    return (
-        os.path.join(args.out, stem + ".txt"),
-        os.path.join(args.out, stem + ".pgm"),
-        os.path.join(args.out, stem + "_config.txt"),
-    )
+def _write(out: str, stem: str, obj, cfg: dict, note: str = "") -> None:
+    """Write obj as <stem>.txt and <stem>.pgm and cfg as <stem>_config.txt
+    into out, then report the two outputs."""
+    os.makedirs(out, exist_ok=True)
+    txt, pgm = (os.path.join(out, stem + ext) for ext in (".txt", ".pgm"))
+    save_map(obj, txt, fmt="matrix-text")
+    save_map(obj, pgm, fmt="graymap")
+    write_config_echo(os.path.join(out, stem + "_config.txt"), cfg)
+    print(f"wrote {txt}, {pgm}{note}")
 
 
 def _source(cfg: dict) -> SourceParams:
@@ -207,11 +201,10 @@ def _source(cfg: dict) -> SourceParams:
 
 
 def _lens(cfg: dict) -> LensSystem:
-    v = cfg["image_distance"] if cfg["image_distance"] > 0 else None
+    # the lens images the object plane, s1 beyond the source
     return LensSystem(
         f=cfg["focal_length"],
-        u=cfg["object_distance"],
-        v=v,
+        u=cfg["s1"] + cfg["s2"],
         aperture_radius=cfg["aperture_radius"],
     )
 
@@ -220,11 +213,8 @@ def _pattern(cfg: dict):
     extent = (cfg["pattern_extent_x"], cfg["pattern_extent_y"])
     if cfg["pattern"]:
         return load_pattern(cfg["pattern"], phase_scale=cfg["phase_scale"], extent=extent)
-    return half_plane_pattern(
-        n=cfg["pattern_n"],
-        extent=cfg["pattern_extent_x"],
-        phi=np.deg2rad(cfg["pattern_phi"]),
-    )
+    half = half_plane_pattern(n=cfg["pattern_n"], phi=np.deg2rad(cfg["pattern_phi"]))
+    return pattern_from_extent(half.grid, extent)
 
 
 def _grid(cfg: dict) -> GridSpec:
@@ -237,16 +227,14 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
     of a flat (zero-phase) pattern on the same pixels; fills derived entries."""
     params = _source(cfg)
     lens = _lens(cfg)
-    cfg["image_distance"] = lens.v
     pattern = _pattern(cfg)
     m = ghost_magnification(params, lens)
     if cfg["telescope_scale"] <= 0:
         cfg["telescope_scale"] = RELAY_TOTAL_SCALE / m
     total = m * cfg["telescope_scale"]
-    if cfg["extent_x"] <= 0:
-        cfg["extent_x"] = total * cfg["pattern_extent_x"]
-    if cfg["extent_y"] <= 0:
-        cfg["extent_y"] = total * cfg["pattern_extent_y"]
+    for key, pitch, n in zip(("extent_x", "extent_y"), pattern.pitch, pattern.shape[::-1]):
+        if cfg[key] <= 0:
+            cfg[key] = total * (pitch * n)
     grid = _grid(cfg)
     quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
     patterns = [pattern]
@@ -262,37 +250,24 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
 
 # --- subcommands --------------------------------------------------------------
 
-def cmd_interference(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_INTERFERENCE_DEFAULTS, args)
-    params = _source(cfg)
+def cmd_interference(cfg: dict, out: str) -> int:
     slit = DoubleSlit(
         d=cfg["slit_separation"],
         axis=cfg["axis"],
         slit_width=cfg["slit_width"],
         center=cfg["slit_center"],
     )
-    cmap = ghost_interference_map(params, slit, _grid(cfg))
-    txt, pgm, echo = _outputs(args, "interference")
-    save_map(cmap, txt, fmt="matrix-text")
-    save_map(cmap, pgm, fmt="graymap")
-    write_config_echo(echo, cfg)
-    print(f"wrote {txt}, {pgm}")
+    _write(out, "interference", ghost_interference_map(_source(cfg), slit, _grid(cfg)), cfg)
     return 0
 
 
-def cmd_image(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_IMAGE_DEFAULTS, args)
+def cmd_image(cfg: dict, out: str) -> int:
     (cmap,) = _image_maps(cfg)
-    txt, pgm, echo = _outputs(args, "image")
-    save_map(cmap, txt, fmt="matrix-text")
-    save_map(cmap, pgm, fmt="graymap")
-    write_config_echo(echo, cfg)
-    print(f"wrote {txt}, {pgm}")
+    _write(out, "image", cmap, cfg)
     return 0
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_MONTECARLO_DEFAULTS, args)
+def cmd_montecarlo(cfg: dict, out: str) -> int:
     # checked first, so a bad detector setting fails before either map is made
     check_workers(cfg["workers"])
     det = DetectorConfig(
@@ -308,17 +283,12 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     # polarizer settings, mirroring the subtraction procedure at the camera.
     signal, background = _image_maps(cfg, flat_background=True)
     frame = build_ghost_image(signal, background, det, workers=cfg["workers"])
-    txt, pgm, echo = _outputs(args, "montecarlo")
-    save_map(frame, txt, fmt="matrix-text")
-    save_map(frame, pgm, fmt="graymap")
-    write_config_echo(echo, cfg)
     gates = frame.meta["signal_gates"] + frame.meta["background_gates"]
-    print(f"wrote {txt}, {pgm} ({gates} gates over two exposures)")
+    _write(out, "montecarlo", frame, cfg, f" ({gates} gates over two exposures)")
     return 0
 
 
-def cmd_chsh(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_CHSH_DEFAULTS, args)
+def cmd_chsh(cfg: dict, out: str) -> int:
     state = make_bell(cfg["state"])
     value = chsh_S(
         state,
@@ -332,8 +302,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_amplitude(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_AMPLITUDE_DEFAULTS, args)
+def cmd_amplitude(cfg: dict, out: str) -> int:
     params = _source(cfg)
     if cfg["axis"] not in ("x", "y"):
         raise ConfigError(f"axis must be 'x' or 'y', got '{cfg['axis']}'")
@@ -353,18 +322,34 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         used = 0
     phi = np.broadcast_to(phi, coords.shape)
     table = np.column_stack([coords, phi.real, phi.imag, np.abs(phi)])
-    txt, _, echo = _outputs(args, "amplitude")
+    os.makedirs(out, exist_ok=True)
+    txt = os.path.join(out, "amplitude.txt")
     meta = dict(cfg, columns=f"{cfg['axis']}1 re im abs", quadrature_nodes=used)
     save_matrix_text(txt, table, meta)
-    write_config_echo(echo, cfg)
+    write_config_echo(os.path.join(out, "amplitude_config.txt"), cfg)
     print(f"wrote {txt}")
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(cfg: dict, out: str) -> int:
     from .validate import run_all
 
     return run_all()
+
+
+# name: (help, defaults, handler(resolved config, output directory)); a
+# subcommand without defaults takes neither flags nor a config file
+COMMANDS = {
+    "interference": ("two-slit coincidence fringe map", _INTERFERENCE_DEFAULTS,
+                     cmd_interference),
+    "image": ("ghost image of a polarization-sensitive phase pattern", _IMAGE_DEFAULTS,
+              cmd_image),
+    "montecarlo": ("gated-camera count accumulation with subtraction",
+                   _MONTECARLO_DEFAULTS, cmd_montecarlo),
+    "chsh": ("print the Bell-test S value", _CHSH_DEFAULTS, cmd_chsh),
+    "validate": ("run the self-check suite", {}, cmd_validate),
+    "amplitude": ("dump the amplitude along a line", _AMPLITUDE_DEFAULTS, cmd_amplitude),
+}
 
 
 # --- parser -------------------------------------------------------------------
@@ -384,43 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
         "for hyper-entangled photon pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "interference", help="two-slit coincidence fringe map"
-    )
-    _add_config_flags(p, _INTERFERENCE_DEFAULTS)
-    p.set_defaults(func=cmd_interference)
-
-    p = sub.add_parser(
-        "image", help="ghost image of a polarization-sensitive phase pattern"
-    )
-    _add_config_flags(p, _IMAGE_DEFAULTS)
-    p.set_defaults(func=cmd_image)
-
-    p = sub.add_parser(
-        "montecarlo", help="gated-camera count accumulation with subtraction"
-    )
-    _add_config_flags(p, _MONTECARLO_DEFAULTS)
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("chsh", help="print the Bell-test S value")
-    _add_config_flags(p, _CHSH_DEFAULTS)
-    p.set_defaults(func=cmd_chsh)
-
-    p = sub.add_parser("validate", help="run the self-check suite")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("amplitude", help="dump the amplitude along a line")
-    _add_config_flags(p, _AMPLITUDE_DEFAULTS)
-    p.set_defaults(func=cmd_amplitude)
-
+    for name, (help_text, defaults, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if defaults:
+            _add_config_flags(p, defaults)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _, defaults, handler = COMMANDS[args.command]
+        return handler(resolve_config(defaults, args), getattr(args, "out", None))
     except GhostsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

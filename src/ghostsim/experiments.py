@@ -135,13 +135,15 @@ def check_pattern_size(n: int) -> None:
 def half_plane_pattern(
     n: int = 128, extent: float = 4e-3, phi: float = np.pi, axis: str = "x"
 ) -> PhasePattern:
-    """Binary two-region pattern: phase phi on the negative half, 0 on the other."""
+    """Binary two-region pattern: phase phi on the first n // 2 columns (rows
+    for axis "y"), the negative half, and 0 on the rest; the split depends on
+    n only, never on the extent."""
     check_pattern_size(n)
-    coords = -extent / 2 + (np.arange(n) + 0.5) * (extent / n)
+    grid = np.zeros((n, n))
     if axis == "x":
-        grid = np.where(coords[None, :] < 0, phi, 0.0) * np.ones((n, 1))
+        grid[:, : n // 2] = phi
     elif axis == "y":
-        grid = np.where(coords[:, None] < 0, phi, 0.0) * np.ones((1, n))
+        grid[: n // 2, :] = phi
     else:
         raise ParameterError(f"axis must be 'x' or 'y', got {axis!r}")
     return pattern_from_extent(grid, (extent, extent))
@@ -211,12 +213,15 @@ class CoincidenceMap(PixelGrid):
         return self.values * self.meta.get("raw_peak", 1.0)
 
 
-def _normalized_map(raw: np.ndarray, grid: GridSpec, meta: dict, signed=False):
+def _normalized_map(raw: np.ndarray, grid: PixelGrid, meta: dict, signed=False):
+    """CoincidenceMap of raw on grid's pixels, divided by its largest
+    magnitude; meta gains raw_peak and normalization."""
     peak = float(np.max(np.abs(raw)))
     vals = raw / peak if peak > 0 else raw
     meta = dict(meta)
     meta["raw_peak"] = peak
-    meta["normalization"] = "peak" if peak > 0 else "zero map"
+    label = "max magnitude" if signed else "peak"
+    meta["normalization"] = label if peak > 0 else "zero map"
     return CoincidenceMap(
         values=vals, pitch=grid.pitch, origin=grid.origin, meta=meta, signed=signed
     )
@@ -383,19 +388,9 @@ def background_subtract(
     """
     signal.check_same_grid(background)
     raw = signal.raw_values() - background.raw_values()
-    peak = float(np.max(np.abs(raw)))
-    vals = raw / peak if peak > 0 else raw
     meta = {
         "experiment": "background-subtracted ghost image",
         "delta1_deg": signal.meta.get("delta1_deg"),
         "delta2_deg": signal.meta.get("delta2_deg"),
-        "raw_peak": peak,
-        "normalization": "max magnitude" if peak > 0 else "zero map",
     }
-    return CoincidenceMap(
-        values=vals,
-        pitch=signal.pitch,
-        origin=signal.origin,
-        meta=meta,
-        signed=True,
-    )
+    return _normalized_map(raw, signal, meta, signed=True)

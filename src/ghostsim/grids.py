@@ -16,6 +16,9 @@ from .errors import GridMismatchError, ParameterError
 # largest pitch or origin difference, in meters, of two grids held to be one
 SAME_GRID_TOL = 1e-12
 
+# matrix-text header keys of pitch (x, y) and origin (x, y), in meters
+PIXEL_HEADER_KEYS = ("pitch_x_m", "pitch_y_m", "origin_x_m", "origin_y_m")
+
 
 def pixel_geometry(
     shape: Tuple[int, int],
@@ -42,12 +45,8 @@ class PixelGrid:
 
     def pixel_header(self) -> dict:
         """Pitch and origin as matrix-text header entries, in meters."""
-        return {
-            "pitch_x_m": f"{self.pitch[0]:.17g}",
-            "pitch_y_m": f"{self.pitch[1]:.17g}",
-            "origin_x_m": f"{self.origin[0]:.17g}",
-            "origin_y_m": f"{self.origin[1]:.17g}",
-        }
+        values = (*self.pitch, *self.origin)
+        return {key: f"{val:.17g}" for key, val in zip(PIXEL_HEADER_KEYS, values)}
 
     def check_same_grid(self, other: "PixelGrid") -> None:
         """Raise GridMismatchError unless other has this shape, and this pitch

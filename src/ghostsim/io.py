@@ -30,6 +30,7 @@ import numpy as np
 from .detector import CountFrame
 from .errors import ConfigError, ParameterError
 from .experiments import CoincidenceMap, PhasePattern, pattern_from_extent
+from .grids import PIXEL_HEADER_KEYS
 
 PGM_MAXVAL = 65535
 
@@ -202,10 +203,14 @@ def load_pattern(
     Gray value g maps to phase phase_scale * g / g_max, so a binary image at
     the default scale becomes a pi/0 two-region pattern. Matrix files saved by
     save_pattern carry their values in radians and are restored exactly. A
-    matrix file holding a non-finite value raises ConfigError.
+    matrix file whose header holds all four pitch_*_m/origin_*_m entries
+    (save_pattern writes them) keeps that pixel geometry; any other file
+    covers extent, centred on center. A matrix file holding a non-finite
+    value or header length raises ConfigError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(2)
+    lengths = None
     if head == "P2":
         gray, maxval = load_pgm(path)
         grid = phase_scale * gray / maxval
@@ -218,8 +223,17 @@ def load_pattern(
         else:
             top = float(gray.max())
             grid = phase_scale * gray / top if top > 0 else np.zeros_like(gray)
+        if all(key in meta for key in PIXEL_HEADER_KEYS):
+            try:
+                lengths = [float(meta[key]) for key in PIXEL_HEADER_KEYS]
+            except ValueError:
+                lengths = [np.nan]
+            if not np.all(np.isfinite(lengths)):
+                raise ConfigError(f"{path}: pitch and origin must be finite numbers")
     if gray.size == 0:
         raise ConfigError(f"{path}: empty pattern")
+    if lengths is not None:
+        return PhasePattern(grid=grid, pitch=lengths[:2], origin=lengths[2:])
     return pattern_from_extent(grid, extent, center)
 
 

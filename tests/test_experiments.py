@@ -69,6 +69,20 @@ def test_half_plane_y_axis():
         half_plane_pattern(axis="diag")
 
 
+def test_half_plane_split_does_not_depend_on_the_extent():
+    # phi on the first n // 2 columns (rows for y); an odd n's middle column
+    # used to take phi or 0 from the rounding of its centre, so the extent
+    # flipped it (n = 5: 0 over 3 mm, phi over 7.3 mm)
+    for n in range(1, 400):
+        half = np.where(np.arange(n) < n // 2, np.pi, 0.0)
+        for extent in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 7.3e-3, 1e-2, 0.1):
+            grid = half_plane_pattern(n=n, extent=extent).grid
+            assert (grid == half).all(), (n, extent)
+            if n % 50 == 5:
+                ygrid = half_plane_pattern(n=n, extent=extent, axis="y").grid
+                np.testing.assert_array_equal(ygrid, grid.T)
+
+
 def test_pattern_validation():
     with pytest.raises(ParameterError):
         PhasePattern(grid=np.zeros((0, 4)), pitch=(1e-5, 1e-5), origin=(0, 0))

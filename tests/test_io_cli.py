@@ -492,6 +492,27 @@ def test_pattern_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.grid, pat.grid)
 
 
+def test_pattern_round_trip_keeps_its_pixels(tmp_path):
+    # loading used to rebuild the pixels from the default 4 x 4 mm extent:
+    # pitch (6.25e-5, 1.25e-4) here
+    grid = np.arange(32 * 64).reshape(32, 64) % 3 * 0.5
+    pat = pattern_from_extent(grid, (4e-3, 2e-3), center=(1e-3, 0.0))
+    path = tmp_path / "pat.txt"
+    save_pattern(str(path), pat)
+    back = load_pattern(str(path))
+    np.testing.assert_array_equal(back.grid, pat.grid)
+    assert back.pitch == pat.pitch == (6.25e-5, 6.25e-5)
+    assert back.origin == pat.origin
+
+
+def test_load_pattern_rejects_a_non_finite_pixel_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    save_pattern(str(path), uniform_pattern(n=2))
+    path.write_text(path.read_text().replace("pitch_x_m = ", "pitch_x_m = nan#"))
+    with pytest.raises(ConfigError, match="bad.txt: pitch and origin must be finite"):
+        load_pattern(str(path))
+
+
 def test_load_pattern_scales_foreign_matrix_by_its_max(tmp_path):
     path = tmp_path / "levels.txt"
     path.write_text("0 1\n2 4\n")
@@ -689,9 +710,12 @@ def test_cli_rejects_unknown_and_malformed_config(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("key", ["pump_waist", "gate_width", "gate_delay"])
+@pytest.mark.parametrize(
+    "key", ["pump_waist", "gate_width", "gate_delay", "object_distance", "image_distance"]
+)
 def test_cli_rejects_removed_inert_keys(tmp_path, capsys, key):
-    # the pump waist and the gate width and delay changed no output and are gone
+    # the pump waist and the gate width and delay changed no output and are
+    # gone; the lens distances are derived from s1 + s2 and the focal length
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 1e-9\n")
     err = _fails_fast(["montecarlo", "--config", str(cfg)], tmp_path / "cfg", capsys)
@@ -882,7 +906,7 @@ def test_cli_image_has_no_workers_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["montecarlo", "--nx=abc"], "argument --nx: invalid int value: 'abc'"),
+    (["montecarlo", "--nx=abc"], "key 'nx': expected integer, got 'abc'"),
     (["interference", "--slit-width"], "argument --slit-width: expected one argument"),
     (["nonsense"], "argument command: invalid choice: 'nonsense'"),
     ([], "the following arguments are required: command"),
@@ -893,6 +917,76 @@ def test_cli_bad_command_lines_end_in_one_error_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, text, kind", [("nx", "abc", "integer"), ("sigma", "1e-3m", "number")])
+def test_cli_bad_value_reads_the_same_from_a_flag_and_a_file(tmp_path, capsys, key, text, kind):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    from_file = _fails_fast(["image", "--config", str(cfg)], tmp_path / "file", capsys)
+    from_flag = _fails_fast(["image", f"--{key}={text}"], tmp_path / "flag", capsys)
+    assert from_file == from_flag == f"error: key '{key}': expected {kind}, got '{text}'\n"
+
+
+SMALL_RUNS = {
+    "interference": ["--nx", "64", "--ny", "8", "--extent-x", "3e-3"],
+    "image": ["--nx", "32", "--ny", "32", "--pattern-n", "16"],
+    "montecarlo": ["--nx", "32", "--ny", "32", "--pattern-n", "16", "--exposure", "1"],
+    "amplitude": ["--samples", "9", "--oracle", "1", "--nodes", "64"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_cli_config_echo_reproduces_the_run(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    code, _ = run_cli([command, "--s2", "1.6", *SMALL_RUNS[command], "--out", str(first)])
+    assert code == 0
+    echo = first / f"{command}_config.txt"
+    code, _ = run_cli([command, "--config", str(echo), "--out", str(again)])
+    assert code == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_cli_image_derives_the_lens_distances_from_s2(tmp_path):
+    # u = s1 + s2 and v from the lens equation; a second key holding the
+    # default u = 2.83 m used to make any other s2 exit 2
+    code, _ = run_cli(["image", "--s2", "1.6", "--out", str(tmp_path)])
+    assert code == 0
+    _, meta = load_matrix_text(str(tmp_path / "image.txt"))
+    v = 1 / (1 / 1.5 - 1 / (1.33 + 1.6))
+    assert float(meta["total_scale"]) == pytest.approx(0.87)
+    assert float(meta["telescope_scale"]) == 0.87 / (v / (1.33 + 1.6))
+
+
+def test_cli_camera_covers_the_pattern_imaged(tmp_path):
+    from ghostsim import (
+        LensSystem, ghost_image_map, ghost_magnification, half_plane_pattern,
+    )
+
+    # the built-in pattern spans pattern_extent_x by pattern_extent_y; it
+    # used to stay 4 x 4 mm and be cropped to a camera 2 mm tall
+    argv = ["image", "--nx", "64", "--ny", "64", "--pattern-n", "32"]
+    code, _ = run_cli(argv + ["--pattern-extent-y", "2e-3", "--out", str(tmp_path / "a")])
+    assert code == 0
+    got, _ = load_matrix_text(str(tmp_path / "a" / "image.txt"))
+    params = SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1.5)
+    lens = LensSystem(f=1.5, u=2.83)
+    pattern = pattern_from_extent(half_plane_pattern(n=32).grid, (4e-3, 2e-3))
+    scale = 0.87 / ghost_magnification(params, lens)
+    total = ghost_magnification(params, lens) * scale
+    grid = GridSpec(nx=64, ny=64, extent_x=total * 4e-3, extent_y=total * 2e-3)
+    d = np.deg2rad(-45.0)
+    want = ghost_image_map(params, lens, pattern, d, d, grid, telescope_scale=scale)
+    np.testing.assert_array_equal(got, want.values)
+    # a saved pattern keeps its pixels, and the camera covers them
+    saved = tmp_path / "pattern.txt"
+    save_pattern(str(saved), pattern)
+    code, _ = run_cli(argv + ["--pattern", str(saved), "--out", str(tmp_path / "b")])
+    assert code == 0
+    assert (tmp_path / "b" / "image.txt").read_bytes() == (tmp_path / "a" / "image.txt").read_bytes()
 
 
 def test_cli_help_still_exits_0(capsys):

@@ -72,10 +72,10 @@ def test_object_inside_focal_length_rejected():
         LensSystem(f=1.5, u=1.2)
 
 
-def test_inconsistent_explicit_image_distance_rejected():
-    with pytest.raises(ParameterError):
-        LensSystem(f=1.5, u=2.83, v=3.0)
-    LensSystem(f=1.5, u=2.83, v=V_IMAGE)
+def test_image_distance_is_derived_not_given():
+    # v follows from f and u; a lens record does not take one
+    with pytest.raises(TypeError):
+        LensSystem(f=1.5, u=2.83, v=V_IMAGE)
 
 
 def test_nonpositive_aperture_rejected():
@@ -111,10 +111,9 @@ def test_phase_kernels_are_pure_phases(imaging_params):
 
 
 def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
-    k = imaging_params.k
     # the first count of the doubling search, or the explicit one
-    assert aperture_nodes(imaging_lens, k, QuadSettings()) == APERTURE_START_NODES == 32
-    assert aperture_nodes(imaging_lens, k, QuadSettings(nodes=512)) == 512
+    assert aperture_nodes(QuadSettings()) == APERTURE_START_NODES == 32
+    assert aperture_nodes(QuadSettings(nodes=512)) == 512
     # an explicit count that misses the doubling check warns, and is kept
     m = ghost_magnification(_wide_source(), imaging_lens)
     grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
