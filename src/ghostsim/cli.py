@@ -18,7 +18,9 @@ reproduces the run.
 The imaging geometry is derived, not configured: the lens images the object
 plane at u = s1 + s2 (through the source), its image distance v follows
 from 1/u + 1/v = 1/f, and the camera extent is the imaged pattern's extent
-times the total object-to-camera scale.
+times the total object-to-camera scale. A derived camera extent comes with
+a derived centre, the image of the pattern's centre, unless the centre is
+non-zero.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .experiments import (
     half_plane_pattern,
     pattern_from_extent,
 )
-from .grids import GridSpec
+from .grids import SAME_GRID_TOL, GridSpec
 from .io import load_pattern, parse_config, save_map, save_matrix_text, write_config_echo
 from .optics import LensSystem, ghost_magnification
 from .polarization import VisibilityModel, chsh_S, make_bell
@@ -80,7 +82,8 @@ _INTERFERENCE_DEFAULTS = dict(
 
 # 0.0 means "derive": nodes by node doubling (or none on the closed form),
 # telescope_scale from RELAY_TOTAL_SCALE, and the grid extent from the
-# extent of the pattern imaged, scaled onto the camera.
+# extent of the pattern imaged, scaled onto the camera; with a derived
+# extent, the grid centre from the image of the pattern's centre.
 _IMAGE_DEFAULTS = dict(
     _SOURCE_KEYS,
     s2=1.5,
@@ -232,9 +235,14 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
     if cfg["telescope_scale"] <= 0:
         cfg["telescope_scale"] = RELAY_TOTAL_SCALE / m
     total = m * cfg["telescope_scale"]
-    for key, pitch, n in zip(("extent_x", "extent_y"), pattern.pitch, pattern.shape[::-1]):
-        if cfg[key] <= 0:
-            cfg[key] = total * (pitch * n)
+    for axis, pitch, n, origin in zip("xy", pattern.pitch, pattern.shape[::-1], pattern.origin):
+        if cfg["extent_" + axis] <= 0:
+            cfg["extent_" + axis] = total * (pitch * n)
+            # the image is inverted; a pattern centred to within rounding
+            # keeps the camera at 0.0
+            middle = origin + pitch * (n - 1) / 2
+            if cfg["center_" + axis] == 0 and abs(middle) > SAME_GRID_TOL:
+                cfg["center_" + axis] = -total * middle
     grid = _grid(cfg)
     quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
     patterns = [pattern]

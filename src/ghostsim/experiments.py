@@ -91,8 +91,10 @@ class PhasePattern(PixelGrid):
             raise ParameterError("pattern grid must be a non-empty 2D array")
         if not np.all(np.isfinite(grid)):
             raise ParameterError("pattern phases must be finite")
-        if len(self.pitch) != 2 or not all(p > 0 for p in self.pitch):
-            raise ParameterError("pattern pitch must be two positive lengths")
+        if len(self.pitch) != 2 or not all(0 < p < np.inf for p in self.pitch):
+            raise ParameterError("pattern pitch must be two finite positive lengths")
+        if len(self.origin) != 2 or not all(np.isfinite(o) for o in self.origin):
+            raise ParameterError("pattern origin must be two finite coordinates")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pitch", (float(self.pitch[0]), float(self.pitch[1])))
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))

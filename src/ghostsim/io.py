@@ -12,12 +12,16 @@ every line, the last included, ends in one LF. An integer array whose values
 all lie within +-2**53 is written with "%d", which gives those same bytes.
 
 Readers accept exactly what Python's float() and int() accept per token, with
-the same values and the same ConfigError messages. A matrix-text row is
-converted in one numpy call, which applies float() to each token. A graymap
-body is parsed in one numpy call when it holds only ASCII digits and
-whitespace and no sample exceeds maxval; any other body (signs, "1_0",
-non-ASCII digits, bad tokens, int64 overflow) is parsed with int() per
-token, which also names a bad token.
+the same values and the same ConfigError messages. A body of plain integer
+text, which the writers make of every integer array, is parsed in one numpy
+call: ASCII digits, spaces and LF, a "-" only at the start of a token and
+directly before a digit 1-9, and no value at either int64 limit; a
+matrix-text body also needs rows of one width with single spaces between
+tokens. Any other body ("%.17g" floats, "nan", "-0", "+", tabs, "1_0",
+non-ASCII digits, int64 overflow, bad tokens, ragged rows, and in
+matrix-text runs of spaces) is read with float() per token, a row per numpy
+call, or with int() per token; every error comes from that path. The bulk
+path only ever returns what that path would, or declines.
 """
 
 from __future__ import annotations
@@ -38,6 +42,54 @@ PGM_MAXVAL = 65535
 _EXACT_INT = 2**53
 
 _RADIANS_KEY = "values_are_radians"
+
+_INT64 = np.iinfo(np.int64)
+
+# the bytes of plain integer text, as save_matrix_text and save_pgm write it
+_PLAIN_INTEGER_BYTES = b"0123456789 \n-"
+
+
+# ---------------------------------------------------------------------------
+# plain integer text, read by both formats
+# ---------------------------------------------------------------------------
+
+
+def _plain_integer_text(body: str) -> bool:
+    """True when body is plain integer text, as the writers write it: it
+    starts with a token and holds only ASCII digits, spaces and LF, with a
+    "-" only at the start of a token and directly before a digit 1-9.
+
+    On such text numpy's parser reads whole tokens, split as str.split()
+    splits them. On other text it can differ from int() and float(): it
+    reads "- 1" as -1, "1 -" as 1 0, "-0" without its sign bit and a body of
+    whitespace alone as one 0.
+    """
+    raw = body.encode()
+    if raw[:1].isspace() or raw.translate(None, _PLAIN_INTEGER_BYTES):
+        return False
+    if b"-" not in raw:
+        return True
+    view = np.frombuffer(raw, dtype=np.uint8)
+    signs = np.flatnonzero(view == ord("-"))
+    if signs[-1] == view.size - 1:
+        return False
+    after, before = view[signs + 1], view[signs - 1]
+    # before[0] wraps round to the last byte when body starts with a sign
+    return bool(np.all((after >= ord("1")) & (after <= ord("9")))
+                and np.all((before <= ord(" ")) | (signs == 0)))
+
+
+def _bulk_integers(body: str) -> Optional[np.ndarray]:
+    """The integers of plain integer text as floats, parsed in one numpy
+    call; None for any other body, and for one holding either int64 limit,
+    where numpy saturates an overflowing token."""
+    # the check's byte copy of body is freed before the arrays are made
+    if not _plain_integer_text(body):
+        return None
+    data = np.fromstring(body, dtype=np.int64, sep=" ")
+    if data.size and (data.min() == _INT64.min or data.max() == _INT64.max):
+        return None
+    return data.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +130,7 @@ def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
     """Read a matrix-text file back into (values, header dict)."""
     meta = {}
     rows = []
+    linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -89,16 +142,44 @@ def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
                     key, _, val = body.partition("=")
                     meta[key.strip()] = val.strip()
                 continue
-            try:
-                rows.append(np.array(line.split(), dtype=float))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: non-numeric token ({exc})") from None
+            rows.append(line)
+            linenos.append(lineno)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    width = rows[0].size
-    if any(r.size != width for r in rows):
+    values = _bulk_rows(rows)
+    if values is not None:
+        return values, meta
+    arrays = []
+    for lineno, line in zip(linenos, rows):
+        try:
+            arrays.append(np.array(line.split(), dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: non-numeric token ({exc})") from None
+    width = arrays[0].size
+    if any(a.size != width for a in arrays):
         raise ConfigError(f"{path}: ragged rows")
-    return np.stack(rows), meta
+    return np.stack(arrays), meta
+
+
+def _bulk_rows(rows: list) -> Optional[np.ndarray]:
+    """The stripped, non-empty data rows as one float array, parsed in one
+    numpy call, or None unless they are plain integer text in rows of one
+    width.
+
+    A row holds its spaces plus one tokens at most, and exactly that many
+    unless spaces run together, so equal space counts and a token total of
+    width times rows prove that every row holds width tokens.
+    """
+    # a float body is declined on its first row, before the body is joined
+    if not _plain_integer_text(rows[0]):
+        return None
+    data = _bulk_integers("\n".join(rows))
+    if data is None:
+        return None
+    width = rows[0].count(" ") + 1
+    if data.size != width * len(rows) or any(row.count(" ") + 1 != width for row in rows):
+        return None
+    return data.reshape(len(rows), width)
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +212,6 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
         os.remove(note)
 
 
-def _bulk_samples(body: str, maxval: int) -> Optional[np.ndarray]:
-    """The graymap samples of body as floats, parsed in one numpy call, or None
-    when that parse might differ from int() per token.
-
-    numpy's parser lets whitespace follow a sign ("+ 1" reads as 1), so a body
-    with a sign is left to int(). Without one, a body numpy reads to its end is
-    ASCII digits and whitespace, split as str.split() splits it. int64
-    overflow saturates, so a sample above maxval is left to int() as well.
-    """
-    if "+" in body or "-" in body:
-        return None
-    try:
-        data = np.fromstring(body, dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    if data.size and data.max() > maxval:
-        return None
-    return data.astype(float)
-
-
 def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     """Read an ASCII graymap; returns (values, maxval).
 
@@ -168,7 +229,7 @@ def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     body = head.pop() if len(head) == 5 else ""
     try:
         nx, ny, maxval = map(int, head[1:4])
-        data = _bulk_samples(body, maxval)
+        data = _bulk_integers(body)
         if data is None:
             data = np.array(list(map(int, body.split())), dtype=float)
     except (ValueError, OverflowError) as exc:

@@ -39,7 +39,8 @@ IMAGE = dict(
     delta2=["-45", "45"],
     phase_scale=["3.14159"],
     pattern_phi=["180", "90"],
-    pattern_extent_x=["4e-3", "2e-3"],
+    # an infinite extent once ran the whole contraction before it failed
+    pattern_extent_x=["4e-3", "2e-3", "inf"],
     pattern_extent_y=["4e-3"],
     extent_x=["0", "4e-3"],
     extent_y=["0", "4e-3"],
@@ -61,7 +62,8 @@ COMMANDS = {
         dict(
             SOURCE,
             slit_separation=["2e-3", "1e-3"],
-            slit_width=["0", "0.2e-3"],
+            # a slit as wide as slit_separation's default
+            slit_width=["0", "0.2e-3", "2e-3"],
             slit_center=["0", "1e-4"],
             axis=["x", "y", "z"],
             extent_y=["2e-3"],

@@ -94,6 +94,18 @@ def test_pattern_validation():
         pattern_from_extent(np.zeros((4, 4)), (4e-3, 4e-3), aperture=np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("pitch, origin, what", [
+    ((np.inf, 1e-4), (np.nan, 0.0), "pitch"),
+    ((np.nan, 1e-4), (0.0, 0.0), "pitch"),
+    ((1e-4, 0.0), (0.0, 0.0), "pitch"),
+    ((1e-4, 1e-4), (0.0, -np.inf), "origin"),
+], ids=["infinite pitch", "NaN pitch", "zero pitch", "infinite origin"])
+def test_pattern_geometry_must_be_finite(pitch, origin, what):
+    # an infinite pitch or a NaN origin used to pass and fail in the contraction
+    with pytest.raises(ParameterError, match=f"pattern {what} must be two finite"):
+        PhasePattern(grid=np.zeros((2, 2)), pitch=pitch, origin=origin)
+
+
 def test_default_transmission_is_open():
     pat = uniform_pattern(n=4)
     np.testing.assert_array_equal(pat.transmission(), np.ones((4, 4)))

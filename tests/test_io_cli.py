@@ -284,6 +284,21 @@ def test_load_pgm_peak_memory_stays_small(tmp_path):
     assert peak < 2.5e6
 
 
+def test_load_matrix_text_peak_memory_stays_small(tmp_path):
+    # one int64 and one float64 array of the 256^2 frame take 1.05 MB; the
+    # per-token reader held a Python float per value: 2.7 MB on this file
+    txt = tmp_path / "f.txt"
+    save_map(_mc_frame(), str(txt))
+    load_matrix_text(str(txt))
+    tracemalloc.start()
+    try:
+        load_matrix_text(str(txt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6
+
+
 # body of each graymap after its "P2\n2 2\n" header line, and the message
 # both readers must give (None: it reads)
 _GRAYMAP_BODIES = {
@@ -342,6 +357,22 @@ _MATRIX_TEXTS = {
     "first bad token named": "1 x y\n",
     "ragged": "1 2\n3\n",
     "no rows": "# k = v\n\n",
+    # integer text, which the bulk path reads or leaves to float() per token
+    "minus zero": "1 -0\n2 3\n",
+    "signed leading zeros": "-007 1\n2 3\n",
+    "leading zeros": "007 1\n2 3\n",
+    "sign before a space": "1 - 1\n2 3\n",
+    "sign inside a token": "1-2 3\n4 5\n",
+    "two signs": "--1 2\n3 4\n",
+    "trailing sign": "1 2\n3 -\n",
+    "2**53 + 1": "9007199254740993 1\n-9007199254740993 2\n",
+    "int64 overflow": "99999999999999999999 1\n2 3\n",
+    "negative int64 overflow": "-99999999999999999999 1\n2 3\n",
+    "double space": "1  2\n3  4\n",
+    "tab": "1\t2\n3 4\n",
+    "header between rows": "1 -2\n# k = v\n-3 4\n",
+    "ragged rows of an even total": "1 2 3\n4\n5 6\n",
+    "ragged rows of the first row's width": "1 2\n3\n4 5 6\n",
 }
 
 
@@ -360,6 +391,51 @@ def test_load_matrix_text_names_the_line_and_token(tmp_path):
     assert str(err.value) == (
         f"{path}:4: non-numeric token (could not convert string to float: 'oops')"
     )
+
+
+_BULK_FRAMES = {
+    "Monte Carlo frame": _mc_frame().counts,
+    "first value negative": np.array([[-5, 3], [0, -1]]),
+    "at 2**53": np.array([[-(2**53), 2**53], [10, -10]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BULK_FRAMES))
+def test_written_integer_frames_are_read_in_bulk(tmp_path, monkeypatch, case):
+    from ghostsim import io as gio
+
+    counts = _BULK_FRAMES[case]
+    txt, pgm = tmp_path / "f.txt", tmp_path / "f.pgm"
+    save_matrix_text(str(txt), counts)
+    save_pgm(str(pgm), counts)
+    bulk, parsed = gio._bulk_integers, []
+    monkeypatch.setattr(gio, "_bulk_integers", lambda body: parsed.append(bulk(body)) or parsed[-1])
+    np.testing.assert_array_equal(load_matrix_text(str(txt))[0], counts)
+    load_pgm(str(pgm))
+    assert len(parsed) == 2 and all(data is not None for data in parsed)
+
+
+def test_bulk_integers_read_like_int_per_token_or_decline():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from ghostsim.io import _bulk_integers
+
+    pieces = ["0", "1", "7", "-", "+", " ", "  ", "\n", "\t", "x", "_", "\u0663",
+              "99999999999999999999", "9223372036854775807", "-9223372036854775808"]
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.lists(st.sampled_from(pieces), max_size=10).map("".join))
+    def check(body):
+        got = _bulk_integers(body)
+        if got is None:
+            return
+        for parse in (int, float):
+            want = np.array(list(map(parse, body.split())), dtype=float)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    check()
 
 
 _INT64 = np.iinfo(np.int64)
@@ -824,6 +900,22 @@ def test_cli_image_rejects_a_non_finite_pattern_before_any_map(tmp_path, capsys,
     assert "nan.txt" in err and "finite" in err
 
 
+def test_cli_image_rejects_an_infinite_pattern_extent_before_any_map(
+    tmp_path, capsys, monkeypatch
+):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed from an infinite pattern pitch")
+
+    # it used to warn three times in the contraction before exiting 2
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _fails_fast(["image", "--pattern-extent-x=inf"], tmp_path / "img", capsys)
+    assert err == "error: pattern pitch must be two finite positive lengths\n"
+
+
 @pytest.mark.parametrize("flag", ["--a=nan", "--b=inf", "--a-prime=-inf", "--b-prime=nan"])
 def test_cli_chsh_rejects_non_finite_angles(tmp_path, capsys, flag):
     err = _fails_fast(["chsh", flag], tmp_path / "chsh", capsys)
@@ -987,6 +1079,28 @@ def test_cli_camera_covers_the_pattern_imaged(tmp_path):
     code, _ = run_cli(argv + ["--pattern", str(saved), "--out", str(tmp_path / "b")])
     assert code == 0
     assert (tmp_path / "b" / "image.txt").read_bytes() == (tmp_path / "a" / "image.txt").read_bytes()
+
+
+def test_cli_derived_camera_centres_on_the_pattern_imaged(tmp_path):
+    # phase pi on the middle half of a pattern centred at x = 1 mm; a camera
+    # left centred on 0 cut the image off at its first column (0.25 of peak)
+    grid = np.zeros((32, 64))
+    grid[:, 16:48] = np.pi
+    pattern = tmp_path / "pattern.txt"
+    save_pattern(str(pattern), pattern_from_extent(grid, (4e-3, 2e-3), center=(1e-3, 0.0)))
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["image", "--pattern", str(pattern), "--nx", "128", "--ny", "64"]
+    code, _ = run_cli(argv + ["--out", str(first)])
+    assert code == 0
+    values, meta = load_matrix_text(str(first / "image.txt"))
+    assert values[:, [0, -1]].max() < 0.05 * values.max()
+    # the image is inverted; an axis the pattern is centred on stays at 0.0
+    echo = parse_config(str(first / "image_config.txt"))
+    assert float(echo["center_x"]) == pytest.approx(-float(meta["total_scale"]) * 1e-3)
+    assert echo["center_y"] == "0.0"
+    code, _ = run_cli(["image", "--config", str(first / "image_config.txt"), "--out", str(again)])
+    assert code == 0
+    assert (again / "image.txt").read_bytes() == (first / "image.txt").read_bytes()
 
 
 def test_cli_help_still_exits_0(capsys):
