@@ -16,27 +16,29 @@ Phi(0,0;0,0) = 1 exactly; only relative values are observable. An independent
 Gauss-Legendre quadrature of the underlying source integral, normalized the
 same way, serves as the correctness oracle for the closed form.
 
-The Gauss-Legendre rule itself (``_leggauss``) and the node-doubling check
-that every quadrature in the package runs under ``QuadSettings.check``
-(``doubling_probe``, ``doubling_check``) live here too.
+The Gauss-Legendre rule itself (``_leggauss``) lives here too, and so does
+``converged_nodes``: the one function that picks and checks the node count
+of every quadrature in the package (the oracle, the aperture, finite slits).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import (
+    ApertureSamplingWarning,
     ConvergenceError,
     NumericError,
     ParameterError,
     ParaxialWarning,
     SourceRegimeWarning,
+    outside_stacklevel,
 )
 
 # fraction of min(s1, s2) beyond which transverse coordinates draw a warning
@@ -112,7 +114,7 @@ class QuadSettings:
       aperture quadrature).
     half_width_sigmas: source-integral truncation half-width in units of sigma.
     check: when True, a doubling change above tol raises ConvergenceError
-      (the aperture quadrature always checks, and otherwise warns).
+      (the oracle is checked only then; the other quadratures warn).
     tol: relative tolerance for the doubling check.
     """
 
@@ -247,21 +249,31 @@ def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
     return float(np.max(np.abs(fine - coarse))) / scale
 
 
-def doubling_check(coarse, fine, nodes: int, tol: float, what: str,
-                   floor: float = 1e-300) -> float:
-    """Raise ConvergenceError if doubling nodes moved the probed values too far.
+def converged_nodes(evaluate, shape: Tuple[int, ...], nodes: int, quad: QuadSettings,
+                    what: str, floor: float = 1e-300) -> Tuple[int, float]:
+    """Node count chosen by node doubling: (nodes, measured change).
 
-    coarse and fine hold the probed values at nodes and 2 * nodes; their
-    doubling_change (against floor) must not exceed tol, and is returned.
-    what names the result in the error.
+    evaluate(n, probe) returns the output's values at probe =
+    doubling_probe(shape) with n nodes per axis. Without quad.nodes the count
+    doubles from nodes until doubling it moves those values by at most
+    quad.tol (doubling_change against floor), or reaches MAX_NODES; an
+    explicit count is checked once against its double. A miss raises
+    ConvergenceError under quad.check, else warns ApertureSamplingWarning at
+    the caller's line. what names the result in the message.
     """
+    probe = doubling_probe(shape)
+    coarse, fine = evaluate(nodes, probe), evaluate(2 * nodes, probe)
+    while (quad.nodes is None and nodes < MAX_NODES
+           and doubling_change(coarse, fine, floor) > quad.tol):
+        nodes, coarse, fine = 2 * nodes, fine, evaluate(4 * nodes, probe)
     change = doubling_change(coarse, fine, floor)
-    if change > tol:
-        raise ConvergenceError(
-            f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
-            f"{change:.3e} relative (tol {tol:g})"
-        )
-    return change
+    if change > quad.tol:
+        message = (f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
+                   f"{change:.3e} relative (tol {quad.tol:g})")
+        if quad.check:
+            raise ConvergenceError(message)
+        warnings.warn(message, ApertureSamplingWarning, stacklevel=outside_stacklevel())
+    return nodes, change
 
 
 def envelope_coefficients(params: SourceParams) -> Tuple[float, float]:
@@ -392,9 +404,11 @@ def quadrature_oracle_amplitude(
 
     value = evaluate(nodes, Ellipsis).reshape(pts[0].shape)
     if quad.check:
-        probe = doubling_probe(value.shape)
-        doubling_check(value[probe], evaluate(2 * nodes, probe), nodes, quad.tol,
-                       "the oracle")
+        # the values at nodes are known; only the doubled count is evaluated
+        converged_nodes(
+            lambda n, index: value[index].ravel() if n == nodes else evaluate(n, index),
+            value.shape, nodes, replace(quad, nodes=nodes), "the oracle",
+        )
     if not np.all(np.isfinite(value)):
         raise NumericError("quadrature oracle produced non-finite values")
     return value

@@ -3,7 +3,9 @@
 Ghost interference: a double slit in the object plane, no lens; the
 coincidence amplitude is the sum of the two-photon amplitude over the slit
 positions, one factor per plane axis (finite slits choose their node count
-by doubling), and the map is its squared magnitude over the far plane.
+by doubling in ``biphoton.converged_nodes``, which picks every node count,
+image maps' included), and the map is its squared magnitude over the
+far plane.
 
 Ghost imaging: a polarization-sensitive phase pattern in the object plane and
 a thin lens in photon 2's arm. Each pattern pixel contributes its imaging
@@ -28,13 +30,12 @@ from .biphoton import (
     _leggauss,
     _warn_paraxial,
     axis_amplitude,
-    doubling_probe,
+    converged_nodes,
 )
 from .errors import NumericError, ParameterError, SamplingError
 from .grids import GridSpec, PixelGrid, pixel_geometry
 from .optics import (
-    APERTURE_START_NODES, LensSystem, converged_nodes, ghost_magnification, lens_plane_nodes,
-    pattern_image_field,
+    APERTURE_START_NODES, LensSystem, ghost_magnification, lens_plane_nodes, pattern_image_field,
 )
 from .polarization import pattern_projection_coeff
 
@@ -245,9 +246,9 @@ def ghost_interference_map(
     w * axis_amplitude(offset, along). A delta slit is one node of weight 1; a
     finite slit averages Gauss-Legendre nodes over its width, doubled from
     APERTURE_START_NODES by converged_nodes until the whole along-axis factor
-    moves by at most QuadSettings().tol. meta records slit_nodes (per slit)
-    and error_estimate: that doubling change (error_kind "doubling"), or 0
-    for delta slits ("closed-form").
+    (every pixel, not a probe) moves by at most QuadSettings().tol. meta
+    records slit_nodes (per slit) and error_estimate: that doubling change
+    (error_kind "doubling"), or 0 for delta slits ("closed-form").
     """
     period = expected_fringe_period(params, slit.d)
     pitch = plane_grid.pitch[0] if slit.axis == "x" else plane_grid.pitch[1]
@@ -278,7 +279,8 @@ def ghost_interference_map(
     else:
         factor_at = lru_cache()(lambda n: slit_factor(*_leggauss(n)))
         nodes, error = converged_nodes(
-            factor_at, APERTURE_START_NODES, QuadSettings(), "the slit integral"
+            lambda n, probe: factor_at(n), (), APERTURE_START_NODES, QuadSettings(),
+            "the slit integral",
         )
         kind, factor = "doubling", factor_at(nodes)
     along_raw = np.abs(factor) ** 2
@@ -319,10 +321,11 @@ def ghost_image_map(
     is then (v/u) * telescope_scale.
 
     lens_plane_nodes picks the lens-plane path for the pattern's pixel
-    centres; meta records it as lens_path ("closed-form" or "quadrature"),
-    with clip_bound, aperture_nodes (the count used, 0 on the closed form;
-    converged_nodes picks it from a strided sub-grid spanning the camera),
-    and error_estimate: the measured doubling change on the quadrature path
+    centres, or rejects a pattern reaching min(s1, s2) from the axis; meta
+    records it as lens_path ("closed-form" or "quadrature"), with clip_bound,
+    aperture_nodes (the count used, 0 on the closed form; converged_nodes
+    picks it from a strided sub-grid spanning the camera), and
+    error_estimate: the measured doubling change on the quadrature path
     (error_kind "doubling"), else clip_bound ("clip_bound"). workers is
     accepted and changes nothing.
     """
@@ -357,10 +360,9 @@ def ghost_image_map(
 
     error, kind = bound, "clip_bound"
     if nodes:
-        rows, cols = doubling_probe((y2c.size, x2c.size))
         nodes, error = converged_nodes(
-            lambda n: evaluate(n, x2c[cols.ravel()], y2c[rows.ravel()]),
-            nodes, quad, "the image field",
+            lambda n, probe: evaluate(n, x2c[probe[1].ravel()], y2c[probe[0].ravel()]),
+            (y2c.size, x2c.size), nodes, quad, "the image field",
         )
         kind = "doubling"
     raw = np.abs(evaluate(nodes, x2c, y2c)) ** 2

@@ -43,17 +43,18 @@ quadrature, and never build an (ny2, nx2) phase map.
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
 is at most the tolerance (quad.tol under quad.check, else
-APERTURE_CLIP_TOL); quadrature otherwise. On the quadrature path
-``converged_nodes`` doubles the node count from APERTURE_START_NODES until a
-strided probe of the output moves by at most quad.tol, or checks an explicit
-count once the same way. The quadrature path is the independent oracle the
-closed form is tested against where nothing clips.
+APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
+that reach min(s1, s2) from the axis. On the quadrature path the package's
+one node-doubling search, ``biphoton.converged_nodes``, doubles the node
+count from APERTURE_START_NODES until a strided probe of the output moves by
+at most quad.tol, or checks an explicit count once the same way. The
+quadrature path is the independent oracle the closed form is tested against
+where nothing clips.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -61,22 +62,13 @@ from typing import Tuple
 import numpy as np
 
 from .biphoton import (
-    MAX_NODES,
     QuadSettings,
     SourceParams,
     _leggauss,
-    doubling_change,
-    doubling_check,
-    doubling_probe,
+    converged_nodes,
     envelope_coefficients,
 )
-from .errors import (
-    ApertureSamplingWarning,
-    ConvergenceError,
-    NumericError,
-    ParameterError,
-    outside_stacklevel,
-)
+from .errors import NumericError, ParameterError
 
 # first zero of the Bessel function J1, fixing the Airy radius 3.83 * v / (k rho)
 AIRY_FIRST_ZERO = 3.8317059702075125
@@ -193,31 +185,6 @@ def aperture_nodes(quad: QuadSettings) -> int:
     return APERTURE_START_NODES if quad.nodes is None else quad.nodes
 
 
-def converged_nodes(
-    probe_at, nodes: int, quad: QuadSettings, what: str, floor: float = 1e-300
-) -> Tuple[int, float]:
-    """Aperture node count chosen by node doubling: (nodes, measured change).
-
-    probe_at(n) evaluates the probed output points at n nodes per axis.
-    Without quad.nodes the count doubles from nodes until doubling it moves
-    the probe by at most quad.tol (doubling_change against floor), or
-    reaches MAX_NODES; an explicit count is checked once against its double.
-    A miss raises ConvergenceError under quad.check, else warns
-    ApertureSamplingWarning at the caller's line.
-    """
-    coarse, fine = probe_at(nodes), probe_at(2 * nodes)
-    while (quad.nodes is None and nodes < MAX_NODES
-           and doubling_change(coarse, fine, floor) > quad.tol):
-        nodes, coarse, fine = 2 * nodes, fine, probe_at(4 * nodes)
-    try:
-        return nodes, doubling_check(coarse, fine, nodes, quad.tol, what, floor)
-    except ConvergenceError as miss:
-        if quad.check:
-            raise
-        warnings.warn(str(miss), ApertureSamplingWarning, stacklevel=outside_stacklevel())
-        return nodes, doubling_change(coarse, fine, floor)
-
-
 # ---------------------------------------------------------------------------
 # closed-form lens-plane kernel and the path choice
 # ---------------------------------------------------------------------------
@@ -292,6 +259,16 @@ def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
     The returned bound leaves that out: it is 90 orders of magnitude below
     the default pattern's bound.
     """
+    return _reach_clip_bound(params, lens, _object_reach(x1, y1))
+
+
+def _object_reach(x1, y1) -> float:
+    """Largest object-plane radius hypot(max|x1|, max|y1|) of these points."""
+    return math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
+
+
+def _reach_clip_bound(params: SourceParams, lens: LensSystem, reach: float) -> float:
+    """clip_bound of object points at most reach from the axis."""
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     rho = lens.aperture_radius
 
@@ -300,9 +277,7 @@ def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
             return 1.0
         return abs(A) / A.real * math.exp(-A.real * (rho - r) ** 2)
 
-    reach = [float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)]
-    r_c = params.s2 / params.s1 * math.hypot(*reach)
-    return b(r_c) + b(0.0)
+    return b(params.s2 / params.s1 * reach) + b(0.0)
 
 
 def lens_plane_nodes(
@@ -310,14 +285,22 @@ def lens_plane_nodes(
 ) -> Tuple[int, float]:
     """Path choice for these object points: (nodes, clip_bound).
 
-    nodes is 0 for the closed form, which runs iff quad.nodes is None and the
-    clip bound is at most the limit: quad.tol when quad.check is set, else
-    APERTURE_CLIP_TOL. Otherwise nodes is the aperture quadrature's first
-    count per axis (aperture_nodes), so an explicit quad.nodes always means
-    quadrature.
+    Object points that reach min(s1, s2) from the axis, 20 times the
+    paraxial budget, lie beyond the model: ParameterError, before any kernel
+    is built. nodes is 0 for the closed form, which runs iff quad.nodes is
+    None and the clip bound is at most the limit: quad.tol when quad.check is
+    set, else APERTURE_CLIP_TOL. Otherwise nodes is the aperture quadrature's
+    first count per axis (aperture_nodes), so an explicit quad.nodes always
+    means quadrature.
     """
+    reach, most = _object_reach(x1, y1), min(params.s1, params.s2)
+    if reach >= most:
+        raise ParameterError(
+            f"object points reach {reach:g} m from the axis, beyond the paraxial "
+            f"model's limit min(s1, s2) = {most:g} m"
+        )
     nodes = aperture_nodes(quad)
-    bound = clip_bound(params, lens, x1, y1)
+    bound = _reach_clip_bound(params, lens, reach)
     limit = quad.tol if quad.check else APERTURE_CLIP_TOL
     if quad.nodes is None and bound <= limit:
         nodes = 0
@@ -446,9 +429,9 @@ def imaging_amplitude(
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
     image points (x2, y2). The lens-plane path is chosen by lens_plane_nodes.
-    On the quadrature path converged_nodes picks the node count from a
-    strided probe spanning the output (doubling_probe), and the whole output
-    is then evaluated once at that count.
+    On the quadrature path converged_nodes picks the node count from its
+    strided probe of the broadcast points, and the whole output is then
+    evaluated once at that count.
     """
     pts = np.broadcast_arrays(
         np.asarray(x1, float), np.asarray(y1, float),
@@ -457,13 +440,12 @@ def imaging_amplitude(
     shape = pts[0].shape
     nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
     if nodes:
-        probe = [np.ravel(a[doubling_probe(shape)]) for a in pts]
         # measured against at least the on-axis value 1 the amplitude is
         # normalized to: image points far from their object's conjugate,
         # ~1e-9 of it, are not held to tol relative to themselves
         nodes, _ = converged_nodes(
-            lambda n: _point_amplitude(params, lens, *probe, n),
-            nodes, quad, "the imaging amplitude", floor=1.0,
+            lambda n, probe: _point_amplitude(params, lens, *(np.ravel(a[probe]) for a in pts), n),
+            shape, nodes, quad, "the imaging amplitude", floor=1.0,
         )
     value = _point_amplitude(params, lens, *(a.ravel() for a in pts), nodes).reshape(shape)
     if not np.all(np.isfinite(value)):

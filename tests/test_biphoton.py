@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghostsim import (
+    ApertureSamplingWarning,
     ConvergenceError,
     ParameterError,
     ParaxialWarning,
@@ -21,8 +22,8 @@ from ghostsim import biphoton
 from ghostsim.biphoton import (
     DOUBLING_PROBE_POINTS,
     _leggauss,
+    converged_nodes,
     doubling_change,
-    doubling_check,
     doubling_probe,
 )
 
@@ -343,16 +344,34 @@ def test_doubling_probe_spans_the_output(shape):
     assert doubling_probe(()) == ()
 
 
-def test_doubling_check_raises_above_tolerance():
+def _settled_at(fine):
+    """A doubling probe whose values are [1, 2, 4] at 64 nodes and fine at 128."""
     coarse = np.array([1.0, 2.0, 4.0])
-    doubling_check(coarse, coarse + [0, 0, 4e-8], 64, 1e-8, "the map")   # change 1e-8
+    return lambda n, probe: coarse if n == 64 else coarse + fine
+
+
+def test_doubling_check_raises_above_tolerance():
+    quad = QuadSettings(nodes=64, check=True)
+    converged_nodes(_settled_at([0, 0, 4e-8]), (3,), 64, quad, "the map")   # change 1e-8
     with pytest.raises(ConvergenceError, match="64 -> 128 nodes changed the map by 1.000e-07"):
-        doubling_check(coarse, coarse + [0, 0, 4e-7], 64, 1e-8, "the map")
+        converged_nodes(_settled_at([0, 0, 4e-7]), (3,), 64, quad, "the map")
 
 
 def test_doubling_check_returns_the_change():
-    coarse = np.array([1.0, 2.0, 4.0])
-    assert doubling_check(coarse, coarse + [0, 0, 4e-8], 64, 1e-8, "the map") == (
-        pytest.approx(1e-8)
+    quad = QuadSettings(nodes=64, check=True)
+    assert converged_nodes(_settled_at([0, 0, 4e-8]), (3,), 64, quad, "the map") == (
+        64, pytest.approx(1e-8)
     )
+    coarse = np.array([1.0, 2.0, 4.0])
     assert doubling_change(coarse, coarse + [0, 0, -4e-7]) == pytest.approx(1e-7)
+
+
+def test_doubling_check_warns_without_check():
+    # the same miss without quad.check warns at the caller's line and
+    # returns the change
+    message = "64 -> 128 nodes changed the map by 1.000e-07"
+    with pytest.warns(ApertureSamplingWarning, match=message) as caught:
+        assert converged_nodes(
+            _settled_at([0, 0, 4e-7]), (3,), 64, QuadSettings(nodes=64), "the map"
+        ) == (64, pytest.approx(1e-7))
+    assert caught[0].filename == __file__

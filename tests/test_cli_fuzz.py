@@ -42,6 +42,8 @@ IMAGE = dict(
     # an infinite extent once ran the whole contraction before it failed
     pattern_extent_x=["4e-3", "2e-3", "inf"],
     pattern_extent_y=["4e-3"],
+    # no file, or one that does not exist
+    pattern=["", "missing.pgm"],
     extent_x=["0", "4e-3"],
     extent_y=["0", "4e-3"],
     center_x=["0", "1e-3"],
@@ -64,7 +66,9 @@ COMMANDS = {
             slit_separation=["2e-3", "1e-3"],
             # a slit as wide as slit_separation's default
             slit_width=["0", "0.2e-3", "2e-3"],
-            slit_center=["0", "1e-4"],
+            # slit_center against slit_separation: slits either side of the
+            # axis, and one pair wholly off it
+            slit_center=["0", "1e-4", "-1e-3", "2e-3"],
             axis=["x", "y", "z"],
             extent_y=["2e-3"],
             center_x=["0"],
@@ -152,6 +156,9 @@ def argvs(draw):
 # argparse printed a usage block and raised SystemExit for these
 @example(argv=["montecarlo", "--nx=abc"])
 @example(argv=["image", "--workers=2"])
+# a missing --pattern or --config file ended in a traceback and exit 1
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern=missing.pgm"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=8", "--config=missing.txt"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
     out, err = stdio.StringIO(), stdio.StringIO()

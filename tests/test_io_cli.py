@@ -916,6 +916,40 @@ def test_cli_image_rejects_an_infinite_pattern_extent_before_any_map(
     assert err == "error: pattern pitch must be two finite positive lengths\n"
 
 
+def test_cli_image_rejects_a_pattern_beyond_the_paraxial_model_before_any_kernel(
+    tmp_path, capsys, monkeypatch
+):
+    from ghostsim import experiments
+
+    def no_contraction(*args, **kwargs):
+        raise AssertionError("the image field was contracted for a 1e300 m pattern")
+
+    # it used to warn four times in the contraction before exiting 2
+    monkeypatch.setattr(experiments, "pattern_image_field", no_contraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _fails_fast(["image", "--pattern-extent-x=1e300"], tmp_path / "img", capsys)
+    assert "beyond the paraxial model's limit min(s1, s2) = 1.33 m" in err
+
+
+@pytest.mark.parametrize("flag, name, message", [
+    ("--pattern", "missing.pgm", "No such file or directory"),
+    ("--config", "missing.txt", "No such file or directory"),
+    ("--pattern", "folder", "Is a directory"),
+    ("--config", "latin1.txt", "codec can't decode"),
+    ("--pattern", "binary.pgm", "codec can't decode"),
+])
+def test_cli_reports_an_unreadable_file_as_an_error_line(tmp_path, capsys, flag, name, message):
+    # each of these ended in a traceback and exit 1
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.txt").write_bytes("nx = 16  # Größe\n".encode("latin-1"))
+    (tmp_path / "binary.pgm").write_bytes(b"P5\n2 2\n255\n\xff\x00\x80\xfe")
+    err = _fails_fast(["image", flag, str(tmp_path / name)], tmp_path / "img", capsys)
+    assert message in err
+    # an OSError names its file; a decoding error names the byte
+    assert name in err or "byte 0x" in err
+
+
 @pytest.mark.parametrize("flag", ["--a=nan", "--b=inf", "--a-prime=-inf", "--b-prime=nan"])
 def test_cli_chsh_rejects_non_finite_angles(tmp_path, capsys, flag):
     err = _fails_fast(["chsh", flag], tmp_path / "chsh", capsys)

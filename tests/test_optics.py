@@ -300,6 +300,16 @@ def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, ima
     )[0] == start
 
 
+def test_object_points_beyond_the_paraxial_model_are_rejected(imaging_params, imaging_lens):
+    # the limit is min(s1, s2) = 1.33 m, 20 times the paraxial budget
+    assert lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.0, 0.0)[0] > 0
+    with pytest.raises(ParameterError, match=r"reach 1.4 m .* min\(s1, s2\) = 1.33 m"):
+        lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.4, 0.0)
+    # points get the check before any kernel is built, as maps do
+    with pytest.raises(ParameterError, match="reach"):
+        imaging_amplitude(imaging_params, imaging_lens, 0.0, 1.4, 0.0, 0.0)
+
+
 def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
     rng = np.random.default_rng(10)
     x1c = np.array([-0.4e-3, 0.1e-3, 0.5e-3])
@@ -679,14 +689,14 @@ def test_explicit_node_count_is_capped():
 
     # a probe that never settles: the search stops at MAX_NODES, an explicit
     # count is checked against its double only
-    def never_settles(n):
+    def never_settles(n, probe):
         asked.append(n)
         return np.array([1.0 + 1.0 / n])
 
     for quad, start, used in ((QuadSettings(), 32, MAX_NODES), (QuadSettings(nodes=64), 64, 64)):
         asked = []
         with pytest.warns(ApertureSamplingWarning):
-            nodes, change = converged_nodes(never_settles, start, quad, "the probe")
+            nodes, change = converged_nodes(never_settles, (), start, quad, "the probe")
         assert nodes == used and asked[-1] == 2 * used and change > quad.tol
     assert asked == [64, 128]
 
