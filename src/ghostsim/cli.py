@@ -389,8 +389,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _, defaults, handler = COMMANDS[args.command]
         return handler(resolve_config(defaults, args), getattr(args, "out", None))
-    except (GhostsimError, OSError, UnicodeDecodeError) as exc:
-        # a missing, unreadable or non-text --config or --pattern file too
+    except (GhostsimError, OSError) as exc:
+        # a missing or unreadable --config or --pattern file too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

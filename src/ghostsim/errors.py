@@ -60,4 +60,4 @@ class SourceRegimeWarning(UserWarning):
 
 
 class ApertureSamplingWarning(UserWarning):
-    """Doubling a quadrature's nodes (aperture or slit) moved a result by more than tol."""
+    """Doubling the aperture quadrature's nodes moved a result by more than tol."""

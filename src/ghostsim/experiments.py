@@ -2,10 +2,9 @@
 
 Ghost interference: a double slit in the object plane, no lens; the
 coincidence amplitude is the sum of the two-photon amplitude over the slit
-positions, one factor per plane axis (finite slits choose their node count
-by doubling in ``biphoton.converged_nodes``, which picks every node count,
-image maps' included), and the map is its squared magnitude over the
-far plane.
+positions, one factor per plane axis (a finite slit's mean over its opening
+is an erf difference in closed form, ``biphoton.axis_opening_mean``), and
+the map is its squared magnitude over the far plane.
 
 Ghost imaging: a polarization-sensitive phase pattern in the object plane and
 a thin lens in photon 2's arm. Each pattern pixel contributes its imaging
@@ -19,7 +18,6 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,24 +25,18 @@ import numpy as np
 from .biphoton import (
     QuadSettings,
     SourceParams,
-    _leggauss,
     _warn_paraxial,
     axis_amplitude,
+    axis_opening_mean,
     converged_nodes,
 )
 from .errors import NumericError, ParameterError, SamplingError
 from .grids import GridSpec, PixelGrid, pixel_geometry
-from .optics import (
-    APERTURE_START_NODES, LensSystem, ghost_magnification, lens_plane_nodes, pattern_image_field,
-)
+from .optics import LensSystem, ghost_magnification, lens_plane_nodes, pattern_image_field
 from .polarization import pattern_projection_coeff
 
 # minimum pixels per fringe period before the interference map is trusted
 MIN_PIXELS_PER_FRINGE = 8
-
-# slit nodes per block of the interference sum, bounding its (block x n)
-# arrays to 4 MB per 1024 pixels along the slit axis
-_SLIT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,8 @@ class DoubleSlit:
     """Two slits separated by d along one axis of the object plane.
 
     slit_width 0 means ideal delta slits (closed-form two-term sum); a
-    positive width integrates uniformly over each opening.
+    positive width averages uniformly over each opening, also in closed
+    form. ghost_interference_map refuses widths below the wavelength.
     """
 
     d: float
@@ -242,14 +235,19 @@ def ghost_interference_map(
 
     The slit plane is the object plane; the map lives in the far plane with no
     lens. By the separability of the closed form the amplitude is
-    axis_amplitude(0, across) times one sum over slit nodes of
-    w * axis_amplitude(offset, along). A delta slit is one node of weight 1; a
-    finite slit averages Gauss-Legendre nodes over its width, doubled from
-    APERTURE_START_NODES by converged_nodes until the whole along-axis factor
-    (every pixel, not a probe) moves by at most QuadSettings().tol. meta
-    records slit_nodes (per slit) and error_estimate: that doubling change
-    (error_kind "doubling"), or 0 for delta slits ("closed-form").
+    axis_amplitude(0, across) times one factor along the slit axis, summed
+    over the two slits: axis_amplitude(center, along) for a delta slit, and
+    for a finite slit the mean of axis_amplitude over its opening, in closed
+    form (axis_opening_mean). A finite slit narrower than the wavelength is
+    outside the scalar model and raises ParameterError. meta records
+    error_kind "closed-form" and error_estimate: 0 for delta slits, else the
+    rounding bound of axis_opening_mean relative to the factor's peak.
     """
+    if 0.0 < slit.slit_width < params.wavelength:
+        raise ParameterError(
+            f"slit width {slit.slit_width:g} m is below the wavelength "
+            f"{params.wavelength:g} m, outside the scalar model"
+        )
     period = expected_fringe_period(params, slit.d)
     pitch = plane_grid.pitch[0] if slit.axis == "x" else plane_grid.pitch[1]
     if period / pitch < MIN_PIXELS_PER_FRINGE:
@@ -263,26 +261,16 @@ def ghost_interference_map(
     centers = np.array([slit.center + slit.d / 2, slit.center - slit.d / 2])
     _warn_paraxial(params, np.abs(centers) + slit.slit_width / 2, along, across)
 
-    def slit_factor(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # the rule (t, w) on [-1, 1] spread over each opening; w sums to 2
-        offs = np.add.outer(centers, 0.5 * slit.slit_width * t).ravel()
-        wts = np.tile(0.5 * w, 2)
-        return sum(
-            wts[i:i + _SLIT_BLOCK]
-            @ axis_amplitude(params, offs[i:i + _SLIT_BLOCK, None], along)
-            for i in range(0, offs.size, _SLIT_BLOCK)
-        )
-
     if slit.slit_width == 0.0:
-        nodes, error, kind = 1, 0.0, "closed-form"
-        factor = slit_factor(np.zeros(1), np.full(1, 2.0))
+        factor, error = axis_amplitude(params, centers[:, None], along).sum(axis=0), 0.0
     else:
-        factor_at = lru_cache()(lambda n: slit_factor(*_leggauss(n)))
-        nodes, error = converged_nodes(
-            lambda n, probe: factor_at(n), (), APERTURE_START_NODES, QuadSettings(),
-            "the slit integral",
+        half = slit.slit_width / 2
+        means, bounds = axis_opening_mean(
+            params, centers[:, None] - half, centers[:, None] + half, along
         )
-        kind, factor = "doubling", factor_at(nodes)
+        factor = means.sum(axis=0)
+        peak = float(np.max(np.abs(factor)))
+        error = float(np.max(bounds.sum(axis=0))) / peak if peak else 0.0
     along_raw = np.abs(factor) ** 2
     across_raw = np.abs(axis_amplitude(params, 0.0, across)) ** 2
     x_raw, y_raw = (along_raw, across_raw) if slit.axis == "x" else (across_raw, along_raw)
@@ -294,9 +282,8 @@ def ghost_interference_map(
         "slit_separation_m": slit.d,
         "slit_axis": slit.axis,
         "fringe_period_expected_m": period,
-        "slit_nodes": nodes,
         "error_estimate": error,
-        "error_kind": kind,
+        "error_kind": "closed-form",
     }
     return _normalized_map(raw, plane_grid, meta)
 

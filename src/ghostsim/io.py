@@ -12,7 +12,8 @@ every line, the last included, ends in one LF. An integer array whose values
 all lie within +-2**53 is written with "%d", which gives those same bytes.
 
 Readers accept exactly what Python's float() and int() accept per token, with
-the same values and the same ConfigError messages. A body of plain integer
+the same values and the same ConfigError messages; a file that is not UTF-8
+text raises ConfigError naming it (_read_text). A body of plain integer
 text, which the writers make of every integer array, is parsed in one numpy
 call: ASCII digits, spaces and LF, a "-" only at the start of a token and
 directly before a digit 1-9, and no value at either int64 limit; a
@@ -27,7 +28,8 @@ path only ever returns what that path would, or declines.
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +49,17 @@ _INT64 = np.iinfo(np.int64)
 
 # the bytes of plain integer text, as save_matrix_text and save_pgm write it
 _PLAIN_INTEGER_BYTES = b"0123456789 \n-"
+
+
+@contextmanager
+def _read_text(path: str) -> Iterator[TextIO]:
+    """open(path) as UTF-8 text to read; a decoding error, wherever it is met
+    inside the block, becomes a ConfigError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,7 @@ def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
     meta = {}
     rows = []
     linenos = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -219,7 +232,7 @@ def load_pgm(path: str) -> Tuple[np.ndarray, int]:
     [1, PGM_MAXVAL] (the format's limit), and every sample must lie in
     [0, maxval]; anything else raises ConfigError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         text = fh.read()
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
@@ -269,7 +282,7 @@ def load_pattern(
     covers extent, centred on center. A matrix file holding a non-finite
     value or header length raises ConfigError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         head = fh.read(2)
     lengths = None
     if head == "P2":
@@ -342,7 +355,7 @@ def save_map(obj: Saveable, path: str, fmt: str = "matrix-text") -> None:
 def parse_config(path: str) -> dict:
     """Parse a flat key=value config file; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

@@ -21,7 +21,9 @@ from ghostsim import (
 from ghostsim import biphoton
 from ghostsim.biphoton import (
     DOUBLING_PROBE_POINTS,
+    _faddeeva,
     _leggauss,
+    axis_opening_mean,
     converged_nodes,
     doubling_change,
     doubling_probe,
@@ -375,3 +377,53 @@ def test_doubling_check_warns_without_check():
             _settled_at([0, 0, 4e-7]), (3,), 64, QuadSettings(nodes=64), "the map"
         ) == (64, pytest.approx(1e-7))
     assert caught[0].filename == __file__
+
+
+# ---------------------------------------------------------------------------
+# Faddeeva function and the closed-form opening mean
+# ---------------------------------------------------------------------------
+
+
+def _upper_half_plane(rng, radii, count=500):
+    r = radii[0] * (radii[1] / radii[0]) ** rng.uniform(0, 1, count)
+    return r * np.exp(1j * rng.uniform(0, np.pi, count))
+
+
+def test_faddeeva_on_the_imaginary_axis_is_scaled_erfc():
+    y = np.linspace(0.0, 20.0, 401)
+    want = np.array([math.exp(v * v) * math.erfc(v) for v in y])
+    np.testing.assert_allclose(_faddeeva(1j * y), want, rtol=1e-13, atol=0)
+
+
+def test_faddeeva_matches_its_taylor_series_near_zero():
+    rng = np.random.default_rng(5)
+    z = np.concatenate([_upper_half_plane(rng, (1e-6, 0.05)), [0.0, 0.05, -0.05, 0.05j]])
+    # w(z) = sum_n (iz)^n / Gamma(n/2 + 1); 30 terms reach far below eps at |z| <= 0.05
+    want = sum((1j * z) ** n / math.gamma(n / 2 + 1) for n in range(30))
+    np.testing.assert_allclose(_faddeeva(z), want, rtol=4e-15, atol=0)
+
+
+def test_faddeeva_matches_its_asymptote_far_out():
+    rng = np.random.default_rng(6)
+    z = np.concatenate([_upper_half_plane(rng, (1e3, 1e8)), [1e3, -1e3, 1e3j]])
+    want = 1j / (math.sqrt(math.pi) * z) * (1 + 1 / (2 * z * z) + 3 / (4 * z**4))
+    np.testing.assert_allclose(_faddeeva(z), want, rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e-3, 1e-3), (0.5e-3, 1.5e-3), (-1.5e-3, -0.5e-3)])
+def test_opening_mean_matches_gauss_legendre(fringe_params, lo, hi):
+    # at a2 = 0, Re z changes sign at t = 0: the first opening takes the 2G
+    # term, the other two do not
+    a2 = np.linspace(-1e-3, 1e-3, 9)
+    mean, bound = axis_opening_mean(fringe_params, lo, hi, a2)
+    t, w = np.polynomial.legendre.leggauss(200)
+    offs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    want = 0.5 * w @ axis_amplitude(fringe_params, offs[:, None], a2)
+    np.testing.assert_allclose(mean, want, rtol=0, atol=1e-13)
+    assert np.all(bound <= 1e-13)
+
+
+def test_opening_mean_tends_to_the_amplitude_at_its_center(fringe_params):
+    a2 = np.linspace(-1e-3, 1e-3, 9)
+    mean, _ = axis_opening_mean(fringe_params, 1e-3 - 0.5e-9, 1e-3 + 0.5e-9, a2)
+    np.testing.assert_allclose(mean, axis_amplitude(fringe_params, 1e-3, a2), rtol=1e-8)

@@ -64,8 +64,9 @@ COMMANDS = {
         dict(
             SOURCE,
             slit_separation=["2e-3", "1e-3"],
-            # a slit as wide as slit_separation's default
-            slit_width=["0", "0.2e-3", "2e-3"],
+            # a slit as wide as slit_separation's default, one narrower than the
+            # wavelength, and one just narrower than the separation
+            slit_width=["0", "0.2e-3", "2e-3", "1e-12", "1.9e-3"],
             # slit_center against slit_separation: slits either side of the
             # axis, and one pair wholly off it
             slit_center=["0", "1e-4", "-1e-3", "2e-3"],

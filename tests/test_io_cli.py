@@ -713,6 +713,19 @@ def test_parse_config_diagnostics(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("reader, body", [
+    (parse_config, b"nx = 16  # Gr\xf6\xdfe\n"),
+    (load_matrix_text, b"1 2\n3 \xff\n"),
+    (load_pgm, b"P2\n1 1\n255\n\xfe\n"),
+    (load_pattern, b"P5\n2 2\n255\n\xff\x00\x80\xfe"),
+])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, body):
+    path = tmp_path / "foreign.txt"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match=r"foreign\.txt: not UTF-8 text \('utf-8' codec"):
+        reader(str(path))
+
+
 def test_config_echo_is_sorted_and_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     write_config_echo(str(a), {"zeta": 1, "alpha": 2.5})
@@ -869,6 +882,12 @@ def _fails_fast(argv, out, capsys):
     return err
 
 
+def test_cli_interference_rejects_a_slit_narrower_than_the_wavelength(tmp_path, capsys):
+    err = _fails_fast(["interference", "--slit-width", "1e-12"], tmp_path / "int", capsys)
+    assert err == ("error: slit width 1e-12 m is below the wavelength 8.1e-07 m, "
+                   "outside the scalar model\n")
+
+
 def test_cli_montecarlo_negative_seed_fails_before_any_map(tmp_path, capsys, monkeypatch):
     import ghostsim.cli as cli
 
@@ -946,8 +965,7 @@ def test_cli_reports_an_unreadable_file_as_an_error_line(tmp_path, capsys, flag,
     (tmp_path / "binary.pgm").write_bytes(b"P5\n2 2\n255\n\xff\x00\x80\xfe")
     err = _fails_fast(["image", flag, str(tmp_path / name)], tmp_path / "img", capsys)
     assert message in err
-    # an OSError names its file; a decoding error names the byte
-    assert name in err or "byte 0x" in err
+    assert name in err
 
 
 @pytest.mark.parametrize("flag", ["--a=nan", "--b=inf", "--a-prime=-inf", "--b-prime=nan"])
