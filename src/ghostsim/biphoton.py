@@ -16,10 +16,12 @@ Phi(0,0;0,0) = 1 exactly; only relative values are observable. An independent
 Gauss-Legendre quadrature of the underlying source integral, normalized the
 same way, serves as the correctness oracle for the closed form.
 
-Along one axis the closed form is a complex Gaussian in each coordinate, so
-its mean over a finite slit opening is an erf difference in closed form
-(``axis_opening_mean``), taken through the Faddeeva function w(z) of
-Weideman's rational expansion (``_faddeeva``), with no quadrature.
+Phi is a product of one factor per axis, a complex Gaussian
+exp(-P t^2 + Q t + R) in either plane's coordinate t, and
+``_axis_coefficients`` alone forms (P, Q, R). Over a finite slit opening its
+mean is an erf difference (``axis_opening_mean``), taken through the Faddeeva
+function w(z) of Weideman's rational expansion (``_faddeeva``); ``optics``
+adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
 The Gauss-Legendre rule itself (``_leggauss``) lives here too, and so does
 ``converged_nodes``: the one function that picks and checks the node count
@@ -302,27 +304,31 @@ def _warn_paraxial(params: SourceParams, *coords) -> None:
         )
 
 
-def closed_form_amplitude(params: SourceParams, x1, y1, x2, y2) -> np.ndarray:
-    """Normalized two-photon amplitude Phi(x1, y1; x2, y2).
+def _broadcast_points(x1, y1, x2, y2) -> Tuple[np.ndarray, ...]:
+    """The four coordinate arrays of a set of points, as floats broadcast together."""
+    return np.broadcast_arrays(*(np.asarray(a, float) for a in (x1, y1, x2, y2)))
 
-    Accepts scalars or broadcastable arrays; returns a complex array of the
-    broadcast shape (0-d for scalar input). Phi(0,0;0,0) = 1 exactly.
+
+def _axis_coefficients(params: SourceParams, s_var: float, s_fixed: float, fixed):
+    """(P, Q, R) of one axis factor of the closed form, exp(-P t^2 + Q t + R).
+
+    t is the coordinate in the plane at distance s_var, and the other
+    plane's coordinate, at s_fixed, is fixed. With c = c_env + i c_chirp,
+
+        P = c / s_var^2 - (i k / 2) / s_var
+        Q = -2 c fixed / (s_var s_fixed)
+        R = -c fixed^2 / s_fixed^2 + (i k / 2) fixed^2 / s_fixed
+
+    and Re P = c_env / s_var^2 > 0. P is a complex scalar; Q and R have the
+    shape of fixed.
     """
-    x1, y1, x2, y2 = np.broadcast_arrays(
-        np.asarray(x1, float), np.asarray(y1, float),
-        np.asarray(x2, float), np.asarray(y2, float),
-    )
-    _warn_paraxial(params, x1, y1, x2, y2)
-    c_env, c_chirp = envelope_coefficients(params)
-    k, s1, s2 = params.k, params.s1, params.s2
-    ux = x1 / s1 + x2 / s2
-    uy = y1 / s1 + y2 / s2
-    r2 = ux * ux + uy * uy
-    sphase = 0.5 * k * ((x1 * x1 + y1 * y1) / s1 + (x2 * x2 + y2 * y2) / s2)
-    value = np.exp(-c_env * r2 + 1j * (-c_chirp * r2 + sphase))
-    if not np.all(np.isfinite(value)):
-        raise NumericError("closed-form amplitude produced non-finite values")
-    return value
+    c = complex(*envelope_coefficients(params))
+    k = params.k
+    fixed = np.asarray(fixed, float)
+    P = c / s_var**2 - 0.5j * k / s_var
+    Q = (-2 * c / (s_var * s_fixed)) * fixed
+    R = (-c / s_fixed**2 + 0.5j * k / s_fixed) * (fixed * fixed)
+    return P, Q, R
 
 
 def axis_amplitude(params: SourceParams, a1, a2) -> np.ndarray:
@@ -330,16 +336,25 @@ def axis_amplitude(params: SourceParams, a1, a2) -> np.ndarray:
 
     closed_form_amplitude(x1, y1, x2, y2) equals
     axis_amplitude(x1, x2) * axis_amplitude(y1, y2); map evaluators exploit
-    this to factorize plane integrals.
+    this to factorize plane integrals. a1 and a2 broadcast together.
     """
-    c_env, c_chirp = envelope_coefficients(params)
-    k, s1, s2 = params.k, params.s1, params.s2
+    P, Q, R = _axis_coefficients(params, params.s1, params.s2, a2)
     a1 = np.asarray(a1, float)
-    a2 = np.asarray(a2, float)
-    u = a1 / s1 + a2 / s2
-    return np.exp(
-        -c_env * u * u + 1j * (-c_chirp * u * u + 0.5 * k * (a1 * a1 / s1 + a2 * a2 / s2))
-    )
+    return np.exp(-P * (a1 * a1) + Q * a1 + R)
+
+
+def closed_form_amplitude(params: SourceParams, x1, y1, x2, y2) -> np.ndarray:
+    """Normalized two-photon amplitude Phi(x1, y1; x2, y2).
+
+    Accepts scalars or broadcastable arrays; returns a complex array of the
+    broadcast shape (0-d for scalar input). Phi(0,0;0,0) = 1 exactly.
+    """
+    x1, y1, x2, y2 = _broadcast_points(x1, y1, x2, y2)
+    _warn_paraxial(params, x1, y1, x2, y2)
+    value = axis_amplitude(params, x1, x2) * axis_amplitude(params, y1, y2)
+    if not np.all(np.isfinite(value)):
+        raise NumericError("closed-form amplitude produced non-finite values")
+    return value
 
 
 # terms of Weideman's rational expansion of the Faddeeva function
@@ -383,9 +398,8 @@ def _faddeeva(z) -> np.ndarray:
 def axis_opening_mean(params: SourceParams, lo, hi, a2) -> Tuple[np.ndarray, np.ndarray]:
     """Mean of axis_amplitude(t, a2) over openings t in [lo, hi], in closed form.
 
-    Along t the factor is f(t) = exp(-P t^2 + Q t + R), with c = c_env +
-    i c_chirp, P = c/s1^2 - i k/(2 s1), Q = -2 c a2/(s1 s2) and
-    R = -c a2^2/s2^2 + i k a2^2/(2 s2). Its integral over [lo, hi] is
+    Along t the factor is f(t) = exp(-P t^2 + Q t + R), with the coefficients
+    of _axis_coefficients (t at s1, a2 fixed at s2). Its integral over [lo, hi] is
     sqrt(pi)/(2 sqrt(P)) G [erf(z_hi) - erf(z_lo)], with G = exp(Q^2/4P + R)
     and z = sqrt(P) (t - Q/2P) (Abramowitz & Stegun 7.4.32). Each G erf(z)
     is taken as s G - s f(t) w(i s z), s the sign of Re z, so w is evaluated
@@ -398,24 +412,21 @@ def axis_opening_mean(params: SourceParams, lo, hi, a2) -> Tuple[np.ndarray, np.
     FADDEEVA_ACCURACY plus PHASE_ROUNDING_ULPS ulps per radian of the
     largest phase k/2 (t^2/s1 + a2^2/s2) over the opening.
     """
-    c_env, c_chirp = envelope_coefficients(params)
     k, s1, s2 = params.k, params.s1, params.s2
     a2 = np.asarray(a2, float)
-    c = c_env + 1j * c_chirp
-    p = c / s1**2 - 0.5j * k / s1
-    q = -2.0 * c * a2 / (s1 * s2)
+    p, q, r = _axis_coefficients(params, s1, s2, a2)
     root = np.sqrt(p)
 
     def edge(t):
         z = root * (t - q / (2.0 * p))
         s = np.where(z.real >= 0.0, 1.0, -1.0)
-        return s, s * axis_amplitude(params, t, a2) * _faddeeva(1j * s * z)
+        return s, s * np.exp(-p * (t * t) + q * t + r) * _faddeeva(1j * s * z)
 
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     s_lo, edge_lo = edge(lo)
     s_hi, edge_hi = edge(hi)
     crossing = s_hi > s_lo
-    exponent = q * q / (4.0 * p) - c * a2 * a2 / s2**2 + 0.5j * k * a2 * a2 / s2
+    exponent = q * q / (4.0 * p) + r
     two_g = 2.0 * crossing * np.exp(np.where(crossing, exponent, 0.0))
     prefactor = math.sqrt(math.pi) / (2.0 * root * (hi - lo))
     phase = 0.5 * k * (np.maximum(lo * lo, hi * hi) / s1 + a2 * a2 / s2)
@@ -472,10 +483,7 @@ def quadrature_oracle_amplitude(
     nodes = oracle_nodes(quad)
     half_width = quad.half_width_sigmas * params.sigma
     k, s1, s2 = params.k, params.s1, params.s2
-    pts = np.broadcast_arrays(
-        np.asarray(x1, float), np.asarray(y1, float),
-        np.asarray(x2, float), np.asarray(y2, float),
-    )
+    pts = _broadcast_points(x1, y1, x2, y2)
 
     def evaluate(n: int, index) -> np.ndarray:
         """Flat values at the points pts[i][index] with n nodes."""

@@ -225,18 +225,26 @@ def _grid(cfg: dict) -> GridSpec:
     return GridSpec(cfg["nx"], cfg["ny"], cfg["extent_x"], cfg["extent_y"], center)
 
 
+def _check_derived(cfg: dict, *keys: str) -> None:
+    """Raise ConfigError unless each key, for which 0 means "derive", is >= 0."""
+    for key in keys:
+        if not cfg[key] >= 0:
+            raise ConfigError(f"{key} must be >= 0 (0 derives it), got {cfg[key]}")
+
+
 def _image_maps(cfg: dict, flat_background: bool = False) -> list:
     """Ghost image maps of the configured pattern and, with flat_background,
     of a flat (zero-phase) pattern on the same pixels; fills derived entries."""
+    _check_derived(cfg, "nodes", "telescope_scale", "extent_x", "extent_y")
     params = _source(cfg)
     lens = _lens(cfg)
     pattern = _pattern(cfg)
     m = ghost_magnification(params, lens)
-    if cfg["telescope_scale"] <= 0:
+    if cfg["telescope_scale"] == 0:
         cfg["telescope_scale"] = RELAY_TOTAL_SCALE / m
     total = m * cfg["telescope_scale"]
     for axis, pitch, n, origin in zip("xy", pattern.pitch, pattern.shape[::-1], pattern.origin):
-        if cfg["extent_" + axis] <= 0:
+        if cfg["extent_" + axis] == 0:
             cfg["extent_" + axis] = total * (pitch * n)
             # the image is inverted; a pattern centred to within rounding
             # keeps the camera at 0.0
@@ -244,7 +252,7 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
             if cfg["center_" + axis] == 0 and abs(middle) > SAME_GRID_TOL:
                 cfg["center_" + axis] = -total * middle
     grid = _grid(cfg)
-    quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
+    quad = QuadSettings(nodes=cfg["nodes"] or None)
     patterns = [pattern]
     if flat_background:
         patterns.append(dataclasses.replace(pattern, grid=np.zeros_like(pattern.grid)))
@@ -316,12 +324,13 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
         raise ConfigError(f"axis must be 'x' or 'y', got '{cfg['axis']}'")
     if cfg["samples"] < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
+    _check_derived(cfg, "nodes")
     coords = np.linspace(-cfg["extent"] / 2, cfg["extent"] / 2, cfg["samples"])
     if cfg["axis"] == "x":
         x1, y1 = coords, cfg["fixed"]
     else:
         x1, y1 = cfg["fixed"], coords
-    quad = QuadSettings(nodes=cfg["nodes"] if cfg["nodes"] > 0 else None)
+    quad = QuadSettings(nodes=cfg["nodes"] or None)
     if cfg["oracle"]:
         phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"], quad)
         used = oracle_nodes(quad)

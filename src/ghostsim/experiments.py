@@ -85,13 +85,8 @@ class PhasePattern(PixelGrid):
             raise ParameterError("pattern grid must be a non-empty 2D array")
         if not np.all(np.isfinite(grid)):
             raise ParameterError("pattern phases must be finite")
-        if len(self.pitch) != 2 or not all(0 < p < np.inf for p in self.pitch):
-            raise ParameterError("pattern pitch must be two finite positive lengths")
-        if len(self.origin) != 2 or not all(np.isfinite(o) for o in self.origin):
-            raise ParameterError("pattern origin must be two finite coordinates")
+        self._set_pixels("pattern", self.pitch, self.origin)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "pitch", (float(self.pitch[0]), float(self.pitch[1])))
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
         if self.aperture is not None:
             ap = np.asarray(self.aperture, dtype=float)
             if ap.shape != grid.shape:
@@ -196,9 +191,8 @@ class CoincidenceMap(PixelGrid):
         peak = float(np.max(np.abs(vals)))
         if peak > 0 and abs(peak - 1.0) > 1e-9:
             raise ParameterError("map must be peak-normalized (or identically zero)")
+        self._set_pixels("map", self.pitch, self.origin)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "pitch", (float(self.pitch[0]), float(self.pitch[1])))
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -239,7 +233,9 @@ def ghost_interference_map(
     over the two slits: axis_amplitude(center, along) for a delta slit, and
     for a finite slit the mean of axis_amplitude over its opening, in closed
     form (axis_opening_mean). A finite slit narrower than the wavelength is
-    outside the scalar model and raises ParameterError. meta records
+    outside the scalar model and raises ParameterError; a map that is zero
+    at every pixel (slits or grid far off the axis, where the amplitude
+    underflows) raises NumericError. meta records
     error_kind "closed-form" and error_estimate: 0 for delta slits, else the
     rounding bound of axis_opening_mean relative to the factor's peak.
     """
@@ -277,6 +273,11 @@ def ghost_interference_map(
     raw = np.outer(y_raw, x_raw) / 2
     if not np.all(np.isfinite(raw)):
         raise NumericError("interference map produced non-finite values")
+    if not np.any(raw):
+        raise NumericError(
+            "interference map is zero at every pixel: the slits or the grid lie "
+            "too far off the axis for the source's correlation"
+        )
     meta = {
         "experiment": "ghost interference",
         "slit_separation_m": slit.d,

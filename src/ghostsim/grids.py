@@ -6,7 +6,7 @@ coordinates refer to pixel centers, pixel (0, 0) at the most negative corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -35,7 +35,19 @@ def pixel_geometry(
 
 class PixelGrid:
     """Pixel centers, header entries and grid comparison of a subclass's
-    shape (ny, nx), pitch (px, py) and origin (center of pixel (0, 0))."""
+    shape (ny, nx), pitch (px, py) and origin (center of pixel (0, 0)),
+    which every subclass checks and stores through _set_pixels."""
+
+    def _set_pixels(self, what: str, pitch, origin) -> None:
+        """Store pitch and origin as pairs of floats, after checking that
+        pitch is two finite positive lengths and origin two finite
+        coordinates (ParameterError naming what otherwise)."""
+        if len(pitch) != 2 or not all(0 < p < np.inf for p in pitch):
+            raise ParameterError(f"{what} pitch must be two finite positive lengths")
+        if len(origin) != 2 or not all(np.isfinite(o) for o in origin):
+            raise ParameterError(f"{what} origin must be two finite coordinates")
+        object.__setattr__(self, "pitch", (float(pitch[0]), float(pitch[1])))
+        object.__setattr__(self, "origin", (float(origin[0]), float(origin[1])))
 
     def x_centers(self) -> np.ndarray:
         return self.origin[0] + self.pitch[0] * np.arange(self.shape[1])
@@ -73,6 +85,9 @@ class GridSpec(PixelGrid):
     extent_x: float
     extent_y: float
     center: Tuple[float, float] = (0.0, 0.0)
+    # derived from the fields above
+    pitch: Tuple[float, float] = field(init=False, repr=False)
+    origin: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -81,16 +96,9 @@ class GridSpec(PixelGrid):
             raise ParameterError("grid extents must be positive")
         if len(self.center) != 2 or not all(np.isfinite(c) for c in self.center):
             raise ParameterError("grid center must be two finite coordinates")
+        extent = (self.extent_x, self.extent_y)
+        self._set_pixels("grid", *pixel_geometry(self.shape, extent, self.center))
 
     @property
     def shape(self) -> Tuple[int, int]:
         return self.ny, self.nx
-
-    @property
-    def pitch(self) -> Tuple[float, float]:
-        return pixel_geometry(self.shape, (self.extent_x, self.extent_y), self.center)[0]
-
-    @property
-    def origin(self) -> Tuple[float, float]:
-        """Coordinates of the center of pixel (0, 0)."""
-        return pixel_geometry(self.shape, (self.extent_x, self.extent_y), self.center)[1]

@@ -12,19 +12,15 @@ Results are normalized by the on-axis value Phi_I(0,0;0,0) so interior peaks
 are O(1). The lens-plane integral is evaluated on one of two paths:
 
 - closed form. Per axis the integrand is a complex Gaussian
-  exp(-A xi^2 + B xi + C), so over the whole plane the integral is exact
-  (``lens_axis_kernel``) and Phi_I = Kx * Ky * output phase; an image map is
-  two small matrix products, Ky^T W Kx. It leaves out the aperture, which
+  exp(-A xi^2 + B xi + C), the source's axis factor from biphoton plus the
+  lens and Fresnel terms (``lens_axis_kernel``), so over the whole plane the
+  integral is exact and Phi_I = Kx * Ky * output phase; an image map is two
+  small matrix products, Ky^T W Kx. It leaves out the aperture, which
   ``clip_bound`` shows to change the normalized amplitude by at most
-  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2). In a map the
-  kernels are Gaussian bands with tails down to 1e-250 and below, and
-  products of tails are subnormal, which slows the matmuls several-fold; so
-  the map zeroes kernel entries below KERNEL_FLOOR = 1e-100, which moves any
-  point amplitude by at most 2 * KERNEL_FLOOR. The kernels depend on the
-  geometry only, never on the pattern or the polarizer angles, so each is
-  built once, output phase included, and cached read-only by (params, lens,
-  float64 bytes of its object and image coordinates); the four most recent
-  are kept, 16 npx nx2 bytes each, and a sweep over one geometry is two
+  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2). The map kernels
+  depend on the geometry only, never on the pattern or the polarizer
+  angles: each is built once, its entries below KERNEL_FLOOR zeroed, and
+  cached (``_phased_map_kernel``), so a sweep over one geometry is two
   matmuls a map.
 - quadrature over the aperture disc (``_disc_rule``): outer nodes
   xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
@@ -64,9 +60,10 @@ import numpy as np
 from .biphoton import (
     QuadSettings,
     SourceParams,
+    _axis_coefficients,
+    _broadcast_points,
     _leggauss,
     converged_nodes,
-    envelope_coefficients,
 )
 from .errors import NumericError, ParameterError
 
@@ -196,15 +193,10 @@ def _lens_plane_coefficients(params: SourceParams, lens: LensSystem, a1, a2):
     A is a complex scalar; B and C broadcast a1 (object) against a2 (image).
     The formulas are in lens_axis_kernel.
     """
-    c_env, c_chirp = envelope_coefficients(params)
-    c = complex(c_env, c_chirp)
-    k, s1, s2 = params.k, params.s1, params.s2
-    a1 = np.asarray(a1, float)
-    a2 = np.asarray(a2, float)
-    A = c / s2**2 - 0.5j * k * (1 / s2 + 1 / lens.v - 1 / lens.f)
-    B = (-2 * c / (s1 * s2)) * a1 - (1j * k / lens.v) * a2
-    C = (-c / s1**2 + 0.5j * k / s1) * (a1 * a1)
-    return A, B, C
+    P, Q, R = _axis_coefficients(params, params.s2, params.s1, a1)
+    A = P - 0.5j * params.k * (1 / lens.v - 1 / lens.f)
+    B = Q - (1j * params.k / lens.v) * np.asarray(a2, float)
+    return A, B, R
 
 
 def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarray:
@@ -212,13 +204,13 @@ def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarr
 
     Along one lens-plane axis xi the integrand of Phi_I (source factor, lens
     phase, and the xi-dependent part of the Fresnel step) is
-    exp(-A xi^2 + B xi + C); with c = c_env + i c_chirp,
+    exp(-A xi^2 + B xi + C). (P, Q, R) of the source factor, in xi at s2
+    with a1 fixed at s1, come from biphoton._axis_coefficients; the lens
+    adds its own two terms,
 
-        A = c / s2^2 - (i k / 2) (1/s2 + 1/v - 1/f)
-        B = -2 c a1 / (s1 s2) - i k a2 / v
-        C = -c a1^2 / s1^2 + (i k / 2) a1^2 / s1
+        A = P - (i k / 2) (1/v - 1/f),   B = Q - i k a2 / v,   C = R,
 
-    and Re A = c_env / s2^2 > 0. Over the whole line the integral is
+    and Re A = Re P = c_env / s2^2 > 0. Over the whole line the integral is
     sqrt(pi / A) exp(B^2 / 4A + C) (Collins, JOSA 60, 1168 (1970)); the factor
     sqrt(pi / A) cancels in the on-axis normalization, leaving
     K = exp(B^2 / 4A + C). Without an aperture, imaging_amplitude equals
@@ -433,10 +425,7 @@ def imaging_amplitude(
     strided probe of the broadcast points, and the whole output is then
     evaluated once at that count.
     """
-    pts = np.broadcast_arrays(
-        np.asarray(x1, float), np.asarray(y1, float),
-        np.asarray(x2, float), np.asarray(y2, float),
-    )
+    pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
     nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
     if nodes:

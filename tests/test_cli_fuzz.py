@@ -121,6 +121,19 @@ for _command, _pools in COMMANDS.items():
     assert not _stale, f"{_command} pools hold keys the CLI lacks: {sorted(_stale)}"
 
 
+# keys for which 0 means "derive"
+DERIVED = ("nodes", "telescope_scale", "extent_x", "extent_y")
+
+
+def _is_negative(arg, key):
+    """Whether arg is --key=<a negative number>."""
+    flag, _, text = arg.partition("=")
+    try:
+        return flag == "--" + key.replace("_", "-") and float(text) < 0
+    except ValueError:
+        return False
+
+
 def _value(good, bad):
     """One value in four from bad, so that most runs get far enough to work."""
     return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 3 else good))
@@ -160,6 +173,11 @@ def argvs(draw):
 # a missing --pattern or --config file ended in a traceback and exit 1
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern=missing.pgm"])
 @example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=8", "--config=missing.txt"])
+# a negative "derive" value ran as if 0 had been given
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=4", "--nodes=-1"])
+@example(argv=["amplitude", "--samples=5", "--oracle=1", "--nodes=-1"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=4", "--telescope-scale=-1"])
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=4", "--extent-y=-1"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
     out, err = stdio.StringIO(), stdio.StringIO()
@@ -169,6 +187,9 @@ def test_cli_ends_in_exit_0_or_an_error_line(argv):
             code = main(argv + ["--out", tmp])
     text = err.getvalue()
     assert code in (0, 2), (argv, code, text)
+    # 0 derives these keys; a negative value is an error, never derived
+    if any(_is_negative(arg, key) for arg in argv for key in DERIVED):
+        assert code == 2, (argv, text)
     assert "Traceback" not in text
     if code == 2:
         assert any(line.startswith("error: ") for line in text.splitlines()), (argv, text)

@@ -13,7 +13,9 @@ from ghostsim import (
     DoubleSlit,
     GridMismatchError,
     GridSpec,
+    NumericError,
     ParameterError,
+    ParaxialWarning,
     PhasePattern,
     QuadSettings,
     SamplingError,
@@ -106,6 +108,19 @@ def test_pattern_geometry_must_be_finite(pitch, origin, what):
     # an infinite pitch or a NaN origin used to pass and fail in the contraction
     with pytest.raises(ParameterError, match=f"pattern {what} must be two finite"):
         PhasePattern(grid=np.zeros((2, 2)), pitch=pitch, origin=origin)
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: CoincidenceMap(values=np.ones((2, 2)), pitch=(np.nan, 1e-4), origin=(0.0, 0.0)),
+     "map pitch"),
+    (lambda: CoincidenceMap(values=np.ones((2, 2)), pitch=(1e-4, 1e-4), origin=(np.inf, 0.0)),
+     "map origin"),
+    (lambda: GridSpec(4, 4, np.inf, 1.0), "grid pitch"),
+], ids=["map NaN pitch", "map infinite origin", "grid infinite extent"])
+def test_map_and_grid_geometry_must_be_finite(make, what):
+    # these used to pass, the grid with a NaN origin
+    with pytest.raises(ParameterError, match=f"{what} must be two finite"):
+        make()
 
 
 def test_default_transmission_is_open():
@@ -292,6 +307,16 @@ def test_slits_narrower_than_the_wavelength_are_refused(fringe_params, width):
     grid = GridSpec(nx=64, ny=2, extent_x=4e-3, extent_y=1e-3)
     with pytest.raises(ParameterError, match="below the wavelength"):
         ghost_interference_map(fringe_params, DoubleSlit(d=2e-3, slit_width=width), grid)
+
+
+@pytest.mark.parametrize("width", [0.0, 0.5e-3])
+def test_slits_far_off_the_axis_give_no_zero_map(fringe_params, width):
+    # the amplitude underflows at every pixel; the map used to be written,
+    # all zeros, as "zero map"
+    grid = GridSpec(nx=512, ny=128, extent_x=6e-3, extent_y=2e-3)
+    slit = DoubleSlit(d=2e-3, slit_width=width, center=0.3)
+    with pytest.warns(ParaxialWarning), pytest.raises(NumericError, match="zero at every pixel"):
+        ghost_interference_map(fringe_params, slit, grid)
 
 
 SLITS_WITHOUT_SCIPY = """

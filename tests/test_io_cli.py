@@ -19,6 +19,7 @@ from ghostsim import (
     DoubleSlit,
     GridSpec,
     ParameterError,
+    ParaxialWarning,
     SourceParams,
     build_ghost_image,
     ghost_interference_map,
@@ -886,6 +887,38 @@ def test_cli_interference_rejects_a_slit_narrower_than_the_wavelength(tmp_path, 
     err = _fails_fast(["interference", "--slit-width", "1e-12"], tmp_path / "int", capsys)
     assert err == ("error: slit width 1e-12 m is below the wavelength 8.1e-07 m, "
                    "outside the scalar model\n")
+
+
+@pytest.mark.parametrize("width", ["0", "0.5e-3"])
+def test_cli_interference_refuses_a_map_that_is_zero_everywhere(tmp_path, capsys, width):
+    # it wrote an all-zero map and exited 0
+    argv = ["interference", "--slit-center", "0.3", "--slit-width", width]
+    with pytest.warns(ParaxialWarning):
+        err = _fails_fast(argv, tmp_path / "int", capsys)
+    assert err.startswith("error: interference map is zero at every pixel")
+
+
+@pytest.mark.parametrize("argv", [
+    ["image", "--nodes", "-5"],
+    ["image", "--telescope-scale", "-2"],
+    ["image", "--extent-x", "-1"],
+    ["image", "--extent-y=-1e-3"],
+    ["montecarlo", "--extent-x", "-1"],
+    ["amplitude", "--oracle", "1", "--nodes", "-3"],
+], ids=" ".join)
+def test_cli_rejects_a_negative_derived_value_before_any_map(
+    tmp_path, capsys, monkeypatch, argv
+):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed with a negative derived value")
+
+    # each used to run, as if 0 (derive) had been given
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    monkeypatch.setattr(cli, "quadrature_oracle_amplitude", no_maps)
+    err = _fails_fast(argv, tmp_path / argv[0], capsys)
+    assert "must be >= 0 (0 derives it)" in err
 
 
 def test_cli_montecarlo_negative_seed_fails_before_any_map(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from ghostsim import (
     uniform_pattern,
 )
 from ghostsim import experiments, optics
-from ghostsim.biphoton import _leggauss
+from ghostsim.biphoton import _axis_coefficients, _leggauss
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     APERTURE_START_NODES,
@@ -246,6 +246,20 @@ DEFAULT_PATTERN_CENTERS = -2e-3 + (np.arange(128) + 0.5) * (4e-3 / 128)
 
 def test_lens_axis_kernel_is_one_on_axis(imaging_params, imaging_lens):
     assert complex(lens_axis_kernel(imaging_params, imaging_lens, 0.0, 0.0)) == 1.0
+
+
+def test_lens_plane_coefficients_are_the_sources_plus_the_lens_terms(
+    imaging_params, imaging_lens
+):
+    # B and C at image coordinate 0 are the source factor's Q and R in xi at
+    # s2 with a1 fixed at s1; the lens adds phase only, so Re A = Re P
+    p = imaging_params
+    a1 = np.linspace(-3e-3, 3e-3, 13)
+    A, B, C = _lens_plane_coefficients(p, imaging_lens, a1, 0.0)
+    P, Q, R = _axis_coefficients(p, p.s2, p.s1, a1)
+    np.testing.assert_array_equal(B, Q)
+    np.testing.assert_array_equal(C, R)
+    assert A.real == P.real
 
 
 def test_clip_bound_values(imaging_params, imaging_lens):
