@@ -25,7 +25,9 @@ adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
 The Gauss-Legendre rule itself (``_leggauss``) lives here too, and so does
 ``converged_nodes``: the one function that picks and checks the node count
-of every quadrature in the package (the oracle and the aperture).
+of every quadrature in the package (the oracle and the aperture). It
+compares every value its caller evaluates at n and 2n nodes and hands back
+the values at the count it chose, so no caller evaluates that count again.
 """
 
 from __future__ import annotations
@@ -156,9 +158,6 @@ def oracle_nodes(quad: QuadSettings) -> int:
 # the cap means the iteration has gone wrong
 NEWTON_MAX_STEPS = 10
 
-# output points the doubling check re-evaluates at twice the nodes (at most)
-DOUBLING_PROBE_POINTS = 256
-
 
 def _legendre_slope(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(P_n(x), P_n'(x)) for |x| < 1, by the three-term recurrence."""
@@ -226,53 +225,34 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def doubling_probe(shape: Tuple[int, ...]) -> tuple:
-    """Index of the output points the doubling check re-evaluates.
-
-    A fixed strided sub-grid: every axis of the output gets the same number
-    of evenly spaced positions, its first and last included, so the probe
-    spans the whole output. It holds at most
-    max(DOUBLING_PROBE_POINTS, 2**ndim) points; an np.ix_ index, () for a
-    0-d output.
-    """
-    if not shape:
-        return ()
-    per_axis = max(2, int(DOUBLING_PROBE_POINTS ** (1.0 / len(shape)) + 1e-9))
-    return np.ix_(*(
-        np.linspace(0, n - 1, min(n, per_axis)).round().astype(np.intp)
-        for n in shape
-    ))
-
-
 def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
-    """Relative change max|fine - coarse| / max(max|fine|, floor) of probed values.
+    """Relative change max|fine - coarse| / max(max|fine|, floor) of checked values.
 
     floor is the least scale the change is measured against: a normalized
-    output passes the value it is normalized to, so that probed values far
-    below it are not held to a relative tolerance of their own.
+    output passes the value it is normalized to, so that values far below
+    it are not held to a relative tolerance of their own.
     """
     coarse, fine = np.ravel(coarse), np.ravel(fine)
     scale = max(float(np.max(np.abs(fine))), floor)
     return float(np.max(np.abs(fine - coarse))) / scale
 
 
-def converged_nodes(evaluate, shape: Tuple[int, ...], nodes: int, quad: QuadSettings,
-                    what: str, floor: float = 1e-300) -> Tuple[int, float]:
-    """Node count chosen by node doubling: (nodes, measured change).
+def converged_nodes(evaluate, nodes: int, quad: QuadSettings, what: str,
+                    floor: float = 1e-300) -> Tuple[int, float, np.ndarray]:
+    """Node count chosen by node doubling: (nodes, measured change, values).
 
-    evaluate(n, probe) returns the output's values at probe =
-    doubling_probe(shape) with n nodes per axis. Without quad.nodes the count
-    doubles from nodes until doubling it moves those values by at most
+    evaluate(n) returns the values to check with n nodes per axis, and
+    values is what it returned at the chosen count. Without quad.nodes the
+    count doubles from nodes until doubling it moves the values by at most
     quad.tol (doubling_change against floor), or reaches MAX_NODES; an
     explicit count is checked once against its double. A miss raises
     ConvergenceError under quad.check, else warns ApertureSamplingWarning at
     the caller's line. what names the result in the message.
     """
-    probe = doubling_probe(shape)
-    coarse, fine = evaluate(nodes, probe), evaluate(2 * nodes, probe)
+    coarse, fine = evaluate(nodes), evaluate(2 * nodes)
     while (quad.nodes is None and nodes < MAX_NODES
            and doubling_change(coarse, fine, floor) > quad.tol):
-        nodes, coarse, fine = 2 * nodes, fine, evaluate(4 * nodes, probe)
+        nodes, coarse, fine = 2 * nodes, fine, evaluate(4 * nodes)
     change = doubling_change(coarse, fine, floor)
     if change > quad.tol:
         message = (f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
@@ -280,7 +260,7 @@ def converged_nodes(evaluate, shape: Tuple[int, ...], nodes: int, quad: QuadSett
         if quad.check:
             raise ConvergenceError(message)
         warnings.warn(message, ApertureSamplingWarning, stacklevel=outside_stacklevel())
-    return nodes, change
+    return nodes, change, coarse
 
 
 def envelope_coefficients(params: SourceParams) -> Tuple[float, float]:
@@ -479,31 +459,31 @@ def quadrature_oracle_amplitude(
     u of the x axis, the y axis and the origin, then scattered back to the
     points. The result is Ix * Iy / I0^2, normalized so that
     oracle(0,0;0,0) = 1 with phases comparable to closed_form_amplitude.
+    Under quad.check, converged_nodes compares every value against twice
+    the nodes.
     """
     nodes = oracle_nodes(quad)
     half_width = quad.half_width_sigmas * params.sigma
     k, s1, s2 = params.k, params.s1, params.s2
     pts = _broadcast_points(x1, y1, x2, y2)
+    a1, b1, a2, b2 = (a.ravel() for a in pts)
+    shifts, inverse = np.unique(
+        np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]),
+        return_inverse=True,
+    )
+    phase = np.exp(0.5j * k * ((a1 * a1 + b1 * b1) / s1 + (a2 * a2 + b2 * b2) / s2))
 
-    def evaluate(n: int, index) -> np.ndarray:
-        """Flat values at the points pts[i][index] with n nodes."""
-        a1, b1, a2, b2 = (a[index].ravel() for a in pts)
-        shifts, inverse = np.unique(
-            np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]),
-            return_inverse=True,
-        )
+    def evaluate(n: int) -> np.ndarray:
+        """Flat values at the points with n nodes."""
         sums = _axis_integral(params, shifts, n, half_width)[inverse]
         ix, iy, i0 = sums[:a1.size], sums[a1.size:-1], sums[-1]
-        phase = np.exp(0.5j * k * ((a1 * a1 + b1 * b1) / s1 + (a2 * a2 + b2 * b2) / s2))
         return phase * ix * iy / i0**2
 
-    value = evaluate(nodes, Ellipsis).reshape(pts[0].shape)
     if quad.check:
-        # the values at nodes are known; only the doubled count is evaluated
-        converged_nodes(
-            lambda n, index: value[index].ravel() if n == nodes else evaluate(n, index),
-            value.shape, nodes, replace(quad, nodes=nodes), "the oracle",
-        )
+        _, _, value = converged_nodes(evaluate, nodes, replace(quad, nodes=nodes), "the oracle")
+    else:
+        value = evaluate(nodes)
+    value = value.reshape(pts[0].shape)
     if not np.all(np.isfinite(value)):
         raise NumericError("quadrature oracle produced non-finite values")
     return value

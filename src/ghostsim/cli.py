@@ -236,6 +236,8 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
     """Ghost image maps of the configured pattern and, with flat_background,
     of a flat (zero-phase) pattern on the same pixels; fills derived entries."""
     _check_derived(cfg, "nodes", "telescope_scale", "extent_x", "extent_y")
+    # pattern_n is checked even when a pattern file leaves it unused
+    check_pattern_size(cfg["pattern_n"])
     params = _source(cfg)
     lens = _lens(cfg)
     pattern = _pattern(cfg)
@@ -293,8 +295,6 @@ def cmd_montecarlo(cfg: dict, out: str) -> int:
         dark_rate=cfg["dark_rate"],
         seed=cfg["seed"],
     )
-    # pattern_n is checked even when a pattern file leaves it unused
-    check_pattern_size(cfg["pattern_n"])
     # The background run images a flat (no-pattern) plane at the same
     # polarizer settings, mirroring the subtraction procedure at the camera.
     signal, background = _image_maps(cfg, flat_background=True)
@@ -325,6 +325,11 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
     if cfg["samples"] < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
     _check_derived(cfg, "nodes")
+    if cfg["nodes"] and not cfg["oracle"]:
+        raise ConfigError(
+            f"nodes = {cfg['nodes']} sets the oracle's quadrature; the closed form "
+            "(oracle = 0) takes no node count"
+        )
     coords = np.linspace(-cfg["extent"] / 2, cfg["extent"] / 2, cfg["samples"])
     if cfg["axis"] == "x":
         x1, y1 = coords, cfg["fixed"]

@@ -29,7 +29,8 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   converges spectrally (Davis & Rabinowitz, Methods of Numerical
   Integration, 2nd ed. 1984, ch. 5). By the x/y separability of Phi, points
   and image maps contract per-axis factors through the one matrix W, and
-  divide by the point path's on-axis value.
+  divide by the exact on-axis value pi (1 - exp(-A rho^2)) / A, the
+  integral of exp(-A r^2) over the aperture (``_on_axis_raw``).
 
 The output phase exp(i k (x2^2 + y2^2) / 2v) is separable too (Collins,
 JOSA 60, 1168 (1970)): image maps apply it as one factor per image axis, on
@@ -42,8 +43,9 @@ is at most the tolerance (quad.tol under quad.check, else
 APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
 that reach min(s1, s2) from the axis. On the quadrature path the package's
 one node-doubling search, ``biphoton.converged_nodes``, doubles the node
-count from APERTURE_START_NODES until a strided probe of the output moves by
-at most quad.tol, or checks an explicit count once the same way. The
+count from APERTURE_START_NODES until every point amplitude (for image maps:
+a strided sub-camera of at most 16 x 16 pixels) moves by at most quad.tol,
+or checks an explicit count once the same way. The
 quadrature path is the independent oracle the closed form is tested against
 where nothing clips.
 """
@@ -392,12 +394,16 @@ def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     return out[:size]
 
 
-@lru_cache(maxsize=8)
-def _on_axis_raw(params, lens, nodes) -> complex:
-    """Clipped on-axis reference Phi_I(0,0;0,0) of the quadrature path; cached
-    per (params, lens, nodes)."""
-    zero = np.zeros(1)
-    return _imaging_raw(params, lens, zero, zero, zero, zero, nodes)[0]
+def _on_axis_raw(params, lens) -> complex:
+    """On-axis reference Phi_I(0,0;0,0) of the quadrature path, exactly.
+
+    On axis the lens-plane integrand is exp(-A r^2) (lens_axis_kernel's A),
+    whose integral over the aperture in _imaging_raw's units, the unit disc
+    without the area factor rho^2, is pi (1 - exp(-A rho^2)) / (A rho^2).
+    """
+    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
+    a = A * lens.aperture_radius**2
+    return -math.pi * np.expm1(-a) / a
 
 
 def _point_amplitude(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
@@ -405,9 +411,7 @@ def _point_amplitude(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     if nodes == 0:
         value = lens_axis_kernel(params, lens, x1, x2) * lens_axis_kernel(params, lens, y1, y2)
     else:
-        value = _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(
-            params, lens, nodes
-        )
+        value = _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
     return value * fresnel_kernel(lens.v, params.k, x2, y2)
 
 
@@ -421,22 +425,24 @@ def imaging_amplitude(
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
     image points (x2, y2). The lens-plane path is chosen by lens_plane_nodes.
-    On the quadrature path converged_nodes picks the node count from its
-    strided probe of the broadcast points, and the whole output is then
-    evaluated once at that count.
+    On the quadrature path converged_nodes picks the node count by checking
+    every point, and its values at that count are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
+    flat = [a.ravel() for a in pts]
     nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
     if nodes:
         # measured against at least the on-axis value 1 the amplitude is
         # normalized to: image points far from their object's conjugate,
         # ~1e-9 of it, are not held to tol relative to themselves
-        nodes, _ = converged_nodes(
-            lambda n, probe: _point_amplitude(params, lens, *(np.ravel(a[probe]) for a in pts), n),
-            shape, nodes, quad, "the imaging amplitude", floor=1.0,
+        _, _, value = converged_nodes(
+            lambda n: _point_amplitude(params, lens, *flat, n),
+            nodes, quad, "the imaging amplitude", floor=1.0,
         )
-    value = _point_amplitude(params, lens, *(a.ravel() for a in pts), nodes).reshape(shape)
+    else:
+        value = _point_amplitude(params, lens, *flat, 0)
+    value = value.reshape(shape)
     if not np.all(np.isfinite(value)):
         raise NumericError("imaging amplitude produced non-finite values")
     return value if shape else value[()]
@@ -529,7 +535,7 @@ def pattern_image_field(
             H = (Fx[rows] @ WF) * W[rows]                        # (blk, nodes)
             part = Ex[rows].T @ (H @ Ey)                         # (nx2, ny2)
             acc = part if acc is None else acc + part
-        field = acc.T / _on_axis_raw(params, lens, nodes)
+        field = acc.T / _on_axis_raw(params, lens)
     if not np.all(np.isfinite(field)):
         raise NumericError("image-field contraction produced non-finite values")
     return field

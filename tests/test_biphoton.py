@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ghostsim import (
     ApertureSamplingWarning,
     ConvergenceError,
+    GridSpec,
     ParameterError,
     ParaxialWarning,
     QuadSettings,
@@ -16,17 +18,18 @@ from ghostsim import (
     closed_form_amplitude,
     correlation_width,
     envelope_coefficients,
+    ghost_image_map,
+    ghost_magnification,
+    half_plane_pattern,
     quadrature_oracle_amplitude,
 )
-from ghostsim import biphoton
+from ghostsim import biphoton, experiments
 from ghostsim.biphoton import (
-    DOUBLING_PROBE_POINTS,
     _faddeeva,
     _leggauss,
     axis_opening_mean,
     converged_nodes,
     doubling_change,
-    doubling_probe,
 )
 
 # Frozen reference values for the fringe geometry (lambda=810 nm, sigma=3 mm,
@@ -326,44 +329,76 @@ def test_leggauss_is_cached_read_only():
         w[0] = 0.0
 
 
-@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (1, 5), (1000,), (5, 5, 5, 5)])
-def test_doubling_probe_spans_the_output(shape):
-    probe = doubling_probe(shape)
-    assert len(probe) == len(shape)
-    points = np.zeros(shape, dtype=bool)
-    points[probe] = True
-    assert points.sum() <= max(DOUBLING_PROBE_POINTS, 2 ** len(shape))
-    for axis, n in enumerate(shape):
-        picked = np.unique(probe[axis].ravel())
-        assert picked[0] == 0 and picked[-1] == n - 1
-        gaps = np.diff(picked)
-        if gaps.size:
-            assert gaps.max() - gaps.min() <= 1      # evenly strided
-    if len(shape) == 2:
-        # first and last rows and columns all carry probes
-        assert points[0].any() and points[-1].any()
-        assert points[:, 0].any() and points[:, -1].any()
-    assert doubling_probe(()) == ()
+@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])
+def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
+    # the one probe left is the image map's: converged_nodes checks at most
+    # 16 evenly strided camera rows and columns, the first and last included
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
+    m = ghost_magnification(params, imaging_lens)
+    ny, nx = shape
+    grid = GridSpec(nx=nx, ny=ny, extent_x=m * 0.5e-3 * min(nx, 8),
+                    extent_y=m * 0.5e-3 * min(ny, 8))
+    calls = []
+
+    def flat_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
+        calls.append((x2c, y2c))
+        return np.ones((y2c.size, x2c.size), dtype=complex)
+
+    monkeypatch.setattr(experiments, "pattern_image_field", flat_field)
+    cmap = ghost_image_map(params, imaging_lens, half_plane_pattern(n=8), np.deg2rad(-45.0),
+                           np.deg2rad(-45.0), grid)
+    assert cmap.meta["lens_path"] == "quadrature"
+    *checked, (x2c, y2c) = calls
+    assert len(checked) == 2
+    np.testing.assert_array_equal(x2c, grid.x_centers())
+    np.testing.assert_array_equal(y2c, grid.y_centers())
+    for x2p, y2p in checked:
+        assert x2p.size * y2p.size <= 256
+        for probe, full in ((x2p, x2c), (y2p, y2c)):
+            picked = np.flatnonzero(np.isin(full, probe))
+            np.testing.assert_array_equal(full[picked], probe)
+            assert picked.size == min(full.size, 16)
+            assert picked[0] == 0 and picked[-1] == full.size - 1
+            gaps = np.diff(picked)
+            if gaps.size:
+                assert gaps.max() - gaps.min() <= 1      # evenly strided
+
+
+def test_doubling_search_evaluates_each_count_once_and_returns_its_values():
+    # the values settle between 128 and 256 nodes; the search asks for each
+    # count once and hands back every value at the count it chose
+    asked = []
+
+    def evaluate(n):
+        asked.append(n)
+        return np.array([1.0, 2.0, 4.0 + 1e6 * 2.0 ** (-n / 2)])
+
+    nodes, change, values = converged_nodes(evaluate, 32, QuadSettings(), "the map")
+    assert nodes == 128 and change < 1e-13
+    assert asked == [32, 64, 128, 256]
+    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0 + 1e6 * 2.0**-64])
 
 
 def _settled_at(fine):
-    """A doubling probe whose values are [1, 2, 4] at 64 nodes and fine at 128."""
+    """Values [1, 2, 4] at 64 nodes and [1, 2, 4] + fine at 128."""
     coarse = np.array([1.0, 2.0, 4.0])
-    return lambda n, probe: coarse if n == 64 else coarse + fine
+    return lambda n: coarse if n == 64 else coarse + fine
 
 
 def test_doubling_check_raises_above_tolerance():
     quad = QuadSettings(nodes=64, check=True)
-    converged_nodes(_settled_at([0, 0, 4e-8]), (3,), 64, quad, "the map")   # change 1e-8
+    converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")   # change 1e-8
     with pytest.raises(ConvergenceError, match="64 -> 128 nodes changed the map by 1.000e-07"):
-        converged_nodes(_settled_at([0, 0, 4e-7]), (3,), 64, quad, "the map")
+        converged_nodes(_settled_at([0, 0, 4e-7]), 64, quad, "the map")
 
 
 def test_doubling_check_returns_the_change():
     quad = QuadSettings(nodes=64, check=True)
-    assert converged_nodes(_settled_at([0, 0, 4e-8]), (3,), 64, quad, "the map") == (
-        64, pytest.approx(1e-8)
-    )
+    nodes, change, values = converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")
+    assert (nodes, change) == (64, pytest.approx(1e-8))
+    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0])
     coarse = np.array([1.0, 2.0, 4.0])
     assert doubling_change(coarse, coarse + [0, 0, -4e-7]) == pytest.approx(1e-7)
 
@@ -373,9 +408,10 @@ def test_doubling_check_warns_without_check():
     # returns the change
     message = "64 -> 128 nodes changed the map by 1.000e-07"
     with pytest.warns(ApertureSamplingWarning, match=message) as caught:
-        assert converged_nodes(
-            _settled_at([0, 0, 4e-7]), (3,), 64, QuadSettings(nodes=64), "the map"
-        ) == (64, pytest.approx(1e-7))
+        nodes, change, _ = converged_nodes(
+            _settled_at([0, 0, 4e-7]), 64, QuadSettings(nodes=64), "the map"
+        )
+    assert (nodes, change) == (64, pytest.approx(1e-7))
     assert caught[0].filename == __file__
 
 

@@ -4,11 +4,14 @@ with a line that starts with ``error:``, never in a traceback or SystemExit.
 Grids stay small (cameras up to 32 x 32, patterns up to 16 x 16, exposures
 of at most a few seconds), so one run takes milliseconds. Every other value
 is drawn from plausible settings and from zero, negative, huge, non-finite
-and non-numeric text.
+and non-numeric text. One test sets a few keys at a time, each bad one time
+in four; the other sets every key of a subcommand at once, each bad one
+time in twenty, so that many of its runs reach a map.
 """
 
 import contextlib
 import io as stdio
+import os
 import tempfile
 import warnings
 
@@ -20,6 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ghostsim.cli import COMMANDS as CLI_COMMANDS  # noqa: E402
 from ghostsim.cli import main  # noqa: E402
+from ghostsim.experiments import uniform_pattern  # noqa: E402
+from ghostsim.io import save_pattern  # noqa: E402
 
 BAD_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "inf", "-inf", "nan", "abc", "", "1.5"]
 # counts and sizes: bad values, but none huge enough to cost time or memory
@@ -42,8 +47,8 @@ IMAGE = dict(
     # an infinite extent once ran the whole contraction before it failed
     pattern_extent_x=["4e-3", "2e-3", "inf"],
     pattern_extent_y=["4e-3"],
-    # no file, or one that does not exist
-    pattern=["", "missing.pgm"],
+    # no file, one that does not exist, or a saved 8 x 8 pattern
+    pattern=["", "missing.pgm", "saved.txt"],
     extent_x=["0", "4e-3"],
     extent_y=["0", "4e-3"],
     center_x=["0", "1e-3"],
@@ -125,18 +130,60 @@ for _command, _pools in COMMANDS.items():
 DERIVED = ("nodes", "telescope_scale", "extent_x", "extent_y")
 
 
-def _is_negative(arg, key):
-    """Whether arg is --key=<a negative number>."""
-    flag, _, text = arg.partition("=")
+def _text(argv, key):
+    """The value text of --key=<text> in argv, or None."""
+    flag = "--" + key.replace("_", "-") + "="
+    return next((arg[len(flag):] for arg in argv if arg.startswith(flag)), None)
+
+
+def _number(argv, key):
+    """The value of --key=<number> in argv, or None if absent or not a number."""
     try:
-        return flag == "--" + key.replace("_", "-") and float(text) < 0
-    except ValueError:
-        return False
+        return float(_text(argv, key))
+    except (TypeError, ValueError):
+        return None
 
 
-def _value(good, bad):
-    """One value in four from bad, so that most runs get far enough to work."""
-    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 3 else good))
+def _must_fail(argv):
+    """Whether argv holds a value the CLI must refuse with exit 2."""
+    command = argv[0]
+    # 0 derives these keys; a negative value is an error, never derived
+    if any((_number(argv, key) or 0) < 0 for key in DERIVED):
+        return True
+    # pattern_n is checked whether or not a pattern file is given
+    pattern_n = _number(argv, "pattern_n")
+    if command in ("image", "montecarlo") and pattern_n is not None and pattern_n <= 0:
+        return True
+    # the closed form takes no node count
+    return (command == "amplitude" and _text(argv, "oracle") in (None, "0")
+            and _text(argv, "nodes") not in (None, "0"))
+
+
+def _runs_cleanly(argv):
+    """Run argv and assert exit 0, or exit 2 with an error: line, never a
+    traceback; "saved.txt" names an 8 x 8 pattern saved in the run's
+    directory."""
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        saved = os.path.join(tmp, "saved.txt")
+        save_pattern(saved, uniform_pattern(n=8, extent=2e-3))
+        run = [arg.replace("=saved.txt", "=" + saved) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(run + ["--out", os.path.join(tmp, "out")])
+    text = err.getvalue()
+    assert code in (0, 2), (argv, code, text)
+    if _must_fail(argv):
+        assert code == 2, (argv, text)
+    assert "Traceback" not in text
+    if code == 2:
+        assert any(line.startswith("error: ") for line in text.splitlines()), (argv, text)
+
+
+def _value(good, bad, one_in=4):
+    """One value in one_in from bad, the rest from good."""
+    return st.integers(1, one_in).flatmap(
+        lambda i: st.sampled_from(bad if i == one_in else good))
 
 
 @st.composite
@@ -178,18 +225,28 @@ def argvs(draw):
 @example(argv=["amplitude", "--samples=5", "--oracle=1", "--nodes=-1"])
 @example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=4", "--telescope-scale=-1"])
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=4", "--extent-y=-1"])
+@example(argv=["amplitude", "--samples=5", "--nodes=128"])
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern=saved.txt", "--pattern-n=0"])
+@example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern=saved.txt", "--pattern-n=-1"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
-    out, err = stdio.StringIO(), stdio.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", tmp])
-    text = err.getvalue()
-    assert code in (0, 2), (argv, code, text)
-    # 0 derives these keys; a negative value is an error, never derived
-    if any(_is_negative(arg, key) for arg in argv for key in DERIVED):
-        assert code == 2, (argv, text)
-    assert "Traceback" not in text
-    if code == 2:
-        assert any(line.startswith("error: ") for line in text.splitlines()), (argv, text)
+    _runs_cleanly(argv)
+
+
+@st.composite
+def full_argvs(draw, command):
+    """command with every pooled key set, each bad one time in twenty."""
+    free, sized, counts = COMMANDS[command]
+    chosen = {}
+    for pools, bad in (({**sized, **counts}, BAD_COUNTS), (free, BAD_NUMBERS)):
+        for key, good in pools.items():
+            chosen[key] = draw(_value(good, bad, 20))
+    return [command] + [f"--{key.replace('_', '-')}={text}" for key, text in chosen.items()]
+
+
+# twelve examples a subcommand, sixty in all
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_cli_with_every_key_set_ends_in_exit_0_or_an_error_line(command, data):
+    _runs_cleanly(data.draw(full_argvs(command), label="argv"))

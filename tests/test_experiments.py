@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ghostsim import experiments
 from ghostsim import (
     ApertureSamplingWarning,
     CoincidenceMap,
@@ -438,6 +439,41 @@ def test_clipped_map_converges_at_default_settings(imaging_lens):
     assert np.max(np.abs(auto.values - ref.values)) <= 1e-10
 
 
+def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
+    imaging_lens, monkeypatch
+):
+    # the check at n and 2n sees at most 16 camera columns and rows, evenly
+    # strided with the first and last included; only the chosen count runs
+    # on the whole camera
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
+    m = ghost_magnification(params, imaging_lens)
+    grid = GridSpec(nx=40, ny=8, extent_x=m * 4e-3, extent_y=m * 4e-3)
+    calls = []
+
+    def recorded(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
+        calls.append((x2c, y2c, nodes))
+        return field(params, lens, weights, x1c, y1c, x2c, y2c, nodes)
+
+    field = experiments.pattern_image_field
+    monkeypatch.setattr(experiments, "pattern_image_field", recorded)
+    cmap = _auto_image(params, imaging_lens, half_plane_pattern(n=8), -45.0, grid)
+    *checked, (x2c, y2c, nodes) = calls
+    assert nodes == cmap.meta["aperture_nodes"] > 0
+    np.testing.assert_array_equal(x2c, grid.x_centers())
+    np.testing.assert_array_equal(y2c, grid.y_centers())
+    counts = [n for _, _, n in checked]
+    assert counts == [32 * 2**i for i in range(len(counts))] and counts[-2] == nodes
+    for x2p, y2p, _ in checked:
+        for probe, full in ((x2p, grid.x_centers()), (y2p, grid.y_centers())):
+            index = np.flatnonzero(np.isin(full, probe))
+            np.testing.assert_array_equal(full[index], probe)
+            assert index.size == min(full.size, 16)
+            assert index[0] == 0 and index[-1] == full.size - 1
+            assert np.ptp(np.diff(index)) <= 1
+
+
 def test_closed_form_map_matches_quadrature_map(imaging_params, imaging_lens):
     # default geometry: the 4 mm half-plane pattern, camera in the image plane
     m = ghost_magnification(imaging_params, imaging_lens)
@@ -502,6 +538,31 @@ def test_image_doubling_check_catches_coarse_nodes(imaging_params, imaging_lens)
             imaging_params, imaging_lens, pattern, np.deg2rad(-45.0), np.deg2rad(-45.0),
             grid, quad=QuadSettings(nodes=64, check=True, tol=1e-10),
         )
+
+
+def test_an_absorbing_object_darkens_its_image(imaging_params, imaging_lens):
+    # a flat pattern between crossed polarizers images bright; transmission 0
+    # on its x < 0 half darkens the camera's x > 0 half, since the image is
+    # inverted
+    m = ghost_magnification(imaging_params, imaging_lens)
+    grid = GridSpec(nx=64, ny=64, extent_x=m * 4e-3, extent_y=m * 4e-3)
+    flat = uniform_pattern(n=32, extent=4e-3)
+
+    def image(transmission):
+        pattern = PhasePattern(flat.grid, flat.pitch, flat.origin, aperture=transmission)
+        return ghost_image_map(imaging_params, imaging_lens, pattern,
+                               np.deg2rad(45.0), np.deg2rad(-45.0), grid)
+
+    half_open = np.ones((32, 32))
+    half_open[:, :16] = 0.0
+    cut = image(half_open)
+    assert grid.x_centers()[31] < 0 < grid.x_centers()[32]
+    assert cut.values[:, 32:].mean() < 0.01 and cut.values[:, :32].mean() > 0.5
+    assert cut.values[:, 48:].max() <= 1e-70
+    # a uniform transmission t scales the field by t: the raw peak by t^2
+    opened, grey = image(None), image(np.full((32, 32), 0.5))
+    assert grey.meta["raw_peak"] == 0.25 * opened.meta["raw_peak"]
+    np.testing.assert_array_equal(grey.values, opened.values)
 
 
 def test_camera_grid_must_resolve_magnified_pattern(imaging_params, imaging_lens):

@@ -921,6 +921,37 @@ def test_cli_rejects_a_negative_derived_value_before_any_map(
     assert "must be >= 0 (0 derives it)" in err
 
 
+def test_cli_closed_form_amplitude_refuses_a_node_count(tmp_path, capsys, monkeypatch):
+    import ghostsim.cli as cli
+
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("the closed form ran with a node count it ignores")
+
+    # it ran, and its table and config echo recorded nodes = 128
+    monkeypatch.setattr(cli, "closed_form_amplitude", no_amplitude)
+    err = _fails_fast(["amplitude", "--nodes", "128"], tmp_path / "amp", capsys)
+    assert err == ("error: nodes = 128 sets the oracle's quadrature; the closed form "
+                   "(oracle = 0) takes no node count\n")
+
+
+@pytest.mark.parametrize("command", ["image", "montecarlo"])
+def test_cli_checks_pattern_n_although_a_pattern_file_is_given(
+    tmp_path, capsys, monkeypatch, command
+):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed with pattern_n = 0")
+
+    # image ran and exited 0, montecarlo exited 2
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    pattern = tmp_path / "pat.txt"
+    save_pattern(str(pattern), uniform_pattern(n=8))
+    argv = [command, "--pattern", str(pattern), "--pattern-n", "0"]
+    err = _fails_fast(argv, tmp_path / command, capsys)
+    assert err == "error: pattern size n must be >= 1, got 0\n"
+
+
 def test_cli_montecarlo_negative_seed_fails_before_any_map(tmp_path, capsys, monkeypatch):
     import ghostsim.cli as cli
 

@@ -202,7 +202,7 @@ def test_far_from_conjugate_point_converges_against_on_axis_value(
         imaging_params, imaging_lens, 0.0, 0.0, 1e-3, 0.0, QuadSettings(check=True)
     )
     assert abs(value) < 1e-8
-    [(nodes, change)] = chosen
+    [(nodes, change, _)] = chosen
     assert nodes <= 256 and change <= 1e-8
 
 
@@ -359,7 +359,7 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
     Ey = np.exp(-1j * params.k * np.outer(eta, y2c) / lens.v)
     H = (Fx @ (weights.T @ Fy.T)) * W
     acc = Ex.T @ (H @ Ey)
-    return (acc * out_phase.T / _on_axis_raw(params, lens, nodes)).T
+    return (acc * out_phase.T / _on_axis_raw(params, lens)).T
 
 
 def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
@@ -651,30 +651,44 @@ def test_dense_mask_lattice_converges_to_the_disc_rule_at_first_order(imaging_le
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.2)
 
 
-@pytest.mark.parametrize("n", [512, 2048])
-def test_on_axis_reference_is_the_point_paths_own(imaging_lens, n):
-    params = _wide_source()
-    x1, y1, x2, y2 = (np.append(a, 0.0) for a in _psf_line(params, imaging_lens))
-    ref = _on_axis_raw(params, imaging_lens, n)
-    # the point path at the origin, inside a batch, is the reference itself
-    assert ref == _imaging_raw(params, imaging_lens, x1, y1, x2, y2, n)[-1]
-    assert abs(_point_amplitude(params, imaging_lens, x1, y1, x2, y2, n)[-1] - 1.0) < 1e-15
-    # an image map divides by the same reference: a unit pixel at the origin
+@pytest.mark.parametrize("sigma", [3e-3, 40e-3])
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
+    zero = np.zeros(1)
+    ref = _on_axis_raw(params, imaging_lens)
+    # the disc rule's own on-axis sum converges to the closed-form integral
+    disc = _imaging_raw(params, imaging_lens, zero, zero, zero, zero, n)[0]
+    assert abs(disc / ref - 1.0) <= 1e-14
+    # a point at the origin normalizes to 1, and so does a unit pixel there
+    point = _point_amplitude(params, imaging_lens, zero, zero, zero, zero, n)[0]
+    assert abs(point - 1.0) <= 1e-14
     field = pattern_image_field(
-        params, imaging_lens, np.ones((1, 1)), np.zeros(1), np.zeros(1),
-        np.zeros(1), np.zeros(1), nodes=n,
+        params, imaging_lens, np.ones((1, 1)), zero, zero, zero, zero, nodes=n,
     )
-    assert abs(field[0, 0] - 1.0) < 1e-13
+    assert abs(field[0, 0] - 1.0) <= 1e-13
 
 
-def test_a_psf_scan_builds_each_on_axis_reference_once(imaging_lens):
+def test_a_psf_scan_evaluates_each_node_count_once(imaging_lens, monkeypatch):
+    # the doubling search checks every point at 32 and 64 nodes and returns
+    # the values at 32; nothing is evaluated again, and the on-axis
+    # reference takes no quadrature
     params = _wide_source()
-    _on_axis_raw.cache_clear()
-    for _ in range(2):
-        imaging_amplitude(params, imaging_lens, *_psf_line(params, imaging_lens))
-    # the doubling search probes 32 and 64 nodes and evaluates at 32
-    info = _on_axis_raw.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    pts = _psf_line(params, imaging_lens)
+    calls = []
+
+    def counted(params, lens, x1, y1, x2, y2, nodes):
+        calls.append((nodes, x1.size))
+        return raw(params, lens, x1, y1, x2, y2, nodes)
+
+    raw = optics._imaging_raw
+    monkeypatch.setattr(optics, "_imaging_raw", counted)
+    value = imaging_amplitude(params, imaging_lens, *pts)
+    assert calls == [(32, 141), (64, 141)]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 32))
 
 
 def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):
@@ -701,16 +715,16 @@ def test_explicit_node_count_is_capped():
     with pytest.raises(ParameterError, match="exceeds"):
         QuadSettings(nodes=MAX_NODES + 1)
 
-    # a probe that never settles: the search stops at MAX_NODES, an explicit
+    # values that never settle: the search stops at MAX_NODES, an explicit
     # count is checked against its double only
-    def never_settles(n, probe):
+    def never_settles(n):
         asked.append(n)
         return np.array([1.0 + 1.0 / n])
 
     for quad, start, used in ((QuadSettings(), 32, MAX_NODES), (QuadSettings(nodes=64), 64, 64)):
         asked = []
         with pytest.warns(ApertureSamplingWarning):
-            nodes, change = converged_nodes(never_settles, (), start, quad, "the probe")
+            nodes, change, _ = converged_nodes(never_settles, start, quad, "the values")
         assert nodes == used and asked[-1] == 2 * used and change > quad.tol
     assert asked == [64, 128]
 
