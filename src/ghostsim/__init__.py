@@ -65,7 +65,6 @@ from .optics import (
     fresnel_kernel,
     ghost_magnification,
     imaging_amplitude,
-    lens_phase,
 )
 from .polarization import (
     STANDARD_CHSH_ANGLES,

@@ -26,8 +26,9 @@ adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 The Gauss-Legendre rule itself (``_leggauss``) lives here too, and so does
 ``converged_nodes``: the one function that picks and checks the node count
 of every quadrature in the package (the oracle and the aperture). It
-compares every value its caller evaluates at n and 2n nodes and hands back
-the values at the count it chose, so no caller evaluates that count again.
+compares every value its caller evaluates at n and 2n nodes against
+DOUBLING_TOL and hands back the values at the count it chose, so no caller
+evaluates that count again.
 """
 
 from __future__ import annotations
@@ -114,6 +115,14 @@ class SourceParams:
 MAX_NODES = 2048
 
 
+# half-width of the oracle's source integral in units of sigma: the
+# Gaussian envelope exp(-t^2/sigma^2) is exp(-16) = 1.1e-7 at its ends
+ORACLE_HALF_WIDTH_SIGMAS = 4.0
+
+# relative change at which node doubling counts a quadrature as converged
+DOUBLING_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class QuadSettings:
     """Gauss-Legendre quadrature controls.
@@ -121,16 +130,14 @@ class QuadSettings:
     nodes: nodes per axis, 64 to MAX_NODES; None lets each consumer pick its
       default (2048 for the source oracle, a doubling search from 32 for the
       aperture quadrature).
-    half_width_sigmas: source-integral truncation half-width in units of sigma.
-    check: when True, a doubling change above tol raises ConvergenceError
-      (the oracle is checked only then; the other quadratures warn).
-    tol: relative tolerance for the doubling check.
+    check: when True, a doubling change above DOUBLING_TOL raises
+      ConvergenceError (the oracle is checked only then; the other
+      quadratures warn), and optics.lens_plane_nodes holds the closed form
+      to DOUBLING_TOL.
     """
 
     nodes: Optional[int] = None
-    half_width_sigmas: float = 4.0
     check: bool = False
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.nodes is not None and self.nodes < 64:
@@ -139,10 +146,6 @@ class QuadSettings:
             raise ParameterError(
                 f"{self.nodes} quadrature nodes per axis exceeds the limit {MAX_NODES}"
             )
-        if self.half_width_sigmas < 4.0:
-            raise ParameterError("integration half-width must be >= 4 sigma")
-        if self.tol <= 0:
-            raise ParameterError("tolerance must be positive")
 
 
 ORACLE_DEFAULT_NODES = 2048
@@ -230,9 +233,12 @@ def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
 
     floor is the least scale the change is measured against: a normalized
     output passes the value it is normalized to, so that values far below
-    it are not held to a relative tolerance of their own.
+    it are not held to a relative tolerance of their own. No values change
+    by 0.
     """
     coarse, fine = np.ravel(coarse), np.ravel(fine)
+    if not fine.size:
+        return 0.0
     scale = max(float(np.max(np.abs(fine))), floor)
     return float(np.max(np.abs(fine - coarse))) / scale
 
@@ -244,19 +250,19 @@ def converged_nodes(evaluate, nodes: int, quad: QuadSettings, what: str,
     evaluate(n) returns the values to check with n nodes per axis, and
     values is what it returned at the chosen count. Without quad.nodes the
     count doubles from nodes until doubling it moves the values by at most
-    quad.tol (doubling_change against floor), or reaches MAX_NODES; an
+    DOUBLING_TOL (doubling_change against floor), or reaches MAX_NODES; an
     explicit count is checked once against its double. A miss raises
     ConvergenceError under quad.check, else warns ApertureSamplingWarning at
     the caller's line. what names the result in the message.
     """
     coarse, fine = evaluate(nodes), evaluate(2 * nodes)
     while (quad.nodes is None and nodes < MAX_NODES
-           and doubling_change(coarse, fine, floor) > quad.tol):
+           and doubling_change(coarse, fine, floor) > DOUBLING_TOL):
         nodes, coarse, fine = 2 * nodes, fine, evaluate(4 * nodes)
     change = doubling_change(coarse, fine, floor)
-    if change > quad.tol:
+    if change > DOUBLING_TOL:
         message = (f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
-                   f"{change:.3e} relative (tol {quad.tol:g})")
+                   f"{change:.3e} relative (tol {DOUBLING_TOL:g})")
         if quad.check:
             raise ConvergenceError(message)
         warnings.warn(message, ApertureSamplingWarning, stacklevel=outside_stacklevel())
@@ -451,7 +457,7 @@ def quadrature_oracle_amplitude(
 
     Independent of the closed form: the source integral factorizes into an
     x and a y integral of exp(-t^2/sigma^2) * exp(i k/2 ((a1-t)^2/s1 +
-    (a2-t)^2/s2)) over t in +-quad.half_width_sigmas * sigma, each taken by
+    (a2-t)^2/s2)) over t in +-ORACLE_HALF_WIDTH_SIGMAS * sigma, each taken by
     Gauss-Legendre quadrature with oracle_nodes(quad) nodes. Expanding the
     square splits off the phase exp(i k/2 (a1^2/s1 + a2^2/s2)) and leaves a
     sum that depends on the point only through u = a1/s1 + a2/s2
@@ -463,7 +469,7 @@ def quadrature_oracle_amplitude(
     the nodes.
     """
     nodes = oracle_nodes(quad)
-    half_width = quad.half_width_sigmas * params.sigma
+    half_width = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
     k, s1, s2 = params.k, params.s1, params.s2
     pts = _broadcast_points(x1, y1, x2, y2)
     a1, b1, a2, b2 = (a.ravel() for a in pts)

@@ -16,12 +16,13 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   lens and Fresnel terms (``lens_axis_kernel``), so over the whole plane the
   integral is exact and Phi_I = Kx * Ky * output phase; an image map is two
   small matrix products, Ky^T W Kx. It leaves out the aperture, which
-  ``clip_bound`` shows to change the normalized amplitude by at most
-  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2). The map kernels
-  depend on the geometry only, never on the pattern or the polarizer
-  angles: each is built once, its entries below KERNEL_FLOOR zeroed, and
-  cached (``_phased_map_kernel``), so a sweep over one geometry is two
-  matmuls a map.
+  changes the normalized amplitude by at most the clip bound
+  b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2), which
+  ``lens_plane_nodes`` alone forms and derives. The map kernels depend on
+  the geometry only, never on the pattern or the polarizer angles: each is
+  built once, its entries below KERNEL_FLOOR zeroed, and cached
+  (``_phased_map_kernel``), so a sweep over one geometry is two matmuls a
+  map.
 - quadrature over the aperture disc (``_disc_rule``): outer nodes
   xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
   set whose weights W integrate exactly over each outer node's chord. The
@@ -39,13 +40,13 @@ quadrature, and never build an (ny2, nx2) phase map.
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
-is at most the tolerance (quad.tol under quad.check, else
+is at most the tolerance (biphoton.DOUBLING_TOL under quad.check, else
 APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
 that reach min(s1, s2) from the axis. On the quadrature path the package's
 one node-doubling search, ``biphoton.converged_nodes``, doubles the node
 count from APERTURE_START_NODES until every point amplitude (for image maps:
-a strided sub-camera of at most 16 x 16 pixels) moves by at most quad.tol,
-or checks an explicit count once the same way. The
+a strided sub-camera of at most 16 x 16 pixels) moves by at most
+DOUBLING_TOL, or checks an explicit count once the same way. The
 quadrature path is the independent oracle the closed form is tested against
 where nothing clips.
 """
@@ -60,6 +61,7 @@ from typing import Tuple
 import numpy as np
 
 from .biphoton import (
+    DOUBLING_TOL,
     QuadSettings,
     SourceParams,
     _axis_coefficients,
@@ -84,10 +86,11 @@ _POINT_BLOCK_ELEMENTS = 1 << 20
 # so a point's value does not depend on the points evaluated with it
 _POINT_CHUNK = 16
 
-# clip_bound at or below which the closed form replaces the aperture
-# quadrature when quad.check is off. In the default geometry (sigma = 3 mm,
-# s1 = 1.33 m, s2 = 1.5 m, f = 1.5 m, 25 mm aperture) it admits object points
-# out to a radius of ~5 mm; the default 4 mm pattern gives 8.6e-6.
+# clip bound (lens_plane_nodes) at or below which the closed form replaces
+# the aperture quadrature when quad.check is off. In the default geometry
+# (sigma = 3 mm, s1 = 1.33 m, s2 = 1.5 m, f = 1.5 m, 25 mm aperture) it
+# admits object points out to a radius of ~5 mm; the default 4 mm pattern
+# gives 8.6e-6.
 APERTURE_CLIP_TOL = 1e-4
 
 # first aperture node count per axis of the doubling search (converged_nodes)
@@ -103,7 +106,7 @@ APERTURE_START_NODES = 32
 # floor above ~1e-140 would do.
 # Accuracy: K(0, 0) = 1 and |K| <= 1 up to 2e-4, so a point amplitude
 # Kx Ky changes by at most 2 * KERNEL_FLOOR in on-axis units, 90 orders of
-# magnitude below clip_bound.
+# magnitude below the clip bound.
 KERNEL_FLOOR = 1e-100
 
 
@@ -142,15 +145,6 @@ class LensSystem:
     @property
     def magnification(self) -> float:
         return self.v / self.u
-
-
-def lens_phase(f: float, k: float, xi, eta) -> np.ndarray:
-    """Unit-magnitude lens factor exp(-i k (xi^2 + eta^2) / (2 f))."""
-    if f <= 0:
-        raise ParameterError("focal length must be positive")
-    xi = np.asarray(xi, float)
-    eta = np.asarray(eta, float)
-    return np.exp(-1j * k * (xi * xi + eta * eta) / (2.0 * f))
 
 
 def fresnel_kernel(dist: float, k: float, dx, dy) -> np.ndarray:
@@ -222,19 +216,27 @@ def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarr
     return np.exp(B * B / (4 * A) + C)
 
 
-def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
-    """Bound on how much the aperture changes imaging amplitudes of these objects.
+def lens_plane_nodes(
+    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1
+) -> Tuple[int, float]:
+    """Path choice for these object points: (nodes, clip_bound).
 
-    x1, y1 are object-plane coordinates (any shapes). The result bounds
-    |closed form - aperture-clipped value| of the normalized Phi_I, in units
-    of the on-axis value, for every image point.
+    Object points that reach min(s1, s2) from the axis, 20 times the
+    paraxial budget, lie beyond the model: ParameterError, before any kernel
+    is built. nodes is 0 for the closed form, which runs iff quad.nodes is
+    None and the clip bound is at most the limit: DOUBLING_TOL when
+    quad.check is set, else APERTURE_CLIP_TOL. Otherwise nodes is the
+    aperture quadrature's first count per axis (aperture_nodes), so an
+    explicit quad.nodes always means quadrature.
 
-    Derivation. With the coefficients of lens_axis_kernel,
-    (Re B)^2 / (4 Re A) + Re C = 0, so the integrand magnitude per axis is
-    exactly exp(-Re A (xi - xi_c)^2): a Gaussian of peak 1 centred on
-    xi_c = -(s2/s1) a1. In the plane the centre sits at radius
-    r_c = (s2/s1) hypot(max|x1|, max|y1|) at most, and the disc of radius
-    rho - r_c about it lies inside the aperture, so the part of the
+    clip_bound bounds |closed form - aperture-clipped value| of the
+    normalized Phi_I at these object points (x1, y1, any shapes), in units
+    of the on-axis value, for every image point. With the coefficients of
+    lens_axis_kernel, (Re B)^2 / (4 Re A) + Re C = 0, so the integrand
+    magnitude per axis is exactly exp(-Re A (xi - xi_c)^2): a Gaussian of
+    peak 1 centred on xi_c = -(s2/s1) a1. In the plane the centre sits at
+    radius r_c = (s2/s1) hypot(max|x1|, max|y1|) at most, and the disc of
+    radius rho - r_c about it lies inside the aperture, so the part of the
     integral outside the aperture is at most
     (pi / Re A) exp(-Re A (rho - r_c)^2). Against the unclipped on-axis
     value |pi / A| that is b(r_c), with
@@ -245,24 +247,23 @@ def clip_bound(params: SourceParams, lens: LensSystem, x1, y1) -> float:
     differs from pi / A by at most b(0) relative; with |K| <= 1 (true up to
     |A| / Re A - 1, 2e-4 in the default geometry) and to first order, the
     two add to clip_bound = b(r_c) + b(0). It is 8.6e-6 for the default
-    4 mm pattern, and 1.8 on axis for a sigma = 40 mm source, whose
-    lens-plane envelope the aperture clips.
+    4 mm pattern, 4.4e-7 on axis, 1.8e-17 on axis under a 40 mm aperture,
+    and 1.8 on axis for a sigma = 40 mm source, whose lens-plane envelope
+    the aperture clips.
 
     Closed-form image maps also zero kernel entries below KERNEL_FLOOR,
     which adds at most 2 * KERNEL_FLOOR = 2e-100 per point to their error.
-    The returned bound leaves that out: it is 90 orders of magnitude below
-    the default pattern's bound.
+    The bound leaves that out: it is 90 orders of magnitude below the
+    default pattern's bound.
     """
-    return _reach_clip_bound(params, lens, _object_reach(x1, y1))
-
-
-def _object_reach(x1, y1) -> float:
-    """Largest object-plane radius hypot(max|x1|, max|y1|) of these points."""
-    return math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
-
-
-def _reach_clip_bound(params: SourceParams, lens: LensSystem, reach: float) -> float:
-    """clip_bound of object points at most reach from the axis."""
+    reach = math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
+    most = min(params.s1, params.s2)
+    if reach >= most:
+        raise ParameterError(
+            f"object points reach {reach:g} m from the axis, beyond the paraxial "
+            f"model's limit min(s1, s2) = {most:g} m"
+        )
+    nodes = aperture_nodes(quad)
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     rho = lens.aperture_radius
 
@@ -271,31 +272,8 @@ def _reach_clip_bound(params: SourceParams, lens: LensSystem, reach: float) -> f
             return 1.0
         return abs(A) / A.real * math.exp(-A.real * (rho - r) ** 2)
 
-    return b(params.s2 / params.s1 * reach) + b(0.0)
-
-
-def lens_plane_nodes(
-    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1
-) -> Tuple[int, float]:
-    """Path choice for these object points: (nodes, clip_bound).
-
-    Object points that reach min(s1, s2) from the axis, 20 times the
-    paraxial budget, lie beyond the model: ParameterError, before any kernel
-    is built. nodes is 0 for the closed form, which runs iff quad.nodes is
-    None and the clip bound is at most the limit: quad.tol when quad.check is
-    set, else APERTURE_CLIP_TOL. Otherwise nodes is the aperture quadrature's
-    first count per axis (aperture_nodes), so an explicit quad.nodes always
-    means quadrature.
-    """
-    reach, most = _object_reach(x1, y1), min(params.s1, params.s2)
-    if reach >= most:
-        raise ParameterError(
-            f"object points reach {reach:g} m from the axis, beyond the paraxial "
-            f"model's limit min(s1, s2) = {most:g} m"
-        )
-    nodes = aperture_nodes(quad)
-    bound = _reach_clip_bound(params, lens, reach)
-    limit = quad.tol if quad.check else APERTURE_CLIP_TOL
+    bound = b(params.s2 / params.s1 * reach) + b(0.0)
+    limit = DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL
     if quad.nodes is None and bound <= limit:
         nodes = 0
     return nodes, bound

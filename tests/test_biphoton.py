@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -25,6 +26,8 @@ from ghostsim import (
 )
 from ghostsim import biphoton, experiments
 from ghostsim.biphoton import (
+    DOUBLING_TOL,
+    ORACLE_HALF_WIDTH_SIGMAS,
     _faddeeva,
     _leggauss,
     axis_opening_mean,
@@ -75,10 +78,8 @@ def test_quad_settings_validation():
     QuadSettings(nodes=64)
     with pytest.raises(ParameterError):
         QuadSettings(nodes=32)
-    with pytest.raises(ParameterError):
-        QuadSettings(half_width_sigmas=3.0)
-    with pytest.raises(ParameterError):
-        QuadSettings(tol=0.0)
+    # the truncation and the tolerance are module constants, not settings
+    assert [f.name for f in dataclasses.fields(QuadSettings)] == ["nodes", "check"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +189,16 @@ def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params):
     with pytest.raises(ConvergenceError):
         quadrature_oracle_amplitude(
             fringe_params, 1e-3, 0.0, -0.5e-3, 0.0,
-            QuadSettings(nodes=64, check=True, tol=1e-10),
+            QuadSettings(nodes=64, check=True),
         )
+
+
+@pytest.mark.parametrize("quad", [QuadSettings(), QuadSettings(check=True)])
+def test_oracle_of_no_points_is_empty(fringe_params, quad):
+    # the doubling check under quad.check once took numpy's max of nothing
+    empty = np.zeros(0)
+    value = quadrature_oracle_amplitude(fringe_params, empty, empty, empty, empty, quad)
+    assert value.shape == (0,)
 
 
 def _direct_axis_integral(params, a1, a2, nodes, half_width):
@@ -206,12 +215,12 @@ def _direct_axis_integral(params, a1, a2, nodes, half_width):
     return integrand @ wts
 
 
-def _direct_oracle(params, x1, y1, x2, y2, quad):
+def _direct_oracle(params, x1, y1, x2, y2, nodes, half_width_sigmas):
     x1, y1, x2, y2 = (np.ravel(a) for a in np.broadcast_arrays(x1, y1, x2, y2))
-    half_width = quad.half_width_sigmas * params.sigma
-    ix = _direct_axis_integral(params, x1, x2, quad.nodes, half_width)
-    iy = _direct_axis_integral(params, y1, y2, quad.nodes, half_width)
-    i0 = _direct_axis_integral(params, 0.0, 0.0, quad.nodes, half_width)[0]
+    half_width = half_width_sigmas * params.sigma
+    ix = _direct_axis_integral(params, x1, x2, nodes, half_width)
+    iy = _direct_axis_integral(params, y1, y2, nodes, half_width)
+    i0 = _direct_axis_integral(params, 0.0, 0.0, nodes, half_width)[0]
     return ix * iy / i0**2
 
 
@@ -220,7 +229,8 @@ _LINE = np.linspace(-3e-3, 3e-3, 41)
 
 
 @pytest.mark.parametrize("nodes", [65, 2048])
-@pytest.mark.parametrize("half_width_sigmas", [4.0, 5.0])
+# the direct sum over the oracle's own truncation
+@pytest.mark.parametrize("half_width_sigmas", [ORACLE_HALF_WIDTH_SIGMAS])
 @pytest.mark.parametrize("points", [
     (_LATTICE[:, None, None, None], _LATTICE[None, :, None, None],
      _LATTICE[None, None, :, None], _LATTICE[None, None, None, :]),
@@ -231,22 +241,19 @@ def test_oracle_matches_direct_quadrature(fringe_params, nodes, half_width_sigma
     # the folded cosine sum over distinct shifts is the same quadrature as
     # the direct sum over all points and nodes, up to rounding; the direct
     # oracle's origin value is 1
-    quad = QuadSettings(nodes=nodes, half_width_sigmas=half_width_sigmas)
-    folded = quadrature_oracle_amplitude(fringe_params, *points, quad)
-    direct = _direct_oracle(fringe_params, *points, quad)
+    folded = quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+    direct = _direct_oracle(fringe_params, *points, nodes, half_width_sigmas)
     assert folded.shape == np.broadcast_shapes(*(np.shape(a) for a in points))
     assert np.max(np.abs(folded.ravel() - direct)) <= 1e-12
 
 
 def test_oracle_widening_window_is_stable(fringe_params):
-    # truncating the source integral at 4 sigma already buries the tail
+    # truncating the source integral at ORACLE_HALF_WIDTH_SIGMAS = 4 already
+    # buries the tail: the direct sum over 5 sigma moves it by less than 1e-6
     a = quadrature_oracle_amplitude(
         fringe_params, 1e-3, 0.0, -1e-3, 0.0, QuadSettings(nodes=2048)
     )
-    b = quadrature_oracle_amplitude(
-        fringe_params, 1e-3, 0.0, -1e-3, 0.0,
-        QuadSettings(nodes=2048, half_width_sigmas=5.0),
-    )
+    [b] = _direct_oracle(fringe_params, 1e-3, 0.0, -1e-3, 0.0, 2048, 5.0)
     assert abs(a - b) / abs(b) < 1e-6
 
 
@@ -388,9 +395,14 @@ def _settled_at(fine):
 
 
 def test_doubling_check_raises_above_tolerance():
+    # a change of DOUBLING_TOL = 1e-8 passes, one of 1e-7 raises
+    assert DOUBLING_TOL == 1e-8
     quad = QuadSettings(nodes=64, check=True)
-    converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")   # change 1e-8
-    with pytest.raises(ConvergenceError, match="64 -> 128 nodes changed the map by 1.000e-07"):
+    converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")
+    with pytest.raises(
+        ConvergenceError,
+        match=r"64 -> 128 nodes changed the map by 1.000e-07 relative \(tol 1e-08\)",
+    ):
         converged_nodes(_settled_at([0, 0, 4e-7]), 64, quad, "the map")
 
 
@@ -401,6 +413,8 @@ def test_doubling_check_returns_the_change():
     np.testing.assert_array_equal(values, [1.0, 2.0, 4.0])
     coarse = np.array([1.0, 2.0, 4.0])
     assert doubling_change(coarse, coarse + [0, 0, -4e-7]) == pytest.approx(1e-7)
+    # no values: no change, where numpy's max of nothing raised
+    assert doubling_change(np.zeros(0), np.zeros(0)) == 0.0
 
 
 def test_doubling_check_warns_without_check():

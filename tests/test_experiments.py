@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ghostsim import experiments
+from ghostsim.biphoton import DOUBLING_TOL
 from ghostsim import (
     ApertureSamplingWarning,
     CoincidenceMap,
@@ -275,7 +276,7 @@ def test_finite_slits_match_a_high_node_reference(fringe_params, d, width, cente
     grid = GridSpec(nx=256, ny=4, extent_x=1.5e-3, extent_y=2e-3)
     slit = DoubleSlit(d=d, slit_width=width, center=center)
     cmap = ghost_interference_map(fringe_params, slit, grid)
-    tol = QuadSettings().tol
+    tol = DOUBLING_TOL
     reference = _slit_reference(fringe_params, slit, grid)
     # the map is |factor|^2 over its peak: twice the factor's relative error,
     # and as much again from the peak it is normalized by
@@ -536,7 +537,7 @@ def test_image_doubling_check_catches_coarse_nodes(imaging_params, imaging_lens)
         warnings.simplefilter("ignore", ApertureSamplingWarning)
         ghost_image_map(
             imaging_params, imaging_lens, pattern, np.deg2rad(-45.0), np.deg2rad(-45.0),
-            grid, quad=QuadSettings(nodes=64, check=True, tol=1e-10),
+            grid, quad=QuadSettings(nodes=64, check=True),
         )
 
 

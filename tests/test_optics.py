@@ -22,12 +22,11 @@ from ghostsim import (
     ghost_magnification,
     half_plane_pattern,
     imaging_amplitude,
-    lens_phase,
     pattern_from_extent,
     uniform_pattern,
 )
 from ghostsim import experiments, optics
-from ghostsim.biphoton import _axis_coefficients, _leggauss
+from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, _leggauss
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     APERTURE_START_NODES,
@@ -38,7 +37,6 @@ from ghostsim.optics import (
     _lens_plane_coefficients,
     _on_axis_raw,
     _point_amplitude,
-    clip_bound,
     converged_nodes,
     lens_axis_kernel,
     lens_plane_nodes,
@@ -100,14 +98,7 @@ def test_ghost_magnification_requires_matching_geometry(imaging_params, imaging_
 def test_phase_kernels_are_pure_phases(imaging_params):
     k = imaging_params.k
     xi = np.linspace(-0.02, 0.02, 11)
-    np.testing.assert_allclose(np.abs(lens_phase(1.5, k, xi, 0.0)), 1.0, rtol=1e-13)
     np.testing.assert_allclose(np.abs(fresnel_kernel(3.0, k, xi, xi)), 1.0, rtol=1e-13)
-    # converging lens phase is the conjugate of free propagation over f
-    np.testing.assert_allclose(
-        lens_phase(1.5, k, xi, 0.3 * xi),
-        np.conj(fresnel_kernel(1.5, k, xi, 0.3 * xi)),
-        rtol=1e-13,
-    )
 
 
 def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
@@ -174,7 +165,7 @@ def test_psf_first_zero_tracks_aperture_airy_radius():
 def test_imaging_convergence_check(imaging_params, imaging_lens):
     imaging_amplitude(
         imaging_params, imaging_lens, 0.5e-3, 0.0, -0.55e-3, 0.0,
-        QuadSettings(check=True, tol=1e-10),
+        QuadSettings(check=True),
     )
     # 64 nodes cannot resolve the lens-plane phase of an image point 2 mm
     # from the conjugate of its object
@@ -262,14 +253,18 @@ def test_lens_plane_coefficients_are_the_sources_plus_the_lens_terms(
     assert A.real == P.real
 
 
+def _clip_bound(params, lens, x1, y1):
+    return lens_plane_nodes(params, lens, QuadSettings(), x1, y1)[1]
+
+
 def test_clip_bound_values(imaging_params, imaging_lens):
-    bound = clip_bound(
+    bound = _clip_bound(
         imaging_params, imaging_lens, DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS
     )
     assert bound == pytest.approx(8.6e-6, rel=0.02)
-    assert clip_bound(_wide_source(), imaging_lens, 0.0, 0.0) > 0.5
+    assert _clip_bound(_wide_source(), imaging_lens, 0.0, 0.0) > 0.5
     # an object centre imaged onto the lens plane beyond the rim bounds nothing
-    assert clip_bound(imaging_params, imaging_lens, 30e-3, 0.0) > 1.0
+    assert _clip_bound(imaging_params, imaging_lens, 30e-3, 0.0) > 1.0
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 2e-3, 4e-3])
@@ -281,7 +276,7 @@ def test_clip_bound_covers_closed_form_vs_quadrature(imaging_params, imaging_len
         imaging_params, imaging_lens, a, a, x2[None, :], x2[:, None], QuadSettings(check=True)
     )
     gap = float(np.max(np.abs(closed - quad)))
-    assert gap <= clip_bound(imaging_params, imaging_lens, a, a)
+    assert gap <= _clip_bound(imaging_params, imaging_lens, a, a)
     assert gap < 1e-5
     assert np.max(np.abs(closed)) == pytest.approx(1.0, abs=1e-4)
 
@@ -292,11 +287,11 @@ def test_closed_form_point_path_selected_at_default_geometry(imaging_params, ima
         DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
     )
     assert nodes == 0 and bound <= APERTURE_CLIP_TOL
-    # quad.check with a tolerance the bound meets keeps the closed form
-    nodes, _ = lens_plane_nodes(
-        imaging_params, imaging_lens, QuadSettings(check=True, tol=1e-4), 0.0, 0.0
-    )
-    assert nodes == 0
+    # quad.check holds the bound to DOUBLING_TOL: on axis a 40 mm aperture
+    # meets it and keeps the closed form (the default 25 mm one does not)
+    wide = LensSystem(f=1.5, u=2.83, aperture_radius=40e-3)
+    nodes, bound = lens_plane_nodes(imaging_params, wide, QuadSettings(check=True), 0.0, 0.0)
+    assert nodes == 0 and bound == pytest.approx(1.8e-17, rel=0.05) and bound < DOUBLING_TOL
 
 
 def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
@@ -307,11 +302,26 @@ def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, ima
     assert lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
     )[0] == 512
-    # a checked tolerance below the bound
+    # under quad.check a bound above DOUBLING_TOL: the default pattern, and
+    # the axis alone, which APERTURE_CLIP_TOL would pass
     assert lens_plane_nodes(
-        imaging_params, imaging_lens, QuadSettings(check=True, tol=1e-10),
+        imaging_params, imaging_lens, QuadSettings(check=True),
         DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
     )[0] == start
+    nodes, bound = lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(check=True), 0.0, 0.0
+    )
+    assert nodes == start and bound == pytest.approx(4.4e-7, rel=0.02)
+    assert DOUBLING_TOL < bound < APERTURE_CLIP_TOL
+
+
+@pytest.mark.parametrize("quad", [QuadSettings(nodes=64), QuadSettings(check=True)])
+def test_imaging_amplitude_of_no_points_is_empty(imaging_params, imaging_lens, quad):
+    # both runs take the quadrature path, whose doubling check once took
+    # numpy's max of nothing
+    empty = np.zeros(0)
+    value = imaging_amplitude(imaging_params, imaging_lens, empty, empty, empty, empty, quad)
+    assert value.shape == (0,)
 
 
 def test_object_points_beyond_the_paraxial_model_are_rejected(imaging_params, imaging_lens):
@@ -725,7 +735,7 @@ def test_explicit_node_count_is_capped():
         asked = []
         with pytest.warns(ApertureSamplingWarning):
             nodes, change, _ = converged_nodes(never_settles, start, quad, "the values")
-        assert nodes == used and asked[-1] == 2 * used and change > quad.tol
+        assert nodes == used and asked[-1] == 2 * used and change > DOUBLING_TOL
     assert asked == [64, 128]
 
 
