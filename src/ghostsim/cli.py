@@ -214,10 +214,14 @@ def _lens(cfg: dict) -> LensSystem:
 
 def _pattern(cfg: dict):
     extent = (cfg["pattern_extent_x"], cfg["pattern_extent_y"])
-    if cfg["pattern"]:
-        return load_pattern(cfg["pattern"], phase_scale=cfg["phase_scale"], extent=extent)
-    half = half_plane_pattern(n=cfg["pattern_n"], phi=np.deg2rad(cfg["pattern_phi"]))
-    return pattern_from_extent(half.grid, extent)
+    if not cfg["pattern"]:
+        half = half_plane_pattern(n=cfg["pattern_n"], phi=np.deg2rad(cfg["pattern_phi"]))
+        return pattern_from_extent(half.grid, extent)
+    # refused even where the file's pixel header leaves the extent unused
+    for axis, length in zip("xy", extent):
+        if not 0 < length < np.inf:
+            raise ConfigError(f"pattern_extent_{axis} must be finite and > 0, got {length}")
+    return load_pattern(cfg["pattern"], phase_scale=cfg["phase_scale"], extent=extent)
 
 
 def _grid(cfg: dict) -> GridSpec:

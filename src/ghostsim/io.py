@@ -200,8 +200,8 @@ def _bulk_rows(rows: list) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
-    """Write values rescaled to [0, maxval] as an ASCII graymap (magic P2).
+def save_pgm(path: str, values: np.ndarray) -> None:
+    """Write values rescaled to [0, PGM_MAXVAL] as an ASCII graymap (magic P2).
 
     Negative inputs are clipped to 0; if any were present, a sidecar file
     <path>.note records how many. Non-finite values raise ParameterError.
@@ -212,10 +212,10 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = PGM_MAXVAL) -> None:
     clipped = int(np.count_nonzero(values < 0))
     vals = np.clip(values, 0.0, None)
     top = float(vals.max())
-    gray = np.rint(vals / top * maxval).astype(int) if top > 0 else vals.astype(int)
+    gray = np.rint(vals / top * PGM_MAXVAL).astype(int) if top > 0 else vals.astype(int)
     ny, nx = gray.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"P2\n{nx} {ny}\n{maxval}\n")
+        fh.write(f"P2\n{nx} {ny}\n{PGM_MAXVAL}\n")
         fh.writelines(_format_rows(gray, "%d"))
     note = path + ".note"
     if clipped:
@@ -270,7 +270,6 @@ def load_pattern(
     path: str,
     phase_scale: float = np.pi,
     extent: Tuple[float, float] = (4e-3, 4e-3),
-    center: Tuple[float, float] = (0.0, 0.0),
 ) -> PhasePattern:
     """Load a phase pattern from a graymap or a numeric matrix file.
 
@@ -279,7 +278,7 @@ def load_pattern(
     save_pattern carry their values in radians and are restored exactly. A
     matrix file whose header holds all four pitch_*_m/origin_*_m entries
     (save_pattern writes them) keeps that pixel geometry; any other file
-    covers extent, centred on center. A matrix file holding a non-finite
+    covers extent, centred on the axis. A matrix file holding a non-finite
     value or header length raises ConfigError.
     """
     with _read_text(path) as fh:
@@ -308,7 +307,7 @@ def load_pattern(
         raise ConfigError(f"{path}: empty pattern")
     if lengths is not None:
         return PhasePattern(grid=grid, pitch=lengths[:2], origin=lengths[2:])
-    return pattern_from_extent(grid, extent, center)
+    return pattern_from_extent(grid, extent)
 
 
 def save_pattern(path: str, pattern: PhasePattern) -> None:

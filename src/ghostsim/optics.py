@@ -13,8 +13,8 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
 
 - closed form. Per axis the integrand is a complex Gaussian
   exp(-A xi^2 + B xi + C), the source's axis factor from biphoton plus the
-  lens and Fresnel terms (``lens_axis_kernel``), so over the whole plane the
-  integral is exact and Phi_I = Kx * Ky * output phase; an image map is two
+  lens phase and the whole Fresnel step (``lens_axis_kernel``), so over the
+  whole plane the integral is exact and Phi_I = Kx * Ky; an image map is two
   small matrix products, Ky^T W Kx. It leaves out the aperture, which
   changes the normalized amplitude by at most the clip bound
   b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2), which
@@ -32,11 +32,6 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   and image maps contract per-axis factors through the one matrix W, and
   divide by the exact on-axis value pi (1 - exp(-A rho^2)) / A, the
   integral of exp(-A r^2) over the aperture (``_on_axis_raw``).
-
-The output phase exp(i k (x2^2 + y2^2) / 2v) is separable too (Collins,
-JOSA 60, 1168 (1970)): image maps apply it as one factor per image axis, on
-the columns of Kx and Ky or on the image-side factors Ex and Ey of the
-quadrature, and never build an (ny2, nx2) phase map.
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
@@ -190,30 +185,36 @@ def _lens_plane_coefficients(params: SourceParams, lens: LensSystem, a1, a2):
     The formulas are in lens_axis_kernel.
     """
     P, Q, R = _axis_coefficients(params, params.s2, params.s1, a1)
+    a2 = np.asarray(a2, float)
     A = P - 0.5j * params.k * (1 / lens.v - 1 / lens.f)
-    B = Q - (1j * params.k / lens.v) * np.asarray(a2, float)
-    return A, B, R
+    B = Q - (1j * params.k / lens.v) * a2
+    C = R + (0.5j * params.k / lens.v) * (a2 * a2)
+    return A, B, C
 
 
 def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarray:
     """Closed-form lens-plane integral along one axis, normalized to K(0, 0) = 1.
 
     Along one lens-plane axis xi the integrand of Phi_I (source factor, lens
-    phase, and the xi-dependent part of the Fresnel step) is
-    exp(-A xi^2 + B xi + C). (P, Q, R) of the source factor, in xi at s2
-    with a1 fixed at s1, come from biphoton._axis_coefficients; the lens
-    adds its own two terms,
+    phase and Fresnel step) is exp(-A xi^2 + B xi + C). (P, Q, R) of the
+    source factor, in xi at s2 with a1 fixed at s1, come from
+    biphoton._axis_coefficients; the lens and the Fresnel step over v add
 
-        A = P - (i k / 2) (1/v - 1/f),   B = Q - i k a2 / v,   C = R,
+        A = P - (i k / 2) (1/v - 1/f),   B = Q - i k a2 / v,
+        C = R + i k a2^2 / 2v,
 
     and Re A = Re P = c_env / s2^2 > 0. Over the whole line the integral is
     sqrt(pi / A) exp(B^2 / 4A + C) (Collins, JOSA 60, 1168 (1970)); the factor
     sqrt(pi / A) cancels in the on-axis normalization, leaving
     K = exp(B^2 / 4A + C). Without an aperture, imaging_amplitude equals
-    K(x1, x2) * K(y1, y2) * fresnel_kernel(v, k, x2, y2). Broadcasts a1, a2.
+    K(x1, x2) * K(y1, y2). Broadcasts a1, a2.
     """
     A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
-    return np.exp(B * B / (4 * A) + C)
+    # the exponent is built in B's buffer: no further (a1, a2) temporary
+    B *= B
+    B /= 4 * A
+    B += C
+    return np.exp(B)
 
 
 def lens_plane_nodes(
@@ -330,9 +331,8 @@ def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _axis_factors(params, lens, a1, a2, nodes) -> np.ndarray:
     """(nodes, P) lens-plane factors along one axis at the given node positions.
 
-    exp(-A xi^2 + B xi + C): the source axis factor, the linear Fresnel
-    term and the lens and Fresnel quadratic phases, as one exponent
-    (coefficients of lens_axis_kernel).
+    exp(-A xi^2 + B xi + C): the source axis factor, the lens phase and the
+    Fresnel step, as one exponent (coefficients of lens_axis_kernel).
     """
     A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
     e = np.multiply.outer(nodes, B)
@@ -342,7 +342,7 @@ def _axis_factors(params, lens, a1, a2, nodes) -> np.ndarray:
 
 
 def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Unnormalized Phi_I at flat point arrays, without the output phase.
+    """Unnormalized Phi_I at flat point arrays.
 
     The disc rule's sum over the unit disc scaled to the aperture, without
     the area factor rho^2, which cancels in the normalization: per point,
@@ -387,10 +387,8 @@ def _on_axis_raw(params, lens) -> complex:
 def _point_amplitude(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     """Normalized Phi_I at flat point arrays; nodes 0 is the closed form."""
     if nodes == 0:
-        value = lens_axis_kernel(params, lens, x1, x2) * lens_axis_kernel(params, lens, y1, y2)
-    else:
-        value = _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
-    return value * fresnel_kernel(lens.v, params.k, x2, y2)
+        return lens_axis_kernel(params, lens, x1, x2) * lens_axis_kernel(params, lens, y1, y2)
+    return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
 
 
 def imaging_amplitude(
@@ -430,23 +428,21 @@ def imaging_amplitude(
 def _phased_map_kernel(params, lens, a1_bytes, a2_bytes) -> np.ndarray:
     """_map_kernel's array, built once per (params, lens, a1 bytes, a2 bytes).
 
-    lens_axis_kernel over a1 x a2, entries below KERNEL_FLOOR zeroed, times
-    the output phase fresnel_kernel(v, k, a2, 0) on each a2 column. Cached
+    lens_axis_kernel over a1 x a2, entries below KERNEL_FLOOR zeroed. Cached
     and read-only; an entry takes 16 a1.size a2.size bytes (0.5 MB for a
     128-pixel pattern axis on a 256-pixel camera axis), four at most.
     """
     a1, a2 = np.frombuffer(a1_bytes), np.frombuffer(a2_bytes)
     K = lens_axis_kernel(params, lens, a1[:, None], a2[None, :])
     K[np.abs(K) < KERNEL_FLOOR] = 0.0
-    K *= fresnel_kernel(lens.v, params.k, a2, 0.0)
     K.flags.writeable = False
     return K
 
 
 def _map_kernel(params, lens, a1, a2) -> np.ndarray:
     """Read-only (a1.size, a2.size) closed-form map kernel of one axis: the
-    floored lens_axis_kernel times the axis's output phase, cached by the
-    float64 bytes of the coordinates."""
+    floored lens_axis_kernel, cached by the float64 bytes of the
+    coordinates."""
     return _phased_map_kernel(
         params, lens,
         np.ascontiguousarray(a1, float).tobytes(),
@@ -470,42 +466,36 @@ def pattern_image_field(
     weights[iy, ix] * Phi_I(x1c[ix], y1c[iy]; x2c[jx], y2c[jy]), in the same
     normalization as imaging_amplitude, using the x/y separability of Phi_I.
 
-    The output phase exp(i k (x2^2 + y2^2) / 2v) is applied per axis, as
-    exp(i k x2^2 / 2v) on the x2 columns and exp(i k y2^2 / 2v) on the y2
-    columns of the image-side factors, so no (ny2, nx2) exponential is built.
-
     nodes 0 is the closed form: A = Ky^T W Kx, with the per-axis
-    lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2) times their
-    output phase. Their entries below KERNEL_FLOOR are exactly zero, so no
-    product in the matmuls is subnormal (slow); each point amplitude moves
-    by at most 2 * KERNEL_FLOOR in on-axis units. Kx and Ky come from
+    lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2). Their
+    entries below KERNEL_FLOOR are exactly zero, so no product in the
+    matmuls is subnormal (slow); each point amplitude moves by at most
+    2 * KERNEL_FLOOR in on-axis units. Kx and Ky come from
     _map_kernel's cache, keyed by (params, lens, coordinate bytes) and
     holding four kernels of 16 npx nx2 bytes at most, so a map on a
     geometry seen before pays only the two matmuls; a square, centred
     geometry uses one kernel for both axes.
     Otherwise the object sums collapse onto the disc rule's outer (x) and
     inner (y) nodes, are weighted by its matrix W, and propagate to the
-    image grid through Ex and Ey, which carry the output phase; the outer
-    nodes run in fixed-size blocks whose partial images are summed in block
-    order.
+    image grid through Ex and Ey, the image-side terms B xi + C of the
+    lens-plane exponent (its source terms vanish at a1 = 0); the outer nodes
+    run in fixed-size blocks whose partial images are summed in block order.
     """
     if nodes == 0:
         Kx = _map_kernel(params, lens, x1c, x2c)                 # (npx, nx2)
         Ky = _map_kernel(params, lens, y1c, y2c)                 # (npy, ny2)
         field = Ky.T @ weights @ Kx
     else:
-        k = params.k
-        # the output phase exp(i k (x2^2 + y2^2) / 2v), one factor per image axis
-        phase_x = fresnel_kernel(lens.v, k, x2c, 0.0)
-        phase_y = fresnel_kernel(lens.v, k, y2c, 0.0)
         outer, inner, W = _disc_rule(nodes)
         xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
         # lens-plane factors without the image coordinate, which Ex, Ey carry
-        Fx = _axis_factors(params, lens, x1c, np.zeros_like(x1c), xi)  # (nodes, npx)
-        Fy = _axis_factors(params, lens, y1c, np.zeros_like(y1c), eta)
+        Fx = _axis_factors(params, lens, x1c, 0.0, xi)           # (nodes, npx)
+        Fy = _axis_factors(params, lens, y1c, 0.0, eta)
         WF = weights.T @ Fy.T                                    # (npx, nodes)
-        Ex = np.exp(-1j * k * np.outer(xi, x2c) / lens.v) * phase_x   # (nodes, nx2)
-        Ey = np.exp(-1j * k * np.outer(eta, y2c) / lens.v) * phase_y  # (nodes, ny2)
+        _, Bx, Cx = _lens_plane_coefficients(params, lens, 0.0, x2c)
+        _, By, Cy = _lens_plane_coefficients(params, lens, 0.0, y2c)
+        Ex = np.exp(np.multiply.outer(xi, Bx) + Cx)              # (nodes, nx2)
+        Ey = np.exp(np.multiply.outer(eta, By) + Cy)             # (nodes, ny2)
 
         acc = None
         for a0 in range(0, nodes, _NODE_BLOCK):

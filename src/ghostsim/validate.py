@@ -33,17 +33,19 @@ _IMAGER = SourceParams(wavelength=810e-9, sigma=3e-3, s1=1.33, s2=1.5)
 _LENS = LensSystem(f=1.5, u=2.83)
 
 
+def _parabola_vertex(coords: np.ndarray, profile: np.ndarray, i: int) -> float:
+    """coords[i] moved to the vertex of the parabola through profile[i - 1 : i + 2]."""
+    y0, y1, y2 = profile[i - 1], profile[i], profile[i + 1]
+    denom = y0 - 2 * y1 + y2
+    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    return coords[i] + shift * (coords[1] - coords[0])
+
+
 def refine_peaks(coords: np.ndarray, profile: np.ndarray) -> np.ndarray:
     """Positions of interior local maxima, refined by parabolic fit."""
     c = profile
     idx = np.nonzero((c[1:-1] > c[:-2]) & (c[1:-1] >= c[2:]))[0] + 1
-    peaks = []
-    for i in idx:
-        y0, y1, y2 = c[i - 1], c[i], c[i + 1]
-        denom = y0 - 2 * y1 + y2
-        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-        peaks.append(coords[i] + shift * (coords[1] - coords[0]))
-    return np.array(peaks)
+    return np.array([_parabola_vertex(coords, c, i) for i in idx])
 
 
 # --- individual checks --------------------------------------------------------
@@ -91,9 +93,7 @@ def check_magnification() -> tuple[bool, str]:
     amp = np.abs(imaging_amplitude(_IMAGER, _LENS, x1, 0.0, x2, 0.0, quad=QuadSettings(check=True)))
     i = int(np.argmax(amp))
     i = min(max(i, 1), len(x2) - 2)
-    denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
-    shift = 0.0 if denom == 0 else 0.5 * (amp[i - 1] - amp[i + 1]) / denom
-    m_found = -(x2[i] + shift * (x2[1] - x2[0])) / x1
+    m_found = -_parabola_vertex(x2, amp, i) / x1
     err = abs(m_found - m_expect) / m_expect
     return err < 0.03, f"tracked magnification {m_found:.4f} vs {m_expect:.4f}"
 

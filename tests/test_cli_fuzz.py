@@ -12,6 +12,7 @@ in twenty, so that many of its runs reach a map.
 
 import contextlib
 import io as stdio
+import math
 import os
 import tempfile
 import warnings
@@ -30,10 +31,9 @@ from ghostsim.io import save_pattern  # noqa: E402
 BAD_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "inf", "-inf", "nan", "abc", "", "1.5"]
 # counts and sizes: bad values, but none huge enough to cost time or memory
 BAD_COUNTS = ["0", "-1", "-7", "abc", "", "1.5", "nan"]
-# values the CLI refuses for their key alone (but a saved pattern's header
-# leaves the extent unused: _must_fail), drawn as bad values of that key
-# only: a good pool holding one would end every draw of it in exit 2, and
-# fewer runs would reach a map
+# values the CLI refuses for their key alone, drawn as bad values of that
+# key only: a good pool holding one would end every draw of it in exit 2,
+# and fewer runs would reach a map
 ALWAYS_BAD = dict(
     axis=["z"],
     # narrower than the wavelength, outside the scalar model
@@ -161,10 +161,7 @@ def _number(argv, key):
 def _must_fail(argv):
     """Whether argv holds a value the CLI must refuse with exit 2."""
     command = argv[0]
-    # a saved pattern's header sets its pixel geometry, leaving the extent unused
-    unused = ("pattern_extent_x",) if _text(argv, "pattern") == "saved.txt" else ()
-    if any(_text(argv, key) in values
-           for key, values in ALWAYS_BAD.items() if key not in unused):
+    if any(_text(argv, key) in values for key, values in ALWAYS_BAD.items()):
         return True
     # 0 derives these keys; a negative value is an error, never derived
     if any((_number(argv, key) or 0) < 0 for key in DERIVED):
@@ -172,6 +169,11 @@ def _must_fail(argv):
     # pattern_n is checked whether or not a pattern file is given
     pattern_n = _number(argv, "pattern_n")
     if command in ("image", "montecarlo") and pattern_n is not None and pattern_n <= 0:
+        return True
+    # so is the pattern extent, even where a saved pattern's header sets the pixels
+    if any(not 0 < value < math.inf for value in
+           (_number(argv, key) for key in ("pattern_extent_x", "pattern_extent_y"))
+           if value is not None):
         return True
     # the closed form takes no node count
     return (command == "amplitude" and _text(argv, "oracle") in (None, "0")
@@ -249,8 +251,8 @@ def argvs(draw):
 @example(argv=["amplitude", "--samples=5", "--nodes=128"])
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern=saved.txt", "--pattern-n=0"])
 @example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern=saved.txt", "--pattern-n=-1"])
-# values that fail for their key alone (ALWAYS_BAD); a saved pattern's
-# header leaves the extent unused
+# values that fail for their key alone (ALWAYS_BAD), the extent also where
+# a saved pattern's header sets the pixels
 @example(argv=["interference", "--nx=32", "--ny=8", "--axis=z"])
 @example(argv=["interference", "--nx=32", "--ny=8", "--slit-width=1e-12"])
 @example(argv=["amplitude", "--samples=5", "--axis=z"])

@@ -490,8 +490,8 @@ def test_closed_form_map_matches_quadrature_map(imaging_params, imaging_lens):
 
 def test_default_closed_form_map_peak_memory(imaging_params, imaging_lens):
     # the image subcommand's default map: 128^2 half-plane pattern, 256^2
-    # camera at a total scale of 0.87. The output phase is applied per axis,
-    # so no (256 x 256) complex phase map or product is allocated.
+    # camera at a total scale of 0.87. The output phase is part of each axis
+    # kernel, so no (256 x 256) complex phase map or product is allocated.
     m = ghost_magnification(imaging_params, imaging_lens)
     grid = GridSpec(nx=256, ny=256, extent_x=0.87 * 4e-3, extent_y=0.87 * 4e-3)
     pattern = half_plane_pattern(n=128, extent=4e-3, phi=np.pi)

@@ -999,6 +999,27 @@ def test_cli_image_rejects_an_infinite_pattern_extent_before_any_map(
     assert err == "error: pattern pitch must be two finite positive lengths\n"
 
 
+@pytest.mark.parametrize("flag", ["--pattern-extent-x", "--pattern-extent-y"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-4e-3"])
+def test_cli_image_rejects_a_bad_pattern_extent_that_a_pattern_header_leaves_unused(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    import ghostsim.cli as cli
+
+    def no_maps(*args, **kwargs):
+        raise AssertionError("a map was computed with a bad pattern extent")
+
+    # a saved pattern's header sets its pixels; the bad extent once ran
+    # to exit 0, while a bad pattern_n with the same file exits 2
+    monkeypatch.setattr(cli, "ghost_image_map", no_maps)
+    pattern = tmp_path / "saved.txt"
+    save_pattern(str(pattern), uniform_pattern(n=8, extent=2e-3))
+    argv = ["image", "--nx=16", "--ny=16", "--pattern-n=4", f"--pattern={pattern}",
+            f"{flag}={value}"]
+    err = _fails_fast(argv, tmp_path / "img", capsys)
+    assert err == f"error: {flag[2:].replace('-', '_')} must be finite and > 0, got {float(value)}\n"
+
+
 def test_cli_image_rejects_a_pattern_beyond_the_paraxial_model_before_any_kernel(
     tmp_path, capsys, monkeypatch
 ):
@@ -1261,6 +1282,14 @@ def test_cli_validate_passes():
     assert len(lines) == len(_CHECKS) == 8
     assert any(ln.startswith("PASS lens-closed-form") for ln in lines)
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_refine_peaks_puts_a_sampled_parabola_at_its_vertex():
+    # the parabola step that both refine_peaks and the magnification check use
+    from ghostsim.validate import refine_peaks
+
+    x = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_allclose(refine_peaks(x, 1.0 - (x - 0.33) ** 2), [0.33], rtol=1e-12)
 
 
 def _declared_console_script():

@@ -253,6 +253,19 @@ def test_lens_plane_coefficients_are_the_sources_plus_the_lens_terms(
     assert A.real == P.real
 
 
+def test_closed_form_amplitude_is_the_product_of_axis_kernels(imaging_params, imaging_lens):
+    # the kernels carry the whole Fresnel step, output phase included
+    rng = np.random.default_rng(25)
+    m = ghost_magnification(imaging_params, imaging_lens)
+    x1, y1 = rng.uniform(-2e-3, 2e-3, (2, 40))
+    x2, y2 = -m * np.array([x1, y1]) + rng.uniform(-0.2e-3, 0.2e-3, (2, 40))
+    assert lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), x1, y1)[0] == 0
+    amp = imaging_amplitude(imaging_params, imaging_lens, x1, y1, x2, y2)
+    kernels = (lens_axis_kernel(imaging_params, imaging_lens, x1, x2)
+               * lens_axis_kernel(imaging_params, imaging_lens, y1, y2))
+    assert np.array_equal(amp, kernels)
+
+
 def _clip_bound(params, lens, x1, y1):
     return lens_plane_nodes(params, lens, QuadSettings(), x1, y1)[1]
 
@@ -354,12 +367,15 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
 
 
 def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
-    """pattern_image_field as it was before the per-axis output phase: the
-    full-map fresnel_kernel phase, and closed-form kernels with their tails."""
+    """pattern_image_field with the output phase as one full-map
+    fresnel_kernel phase, and closed-form kernels with their tails: the
+    kernels' own per-axis phase is divided out first."""
     out_phase = fresnel_kernel(lens.v, params.k, x2c[None, :], y2c[:, None])
     if nodes == 0:
         Kx = lens_axis_kernel(params, lens, x1c[:, None], x2c[None, :])
         Ky = lens_axis_kernel(params, lens, y1c[:, None], y2c[None, :])
+        Kx /= fresnel_kernel(lens.v, params.k, x2c, 0.0)
+        Ky /= fresnel_kernel(lens.v, params.k, y2c, 0.0)
         return (Ky.T @ weights @ Kx) * out_phase
     outer, inner, W = _disc_rule(nodes)
     xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
@@ -447,7 +463,7 @@ def test_closed_form_map_kernels_have_no_entry_below_the_floor(
 
 def _uncached_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
     """The closed-form contraction with its kernels built for every call:
-    lens_axis_kernel, the floor, then the per-axis output phase."""
+    lens_axis_kernel, then the floor."""
     assert nodes == 0
 
     def kernel(a1, a2):
@@ -457,8 +473,6 @@ def _uncached_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
 
     Kx = kernel(x1c, x2c)
     Ky = kernel(y1c, y2c)
-    Kx *= fresnel_kernel(lens.v, params.k, x2c, 0.0)
-    Ky *= fresnel_kernel(lens.v, params.k, y2c, 0.0)
     return Ky.T @ weights @ Kx
 
 
@@ -583,9 +597,7 @@ def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
         return np.einsum("pa,ab,pab->p", fx, wab, fy)
 
     zero = np.zeros(1)
-    return raw(x1, y1, x2, y2) / raw(zero, zero, zero, zero)[0] * fresnel_kernel(
-        lens.v, params.k, x2, y2
-    )
+    return raw(x1, y1, x2, y2) / raw(zero, zero, zero, zero)[0]
 
 
 @pytest.mark.parametrize("sigma, obj", [(40e-3, (0.7e-3, -0.4e-3)), (3e-3, (4e-3, 4e-3))])
