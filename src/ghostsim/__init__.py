@@ -62,7 +62,6 @@ from .optics import (
     AIRY_FIRST_ZERO,
     LensSystem,
     aperture_nodes,
-    fresnel_kernel,
     ghost_magnification,
     imaging_amplitude,
 )

@@ -24,11 +24,12 @@ function w(z) of Weideman's rational expansion (``_faddeeva``); ``optics``
 adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
 The Gauss-Legendre rule itself (``_leggauss``) lives here too, and so does
-``converged_nodes``: the one function that picks and checks the node count
-of every quadrature in the package (the oracle and the aperture). It
-compares every value its caller evaluates at n and 2n nodes against
-DOUBLING_TOL and hands back the values at the count it chose, so no caller
-evaluates that count again.
+``converged_nodes``: the one function that checks the node count of every
+quadrature in the package (the oracle and the aperture). It compares every
+value its caller evaluates at n nodes and at the finer count
+``finer_nodes`` names (2n for an explicit count, ~1.25n for the aperture's
+own choice) against DOUBLING_TOL, and hands back the values at the count it
+accepted, so no caller evaluates that count again.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ class SourceParams:
 
 
 # largest explicit node count per axis, and the most the aperture rule's
-# doubling search accepts. The aperture rule's weights are an n x n matrix
-# built in O(n^3), so the doubled check at 2 * MAX_NODES = 4096 holds 128 MB
-# of weights; larger counts are refused before any work.
+# automatic search climbs to. The aperture rule's weights are an n x n
+# matrix built in O(n^3), so the doubled check of an explicit MAX_NODES, at
+# 4096, holds 128 MB of weights (the search checks MAX_NODES at 2560); larger
+# counts are refused before any work.
 MAX_NODES = 2048
 
 
@@ -128,9 +130,9 @@ class QuadSettings:
     """Gauss-Legendre quadrature controls.
 
     nodes: nodes per axis, 64 to MAX_NODES; None lets each consumer pick its
-      default (2048 for the source oracle, a doubling search from 32 for the
-      aperture quadrature).
-    check: when True, a doubling change above DOUBLING_TOL raises
+      default (2048 for the source oracle; for the aperture quadrature a
+      count sized by the lens-plane bandwidth, optics.aperture_nodes).
+    check: when True, a checked change above DOUBLING_TOL raises
       ConvergenceError (the oracle is checked only then; the other
       quadratures warn), and optics.lens_plane_nodes holds the closed form
       to DOUBLING_TOL.
@@ -243,25 +245,47 @@ def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
     return float(np.max(np.abs(fine - coarse))) / scale
 
 
+def finer_nodes(nodes: int, quad: QuadSettings) -> int:
+    """The count converged_nodes checks nodes against.
+
+    Twice an explicit quad.nodes. Otherwise 1.25 nodes rounded up to a
+    multiple of 8, at most MAX_NODES while nodes is below it: a count sized
+    to its integrand (optics.aperture_nodes) is already past the point where
+    Gauss-Legendre error falls super-exponentially, so a step of a quarter
+    shows whether it has converged at a fraction of doubling's cost.
+    """
+    if quad.nodes is not None:
+        return 2 * nodes
+    finer = -(-5 * nodes // 32) * 8
+    return finer if nodes >= MAX_NODES else min(finer, MAX_NODES)
+
+
 def converged_nodes(evaluate, nodes: int, quad: QuadSettings, what: str,
                     floor: float = 1e-300) -> Tuple[int, float, np.ndarray]:
-    """Node count chosen by node doubling: (nodes, measured change, values).
+    """Node count accepted by a check against a finer count: (nodes, measured
+    change, values).
 
     evaluate(n) returns the values to check with n nodes per axis, and
-    values is what it returned at the chosen count. Without quad.nodes the
-    count doubles from nodes until doubling it moves the values by at most
-    DOUBLING_TOL (doubling_change against floor), or reaches MAX_NODES; an
-    explicit count is checked once against its double. A miss raises
-    ConvergenceError under quad.check, else warns ApertureSamplingWarning at
-    the caller's line. what names the result in the message.
+    values is what it returned at the accepted count. nodes is compared
+    once with finer_nodes(nodes, quad), by doubling_change against floor.
+    An explicit quad.nodes is kept whatever the change. Without it a change
+    above DOUBLING_TOL moves to the finer count, which is then checked the
+    same way, until one passes or MAX_NODES is checked. A change still above
+    DOUBLING_TOL raises ConvergenceError under quad.check, else warns
+    ApertureSamplingWarning at the caller's line. what names the result in
+    the message.
     """
-    coarse, fine = evaluate(nodes), evaluate(2 * nodes)
-    while (quad.nodes is None and nodes < MAX_NODES
-           and doubling_change(coarse, fine, floor) > DOUBLING_TOL):
-        nodes, coarse, fine = 2 * nodes, fine, evaluate(4 * nodes)
+    finer = finer_nodes(nodes, quad)
+    coarse, fine = evaluate(nodes), evaluate(finer)
     change = doubling_change(coarse, fine, floor)
+    while quad.nodes is None and nodes < MAX_NODES and change > DOUBLING_TOL:
+        nodes, coarse = finer, fine
+        finer = finer_nodes(nodes, quad)
+        fine = evaluate(finer)
+        change = doubling_change(coarse, fine, floor)
     if change > DOUBLING_TOL:
-        message = (f"doubling {nodes} -> {2 * nodes} nodes changed {what} by "
+        step = "refining" if quad.nodes is None else "doubling"
+        message = (f"{step} {nodes} -> {finer} nodes changed {what} by "
                    f"{change:.3e} relative (tol {DOUBLING_TOL:g})")
         if quad.check:
             raise ConvergenceError(message)

@@ -80,10 +80,10 @@ _INTERFERENCE_DEFAULTS = dict(
     center_y=0.0,
 )
 
-# 0.0 means "derive": nodes by node doubling (or none on the closed form),
-# telescope_scale from RELAY_TOTAL_SCALE, and the grid extent from the
-# extent of the pattern imaged, scaled onto the camera; with a derived
-# extent, the grid centre from the image of the pattern's centre.
+# 0.0 means "derive": nodes from the lens-plane bandwidth (or none on the
+# closed form), telescope_scale from RELAY_TOTAL_SCALE, and the grid extent
+# from the extent of the pattern imaged, scaled onto the camera; with a
+# derived extent, the grid centre from the image of the pattern's centre.
 _IMAGE_DEFAULTS = dict(
     _SOURCE_KEYS,
     s2=1.5,

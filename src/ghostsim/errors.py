@@ -36,7 +36,7 @@ class NumericError(GhostsimError, ArithmeticError):
 
 
 class ConvergenceError(GhostsimError):
-    """Node doubling changed a quadrature result by more than the tolerance."""
+    """A finer node count changed a quadrature result by more than the tolerance."""
 
 
 class SamplingError(GhostsimError):
@@ -60,4 +60,4 @@ class SourceRegimeWarning(UserWarning):
 
 
 class ApertureSamplingWarning(UserWarning):
-    """Doubling the aperture quadrature's nodes moved a result by more than tol."""
+    """A finer aperture node count moved a result by more than the tolerance."""

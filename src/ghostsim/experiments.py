@@ -21,6 +21,7 @@ maps remain comparable on a common scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,10 +33,17 @@ from .biphoton import (
     axis_amplitude,
     axis_opening_mean,
     converged_nodes,
+    finer_nodes,
 )
 from .errors import NumericError, ParameterError, SamplingError
 from .grids import GridSpec, PixelGrid, pixel_geometry
-from .optics import LensSystem, ghost_magnification, lens_plane_nodes, pattern_image_field
+from .optics import (
+    LensSystem,
+    ghost_magnification,
+    lens_plane_nodes,
+    map_bandwidth,
+    pattern_image_field,
+)
 from .polarization import pattern_projection_coeff
 
 # minimum pixels per fringe period before the interference map is trusted
@@ -317,12 +325,15 @@ def ghost_image_map(
     lens_plane_nodes picks the lens-plane path for the pattern's pixel
     centres, or rejects a pattern reaching min(s1, s2) from the axis; meta
     records it as lens_path ("closed-form" or "quadrature"), with clip_bound,
-    aperture_nodes (the count used, 0 on the closed form; converged_nodes
-    picks it from at most 16 x 16 strided camera pixels, the first and last
-    rows and columns included), and
-    error_estimate: the measured doubling change on the quadrature path
-    (error_kind "doubling"), else clip_bound ("clip_bound"); both bound the
-    lens plane only. workers is accepted and changes nothing.
+    aperture_nodes (the count used, 0 on the closed form), and
+    error_estimate: on the quadrature path the measured change against
+    the finer count (error_kind "refinement"), else clip_bound
+    ("clip_bound"); both bound the lens plane only. Quadrature maps also
+    record why the count was used: aperture_bandwidth_rad, the bandwidth
+    omega that sized the first count (map_bandwidth, optics.aperture_nodes),
+    and aperture_check_nodes, the finer count converged_nodes compared it
+    with on at most 16 x 16 strided camera pixels, the first and last rows
+    and columns included. workers is accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -341,19 +352,20 @@ def ghost_image_map(
             )
 
     x1c, y1c = pattern.x_centers(), pattern.y_centers()
-    nodes, bound = lens_plane_nodes(params, lens, quad, x1c, y1c)
+    x2c = image_grid.x_centers() / telescope_scale
+    y2c = image_grid.y_centers() / telescope_scale
+    bandwidth = partial(map_bandwidth, params, lens, x1c, y1c, x2c, y2c)
+    nodes, bound = lens_plane_nodes(params, lens, quad, x1c, y1c, bandwidth)
     weights = (
         pattern.transmission()
         * pattern_projection_coeff(pattern.grid, d1, d2)
         * (pattern.pitch[0] * pattern.pitch[1])
     )
-    x2c = image_grid.x_centers() / telescope_scale
-    y2c = image_grid.y_centers() / telescope_scale
 
     def evaluate(n: int, x2, y2) -> np.ndarray:
         return pattern_image_field(params, lens, weights, x1c, y1c, x2, y2, n)
 
-    error, kind = bound, "clip_bound"
+    error, kind, quadrature = bound, "clip_bound", {}
     if nodes:
         # a strided sub-camera: at 2n a whole 256^2 camera costs ~3x as much
         iy, ix = (np.linspace(0, a.size - 1, min(a.size, 16)).round().astype(np.intp)
@@ -361,7 +373,9 @@ def ghost_image_map(
         nodes, error, _ = converged_nodes(
             lambda n: evaluate(n, x2c[ix], y2c[iy]), nodes, quad, "the image field"
         )
-        kind = "doubling"
+        kind = "refinement"
+        quadrature = {"aperture_bandwidth_rad": bandwidth(),
+                      "aperture_check_nodes": finer_nodes(nodes, quad)}
     raw = np.abs(evaluate(nodes, x2c, y2c)) ** 2
 
     meta = {
@@ -373,6 +387,7 @@ def ghost_image_map(
         "lens_path": "closed-form" if nodes == 0 else "quadrature",
         "clip_bound": bound,
         "aperture_nodes": nodes,
+        **quadrature,
         "error_estimate": error,
         "error_kind": kind,
     }

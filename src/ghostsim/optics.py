@@ -37,13 +37,17 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
 image maps: the closed form when no node count is given and the clip bound
 is at most the tolerance (biphoton.DOUBLING_TOL under quad.check, else
 APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
-that reach min(s1, s2) from the axis. On the quadrature path the package's
-one node-doubling search, ``biphoton.converged_nodes``, doubles the node
-count from APERTURE_START_NODES until every point amplitude (for image maps:
-a strided sub-camera of at most 16 x 16 pixels) moves by at most
-DOUBLING_TOL, or checks an explicit count once the same way. The
-quadrature path is the independent oracle the closed form is tested against
-where nothing clips.
+that reach min(s1, s2) from the axis. On the quadrature path the first node
+count comes from the integrand itself (``aperture_nodes``): its largest
+lens-plane phase rate over the aperture, the bandwidth omega (for points
+``_point_bandwidth``, for maps ``map_bandwidth``), and the curvature of its
+Gaussian envelope. The package's one node check,
+``biphoton.converged_nodes``, then compares every point amplitude (for
+image maps: a strided sub-camera of at most 16 x 16 pixels) with one finer
+count, ~1.25 times as many nodes, and moves on to that count only if the
+change exceeds DOUBLING_TOL; an explicit count is checked once against its
+double. The quadrature path is the independent oracle the closed form is
+tested against where nothing clips.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .biphoton import (
     DOUBLING_TOL,
+    MAX_NODES,
     QuadSettings,
     SourceParams,
     _axis_coefficients,
@@ -87,9 +92,6 @@ _POINT_CHUNK = 16
 # admits object points out to a radius of ~5 mm; the default 4 mm pattern
 # gives 8.6e-6.
 APERTURE_CLIP_TOL = 1e-4
-
-# first aperture node count per axis of the doubling search (converged_nodes)
-APERTURE_START_NODES = 32
 
 # |K| below which the closed-form map zeroes a lens_axis_kernel entry. The
 # kernels are Gaussian bands whose tails reach 1e-250 and below in the
@@ -142,15 +144,6 @@ class LensSystem:
         return self.v / self.u
 
 
-def fresnel_kernel(dist: float, k: float, dx, dy) -> np.ndarray:
-    """Unit-magnitude paraxial propagator exp(+i k (dx^2 + dy^2) / (2 dist))."""
-    if dist <= 0:
-        raise ParameterError("propagation distance must be positive")
-    dx = np.asarray(dx, float)
-    dy = np.asarray(dy, float)
-    return np.exp(1j * k * (dx * dx + dy * dy) / (2.0 * dist))
-
-
 def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
     """Image scale m = v / (s1 + s2) of the ghost-imaging geometry.
 
@@ -167,10 +160,53 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
     return lens.v / u_expected
 
 
-def aperture_nodes(quad: QuadSettings) -> int:
-    """First per-axis node count of the aperture quadrature: quad.nodes, or
-    APERTURE_START_NODES for converged_nodes to double from."""
-    return APERTURE_START_NODES if quad.nodes is None else quad.nodes
+def aperture_nodes(quad: QuadSettings, clipped: bool,
+                   bandwidth: Callable[[], float], envelope: float) -> int:
+    """First per-axis node count of the lens-plane integral: quad.nodes; else
+    0, the closed form, unless the aperture clipped beyond the limit
+    (lens_plane_nodes); else n* sized to the integrand, for converged_nodes
+    to check.
+
+    Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
+    with a = A rho^2 and b = B rho (_lens_plane_coefficients). bandwidth()
+    is omega, the largest rate of its phase over the aperture, asked for
+    only where n* is formed; envelope is Re a, the curvature of its
+    Gaussian envelope. Gauss-Legendre error on an analytic integrand falls
+    super-exponentially once n passes its bandwidth (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5; Approximation
+    Theory and Approximation Practice, ch. 19): exp(i omega s) needs
+    omega plus a transition of width ~omega^(1/3), and exp(-a s^2), whose
+    Chebyshev coefficients fall as exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more.
+    So
+
+        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
+
+    rounded up to a multiple of 8 and at most MAX_NODES, the constants
+    calibrated against 1536 to 2048 nodes (largest error in on-axis units
+    for points, of peak for map fields):
+    - 141-point clipped PSF scans (sigma = 40 mm, Re a = 0.09), the first 40
+      of the benchmark's seed 0: omega = 4.4-6.1 rad, n* = 24; at 16, 20,
+      24 and 28 nodes the worst error is 6.9e-7, 6.5e-10, 3.5e-13 and 2e-15.
+    - Maps of a 4 mm pattern onto a camera over m * 4.5 mm, omega = 290
+      rad: at 320, 336, 344 and 352 nodes the errors are 1.2e-8, 4.5e-12,
+      4e-14 and 6e-15 at sigma = 40 mm (n* = 352), and 1.4e-8, 1.8e-11,
+      3.8e-13 and 6e-15 at sigma = 3 mm (n* = 384). With rho = 12.5 mm,
+      omega = 144 rad: 1.4e-10 at 176 and 5e-15 at n* = 192.
+    - sigma = 3 mm (Re a = 15.3): PSF lines with omega = 5.7-8.0 rad need
+      48 nodes for 1e-13, where sigma = 40 mm needs 24; n* = 56-64. Over
+      rho = 12.5-60 mm, sigma = 2-40 mm (Re a = 0.02-198) and object
+      points out to (4, 4) mm, the error at n* is at most 9.4e-15, at up
+      to 1.6 times the count that first reaches 1e-13.
+    n(1e-8) ~ omega + 7 omega^(1/3) fits the bandwidth-bound cases; the
+    larger margin puts the values at n* near 1e-14, far inside
+    DOUBLING_TOL, so the check at ~1.25 n* passes at once.
+    """
+    if quad.nodes is not None:
+        return quad.nodes
+    if not clipped:
+        return 0
+    omega = bandwidth()
+    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
+    return min(MAX_NODES, 8 * max(1, math.ceil(n / 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +245,70 @@ def lens_axis_kernel(params: SourceParams, lens: LensSystem, a1, a2) -> np.ndarr
     K = exp(B^2 / 4A + C). Without an aperture, imaging_amplitude equals
     K(x1, x2) * K(y1, y2). Broadcasts a1, a2.
     """
-    A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
-    # the exponent is built in B's buffer: no further (a1, a2) temporary
+    return _kernel(*_lens_plane_coefficients(params, lens, a1, a2))
+
+
+def _kernel(A, B, C) -> np.ndarray:
+    """exp(B^2 / 4A + C), built in B's buffer: no further temporary."""
     B *= B
     B /= 4 * A
     B += C
     return np.exp(B)
 
 
+def _bandwidth(A, largest_b: float, rho: float) -> float:
+    """omega = max|B| rho + 2 |Im A| rho^2 (aperture_nodes), with
+    largest_b the largest |B| over the evaluated points: the largest rate
+    of the phase of exp(-A xi^2 + B xi) over |xi| <= rho. In focus
+    (u = s1 + s2) Im A rho^2 is 0.3 rad at sigma = 3 mm and falls as
+    sigma^-4; a defocused lens adds its chirp."""
+    return largest_b * rho + 2.0 * abs(A.imag) * rho**2
+
+
+def map_bandwidth(params, lens, x1c, y1c, x2c, y2c) -> float:
+    """omega of an image map over every pair of object and camera pixel
+    centres, from the ends of each axis alone: B(a1, a2) is affine in a1
+    and a2, so |B| is convex and takes its largest value over the pairs at
+    one of the four pairs of axis ends."""
+    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
+    largest = 0.0
+    for a1, a2 in ((x1c, x2c), (y1c, y2c)):
+        _, B, _ = _lens_plane_coefficients(
+            params, lens, np.array([[np.min(a1)], [np.max(a1)]]), [np.min(a2), np.max(a2)])
+        largest = max(largest, float(np.max(np.abs(B))))
+    return _bandwidth(A, largest, lens.aperture_radius)
+
+
+def _object_reach(params: SourceParams, x1, y1) -> float:
+    """Largest distance of the object points from the axis; ParameterError
+    where it reaches min(s1, s2), 20 times the paraxial budget, beyond the
+    model. Callers check it before they form any lens-plane term."""
+    reach = math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
+    most = min(params.s1, params.s2)
+    if reach >= most:
+        raise ParameterError(
+            f"object points reach {reach:g} m from the axis, beyond the paraxial "
+            f"model's limit min(s1, s2) = {most:g} m"
+        )
+    return reach
+
+
 def lens_plane_nodes(
-    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1
+    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1,
+    bandwidth: Callable[[], float] = lambda: 0.0,
 ) -> Tuple[int, float]:
     """Path choice for these object points: (nodes, clip_bound).
 
-    Object points that reach min(s1, s2) from the axis, 20 times the
-    paraxial budget, lie beyond the model: ParameterError, before any kernel
-    is built. nodes is 0 for the closed form, which runs iff quad.nodes is
-    None and the clip bound is at most the limit: DOUBLING_TOL when
-    quad.check is set, else APERTURE_CLIP_TOL. Otherwise nodes is the
-    aperture quadrature's first count per axis (aperture_nodes), so an
-    explicit quad.nodes always means quadrature.
+    Object points beyond the model raise ParameterError (_object_reach).
+    nodes, from aperture_nodes, is 0 for the closed form, which runs iff
+    quad.nodes is None and the clip bound is at most the limit:
+    DOUBLING_TOL when quad.check is set, else APERTURE_CLIP_TOL. Otherwise
+    it is the aperture quadrature's first count per axis: quad.nodes, so
+    an explicit count always means quadrature, or n* for the bandwidth
+    omega of the values to be evaluated, which bandwidth() returns
+    (_point_bandwidth, map_bandwidth) and the closed form never asks for;
+    the default 0 sizes n* for the envelope alone, and the check climbs
+    from there.
 
     clip_bound bounds |closed form - aperture-clipped value| of the
     normalized Phi_I at these object points (x1, y1, any shapes), in units
@@ -257,14 +337,7 @@ def lens_plane_nodes(
     The bound leaves that out: it is 90 orders of magnitude below the
     default pattern's bound.
     """
-    reach = math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
-    most = min(params.s1, params.s2)
-    if reach >= most:
-        raise ParameterError(
-            f"object points reach {reach:g} m from the axis, beyond the paraxial "
-            f"model's limit min(s1, s2) = {most:g} m"
-        )
-    nodes = aperture_nodes(quad)
+    reach = _object_reach(params, x1, y1)
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     rho = lens.aperture_radius
 
@@ -275,9 +348,7 @@ def lens_plane_nodes(
 
     bound = b(params.s2 / params.s1 * reach) + b(0.0)
     limit = DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL
-    if quad.nodes is None and bound <= limit:
-        nodes = 0
-    return nodes, bound
+    return aperture_nodes(quad, bound > limit, bandwidth, A.real * rho**2), bound
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +405,42 @@ def _axis_factors(params, lens, a1, a2, nodes) -> np.ndarray:
     exp(-A xi^2 + B xi + C): the source axis factor, the lens phase and the
     Fresnel step, as one exponent (coefficients of lens_axis_kernel).
     """
-    A, B, C = _lens_plane_coefficients(params, lens, a1, a2)
+    return _exponent_factors(*_lens_plane_coefficients(params, lens, a1, a2), nodes)
+
+
+def _exponent_factors(A, B, C, nodes) -> np.ndarray:
+    """(nodes, P) values exp(-A xi^2 + B xi + C) at the node positions xi."""
     e = np.multiply.outer(nodes, B)
     e += C
     e -= (A * nodes * nodes)[:, None]
     return np.exp(e, out=e)
 
 
-def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Unnormalized Phi_I at flat point arrays.
+def _point_terms(params, lens, x1, y1, x2, y2):
+    """(A, Bx, Cx, By, Cy) of the lens-plane exponents at flat point arrays."""
+    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
+    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
+    return A, Bx, Cx, By, Cy
+
+
+def _point_bandwidth(A, Bx, By, rho: float) -> float:
+    """omega over a set of points (aperture_nodes); 0 for no points."""
+    largest = max((float(np.max(np.abs(B))) for B in (Bx, By) if B.size), default=0.0)
+    return _bandwidth(A, largest, rho)
+
+
+def _padded(*terms) -> np.ndarray:
+    """Flat complex arrays of one size as the rows of one array, padded with
+    zeros to whole _POINT_CHUNKs."""
+    size = terms[0].size
+    out = np.zeros((len(terms), size + -size % _POINT_CHUNK), dtype=complex)
+    for row, a in zip(out, terms):
+        row[:size] = a
+    return out
+
+
+def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
+    """Unnormalized Phi_I per point from padded per-axis exponent terms.
 
     The disc rule's sum over the unit disc scaled to the aperture, without
     the area factor rho^2, which cancels in the normalization: per point,
@@ -352,31 +450,35 @@ def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
     the memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
     """
     outer, inner, W = _disc_rule(nodes)
-    xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
-    size = x1.size
-    x1, y1, x2, y2 = (np.pad(a, (0, -size % _POINT_CHUNK)) for a in (x1, y1, x2, y2))
-    out = np.empty(x1.size, dtype=complex)
+    xi, eta = rho * outer, rho * inner
+    out = np.empty(Bx.size, dtype=complex)
     step = _POINT_CHUNK * max(1, _POINT_BLOCK_ELEMENTS // (nodes * _POINT_CHUNK))
 
-    def chunks(a1, a2, at):
+    def chunks(B, C, at):
         """(chunks, nodes, _POINT_CHUNK) factors of whole chunks of points."""
-        v = _axis_factors(params, lens, a1, a2, at)
+        v = _exponent_factors(A, B, C, at)
         return v.reshape(nodes, -1, _POINT_CHUNK).transpose(1, 0, 2)
 
-    for p0 in range(0, x1.size, step):
+    for p0 in range(0, out.size, step):
         blk = slice(p0, p0 + step)
-        vy = np.ascontiguousarray(chunks(y1[blk], y2[blk], eta))
+        vy = np.ascontiguousarray(chunks(By[blk], Cy[blk], eta))
         chord_sums = (W @ vy.view(float)).view(complex)
-        chord_sums *= chunks(x1[blk], x2[blk], xi)
+        chord_sums *= chunks(Bx[blk], Cx[blk], xi)
         out[blk] = chord_sums.sum(axis=1).ravel()
-    return out[:size]
+    return out
+
+
+def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
+    """Unnormalized Phi_I at flat point arrays (_disc_sum)."""
+    A, *terms = _point_terms(params, lens, x1, y1, x2, y2)
+    return _disc_sum(A, *_padded(*terms), lens.aperture_radius, nodes)[:x1.size]
 
 
 def _on_axis_raw(params, lens) -> complex:
     """On-axis reference Phi_I(0,0;0,0) of the quadrature path, exactly.
 
     On axis the lens-plane integrand is exp(-A r^2) (lens_axis_kernel's A),
-    whose integral over the aperture in _imaging_raw's units, the unit disc
+    whose integral over the aperture in _disc_sum's units, the unit disc
     without the area factor rho^2, is pi (1 - exp(-A rho^2)) / (A rho^2).
     """
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
@@ -385,9 +487,7 @@ def _on_axis_raw(params, lens) -> complex:
 
 
 def _point_amplitude(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Normalized Phi_I at flat point arrays; nodes 0 is the closed form."""
-    if nodes == 0:
-        return lens_axis_kernel(params, lens, x1, x2) * lens_axis_kernel(params, lens, y1, y2)
+    """Normalized Phi_I at flat point arrays, by the disc rule with nodes."""
     return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
 
 
@@ -400,24 +500,33 @@ def imaging_amplitude(
     """Normalized imaging amplitude Phi_I(x1, y1; x2, y2).
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
-    image points (x2, y2). The lens-plane path is chosen by lens_plane_nodes.
-    On the quadrature path converged_nodes picks the node count by checking
-    every point, and its values at that count are returned.
+    image points (x2, y2). Each point's lens-plane exponent terms are formed
+    once per call; the bandwidth over the points (_point_bandwidth), the
+    closed form and every node count reuse them. The lens-plane path is
+    chosen by lens_plane_nodes. On the quadrature path converged_nodes
+    checks every point at the first count against one finer count (24
+    against 32 nodes for the benchmark's clipped PSF scans), and the values
+    at the count it accepts are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
-    flat = [a.ravel() for a in pts]
-    nodes, _ = lens_plane_nodes(params, lens, quad, pts[0], pts[1])
+    _object_reach(params, pts[0], pts[1])
+    A, Bx, Cx, By, Cy = _point_terms(params, lens, *(a.ravel() for a in pts))
+    rho = lens.aperture_radius
+    nodes, _ = lens_plane_nodes(
+        params, lens, quad, pts[0], pts[1], lambda: _point_bandwidth(A, Bx, By, rho)
+    )
     if nodes:
+        size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(params, lens)
         # measured against at least the on-axis value 1 the amplitude is
         # normalized to: image points far from their object's conjugate,
         # ~1e-9 of it, are not held to tol relative to themselves
         _, _, value = converged_nodes(
-            lambda n: _point_amplitude(params, lens, *flat, n),
+            lambda n: _disc_sum(A, *terms, rho, n)[:size] / on_axis,
             nodes, quad, "the imaging amplitude", floor=1.0,
         )
     else:
-        value = _point_amplitude(params, lens, *flat, 0)
+        value = _kernel(A, Bx, Cx) * _kernel(A, By, Cy)
     value = value.reshape(shape)
     if not np.all(np.isfinite(value)):
         raise NumericError("imaging amplitude produced non-finite values")

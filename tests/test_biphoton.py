@@ -27,12 +27,14 @@ from ghostsim import (
 from ghostsim import biphoton, experiments
 from ghostsim.biphoton import (
     DOUBLING_TOL,
+    MAX_NODES,
     ORACLE_HALF_WIDTH_SIGMAS,
     _faddeeva,
     _leggauss,
     axis_opening_mean,
     converged_nodes,
     doubling_change,
+    finer_nodes,
 )
 
 # Frozen reference values for the fringe geometry (lambda=810 nm, sigma=3 mm,
@@ -374,8 +376,9 @@ def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
 
 
 def test_doubling_search_evaluates_each_count_once_and_returns_its_values():
-    # the values settle between 128 and 256 nodes; the search asks for each
-    # count once and hands back every value at the count it chose
+    # the values settle between 72 and 96 nodes; the search climbs by
+    # finer_nodes, asks for each count once and hands back every value at
+    # the count it chose
     asked = []
 
     def evaluate(n):
@@ -383,9 +386,16 @@ def test_doubling_search_evaluates_each_count_once_and_returns_its_values():
         return np.array([1.0, 2.0, 4.0 + 1e6 * 2.0 ** (-n / 2)])
 
     nodes, change, values = converged_nodes(evaluate, 32, QuadSettings(), "the map")
-    assert nodes == 128 and change < 1e-13
-    assert asked == [32, 64, 128, 256]
-    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0 + 1e6 * 2.0**-64])
+    assert nodes == 96 and change < DOUBLING_TOL
+    assert asked == [32, 40, 56, 72, 96, 120]
+    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0 + 1e6 * 2.0**-48])
+
+
+def test_finer_count_is_a_quarter_more_or_the_double_of_an_explicit_one():
+    auto = QuadSettings()
+    assert [finer_nodes(n, auto) for n in (8, 24, 352, 1856, MAX_NODES)] == [
+        16, 32, 440, MAX_NODES, 2560]
+    assert finer_nodes(64, QuadSettings(nodes=64)) == 128
 
 
 def _settled_at(fine):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghostsim import experiments
-from ghostsim.biphoton import DOUBLING_TOL
+from ghostsim.biphoton import DOUBLING_TOL, finer_nodes
 from ghostsim import (
     ApertureSamplingWarning,
     CoincidenceMap,
@@ -411,14 +411,19 @@ def test_image_map_states_its_error(imaging_params, imaging_lens):
     closed = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid)
     assert closed.meta["error_kind"] == "clip_bound"
     assert closed.meta["error_estimate"] == closed.meta["clip_bound"]
-    # quad.check forces quadrature here; the count is the one the doubling
-    # search accepted, and the error its measured doubling change
+    assert "aperture_bandwidth_rad" not in closed.meta
+    assert "aperture_check_nodes" not in closed.meta
+    # quad.check forces quadrature here; the count is the one the check
+    # accepted, sized from the map's bandwidth, and the error its measured
+    # change against the finer count it records
     quad = _auto_image(imaging_params, imaging_lens, pattern, -45.0, grid,
                        QuadSettings(check=True))
-    assert quad.meta["error_kind"] == "doubling"
+    assert quad.meta["error_kind"] == "refinement"
     assert 0 <= quad.meta["error_estimate"] <= 1e-8
     n = quad.meta["aperture_nodes"]
-    assert n >= 32 and n & (n - 1) == 0
+    assert n > 0 and n % 8 == 0
+    assert quad.meta["aperture_check_nodes"] == finer_nodes(n, QuadSettings())
+    assert quad.meta["aperture_bandwidth_rad"] == pytest.approx(166.2, abs=0.1)
     coarser = _image(imaging_params, imaging_lens, pattern, -45.0, grid, nodes=n // 2)
     assert coarser.meta["error_estimate"] > 1e-8
     assert coarser.meta["aperture_nodes"] == n // 2
@@ -443,9 +448,9 @@ def test_clipped_map_converges_at_default_settings(imaging_lens):
 def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
     imaging_lens, monkeypatch
 ):
-    # the check at n and 2n sees at most 16 camera columns and rows, evenly
-    # strided with the first and last included; only the chosen count runs
-    # on the whole camera
+    # the check at n and its finer count sees at most 16 camera columns and
+    # rows, evenly strided with the first and last included; only the
+    # chosen count runs on the whole camera
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SourceRegimeWarning)
         params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
@@ -465,7 +470,8 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
     np.testing.assert_array_equal(x2c, grid.x_centers())
     np.testing.assert_array_equal(y2c, grid.y_centers())
     counts = [n for _, _, n in checked]
-    assert counts == [32 * 2**i for i in range(len(counts))] and counts[-2] == nodes
+    assert counts[1:] == [finer_nodes(n, QuadSettings()) for n in counts[:-1]]
+    assert counts[-2] == nodes and counts[-1] == cmap.meta["aperture_check_nodes"]
     for x2p, y2p, _ in checked:
         for probe, full in ((x2p, grid.x_centers()), (y2p, grid.y_centers())):
             index = np.flatnonzero(np.isin(full, probe))

@@ -17,7 +17,6 @@ from ghostsim import (
     SourceRegimeWarning,
     aperture_nodes,
     axis_amplitude,
-    fresnel_kernel,
     ghost_image_map,
     ghost_magnification,
     half_plane_pattern,
@@ -26,10 +25,9 @@ from ghostsim import (
     uniform_pattern,
 )
 from ghostsim import experiments, optics
-from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, _leggauss
+from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, _leggauss, finer_nodes
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
-    APERTURE_START_NODES,
     KERNEL_FLOOR,
     _axis_factors,
     _disc_rule,
@@ -95,6 +93,14 @@ def test_ghost_magnification_requires_matching_geometry(imaging_params, imaging_
 # ---------------------------------------------------------------------------
 
 
+def fresnel_kernel(dist: float, k: float, dx, dy) -> np.ndarray:
+    """Unit-magnitude paraxial propagator exp(+i k (dx^2 + dy^2) / (2 dist)):
+    an independent reference for the kernels' output phase."""
+    dx = np.asarray(dx, float)
+    dy = np.asarray(dy, float)
+    return np.exp(1j * k * (dx * dx + dy * dy) / (2.0 * dist))
+
+
 def test_phase_kernels_are_pure_phases(imaging_params):
     k = imaging_params.k
     xi = np.linspace(-0.02, 0.02, 11)
@@ -102,9 +108,16 @@ def test_phase_kernels_are_pure_phases(imaging_params):
 
 
 def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
-    # the first count of the doubling search, or the explicit one
-    assert aperture_nodes(QuadSettings()) == APERTURE_START_NODES == 32
-    assert aperture_nodes(QuadSettings(nodes=512)) == 512
+    # the first count where the aperture clips, sized from the bandwidth
+    # and the envelope: a PSF scan (omega = 6.1 rad, Re a = 0.09), the same
+    # under a sigma = 3 mm envelope (Re a = 15.3), and a wide map; 0, the
+    # closed form, where it does not; or the explicit one
+    assert aperture_nodes(QuadSettings(), True, lambda: 6.1, 0.09) == 24
+    assert aperture_nodes(QuadSettings(), True, lambda: 6.1, 15.3) == 56
+    assert aperture_nodes(QuadSettings(), True, lambda: 289.6, 0.09) == 352
+    assert aperture_nodes(QuadSettings(), True, lambda: 1e5, 0.09) == MAX_NODES
+    assert aperture_nodes(QuadSettings(), False, lambda: 6.1, 0.09) == 0
+    assert aperture_nodes(QuadSettings(nodes=512), False, lambda: 6.1, 0.09) == 512
     # an explicit count that misses the doubling check warns, and is kept
     m = ghost_magnification(_wide_source(), imaging_lens)
     grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
@@ -308,9 +321,14 @@ def test_closed_form_point_path_selected_at_default_geometry(imaging_params, ima
 
 
 def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
-    start = APERTURE_START_NODES
+    # without a bandwidth the first count is sized for the envelope alone:
+    # 8 nodes for sigma = 40 mm, 40 for sigma = 3 mm (Re a = 15.3)
+    start = 40
     # the aperture clips the lens-plane envelope of a sigma = 40 mm source
-    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == start
+    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == 8
+    assert lens_plane_nodes(
+        _wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0, bandwidth=lambda: 6.1
+    )[0] == 24
     # an explicit node count always means quadrature
     assert lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
@@ -694,23 +712,131 @@ def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
 
 
 def test_a_psf_scan_evaluates_each_node_count_once(imaging_lens, monkeypatch):
-    # the doubling search checks every point at 32 and 64 nodes and returns
-    # the values at 32; nothing is evaluated again, and the on-axis
-    # reference takes no quadrature
+    # the check compares every point at the bandwidth's 24 nodes with 32
+    # and returns the values at 24; nothing is evaluated again, and the
+    # on-axis reference takes no quadrature. The 141 points run padded to
+    # whole 16-point chunks.
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
     calls = []
 
-    def counted(params, lens, x1, y1, x2, y2, nodes):
-        calls.append((nodes, x1.size))
-        return raw(params, lens, x1, y1, x2, y2, nodes)
+    def counted(A, Bx, Cx, By, Cy, rho, nodes):
+        calls.append((nodes, Bx.size))
+        return disc_sum(A, Bx, Cx, By, Cy, rho, nodes)
 
-    raw = optics._imaging_raw
-    monkeypatch.setattr(optics, "_imaging_raw", counted)
+    disc_sum = optics._disc_sum
+    monkeypatch.setattr(optics, "_disc_sum", counted)
     value = imaging_amplitude(params, imaging_lens, *pts)
-    assert calls == [(32, 141), (64, 141)]
+    assert calls == [(24, 144), (32, 144)]
     monkeypatch.undo()
-    np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 32))
+    np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 24))
+
+
+def _source(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        return SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
+
+
+# (sigma, aperture radius, object point or "edge", lens object distance u,
+# quad.check) of clipped PSF lines; "edge" puts the lens-plane envelope's
+# centre, at -(s2/s1) x1, on the aperture's rim. u = s1 + s2 + 0.1 m
+# defocuses the lens (Im A != 0).
+BANDWIDTH_POINT_CASES = [
+    (20e-3, 25e-3, (0.7e-3, -0.4e-3), 2.83, False),
+    (40e-3, 25e-3, (0.7e-3, -0.4e-3), 2.83, False),
+    (20e-3, 12.5e-3, (0.7e-3, -0.4e-3), 2.83, False),
+    (40e-3, 12.5e-3, (0.7e-3, -0.4e-3), 2.83, False),
+    (3e-3, 25e-3, "edge", 2.83, True),
+    (3e-3, 12.5e-3, "edge", 2.83, True),
+    (3e-3, 25e-3, (4e-3, 4e-3), 2.83, True),
+    (40e-3, 25e-3, (0.7e-3, -0.4e-3), 2.93, True),
+]
+
+# (sigma, aperture radius, pattern centre or "edge", quad.check) of 16^2
+# maps of an 8^2 half plane over 1 mm, the camera over its image
+BANDWIDTH_MAP_CASES = [
+    (20e-3, 25e-3, 0.0, False),
+    (40e-3, 25e-3, 0.0, False),
+    (20e-3, 12.5e-3, 0.0, False),
+    (40e-3, 12.5e-3, 0.0, False),
+    (3e-3, 25e-3, "edge", True),
+]
+
+
+def _edge_or(place, params, rho):
+    return rho * params.s1 / params.s2 if place == "edge" else place
+
+
+def _auto_points(monkeypatch, sigma, rho, obj, u, check):
+    """(values, 2048-node reference, counts evaluated) of the automatic count
+    on one clipped PSF line."""
+    params, lens = _source(sigma), LensSystem(f=1.5, u=u, aperture_radius=rho)
+    x1, y1 = (_edge_or(obj, params, rho), 0.0) if obj == "edge" else obj
+    airy = AIRY_FIRST_ZERO * lens.v / (params.k * rho)
+    r = np.linspace(0.2, 1.6, 141) * airy
+    pts = (np.full(141, x1), np.full(141, y1),
+           -lens.magnification * x1 + r * np.cos(0.6), -lens.magnification * y1 + r * np.sin(0.6))
+    counts = []
+
+    def counted(*args):
+        counts.append(args[-1])
+        return disc_sum(*args)
+
+    disc_sum = optics._disc_sum
+    monkeypatch.setattr(optics, "_disc_sum", counted)
+    value = imaging_amplitude(params, lens, *pts, QuadSettings(check=check))
+    monkeypatch.undo()
+    return value, _point_amplitude(params, lens, *pts, 2048), counts
+
+
+def _auto_map(monkeypatch, sigma, rho, centre, check):
+    """(last field, its 2048-node reference, counts contracted) of the
+    automatic count on one 16^2 map."""
+    params, lens = _source(sigma), LensSystem(f=1.5, u=2.83, aperture_radius=rho)
+    c = _edge_or(centre, params, rho)
+    m = ghost_magnification(params, lens)
+    pattern = pattern_from_extent(half_plane_pattern(n=8).grid, (1e-3, 1e-3), center=(c, 0.0))
+    grid = GridSpec(nx=16, ny=16, extent_x=m * 1e-3, extent_y=m * 1e-3, center=(-m * c, 0.0))
+    counts = []
+
+    def reference(*args):
+        counts.append(args[-1])
+        return pattern_image_field(*args[:-1], 2048)
+
+    field, ref = _map_fields(monkeypatch, params, lens, pattern, 0.3, -0.5, grid,
+                             QuadSettings(check=check), reference=reference)
+    return field, ref, counts
+
+
+@pytest.mark.parametrize("case", BANDWIDTH_POINT_CASES)
+def test_bandwidth_count_matches_a_2048_node_reference_on_points(monkeypatch, case):
+    # the count sized from the bandwidth is within the disc rule's per-chord
+    # tolerance of the converged value, far inside DOUBLING_TOL
+    value, ref, _ = _auto_points(monkeypatch, *case)
+    assert np.max(np.abs(value - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", BANDWIDTH_MAP_CASES)
+def test_bandwidth_count_matches_a_2048_node_reference_on_maps(monkeypatch, case):
+    field, ref, _ = _auto_map(monkeypatch, *case)
+    assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", BANDWIDTH_POINT_CASES)
+def test_automatic_points_evaluate_two_counts_where_the_first_check_passes(
+    monkeypatch, case
+):
+    _, _, counts = _auto_points(monkeypatch, *case)
+    assert len(counts) == 2 and counts[1] == finer_nodes(counts[0], QuadSettings())
+
+
+@pytest.mark.parametrize("case", BANDWIDTH_MAP_CASES)
+def test_automatic_maps_evaluate_two_counts_where_the_first_check_passes(monkeypatch, case):
+    # two on the strided sub-camera, then the first on the whole camera
+    _, _, counts = _auto_map(monkeypatch, *case)
+    n = counts[0]
+    assert counts == [n, finer_nodes(n, QuadSettings()), n]
 
 
 def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):
@@ -737,17 +863,20 @@ def test_explicit_node_count_is_capped():
     with pytest.raises(ParameterError, match="exceeds"):
         QuadSettings(nodes=MAX_NODES + 1)
 
-    # values that never settle: the search stops at MAX_NODES, an explicit
-    # count is checked against its double only
+    # values that never settle: the search climbs by finer_nodes and stops
+    # at MAX_NODES, checked against 2560; an explicit count is checked
+    # against its double only. Each count is evaluated once.
     def never_settles(n):
         asked.append(n)
         return np.array([1.0 + 1.0 / n])
 
-    for quad, start, used in ((QuadSettings(), 32, MAX_NODES), (QuadSettings(nodes=64), 64, 64)):
+    for quad, start, used, check in ((QuadSettings(), 32, MAX_NODES, 2560),
+                                     (QuadSettings(nodes=64), 64, 64, 128)):
         asked = []
         with pytest.warns(ApertureSamplingWarning):
             nodes, change, _ = converged_nodes(never_settles, start, quad, "the values")
-        assert nodes == used and asked[-1] == 2 * used and change > DOUBLING_TOL
+        assert nodes == used and asked[-1] == check and change > DOUBLING_TOL
+        assert len(set(asked)) == len(asked)
     assert asked == [64, 128]
 
 
