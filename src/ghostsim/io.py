@@ -10,6 +10,9 @@ of the float (so it reads back exactly, "nan", "inf" and "-0" included), each
 graymap sample is "%d", values in a row are joined by single spaces, and
 every line, the last included, ends in one LF. An integer array whose values
 all lie within +-2**53 is written with "%d", which gives those same bytes.
+Those integer bodies and every graymap body are assembled as bytes in numpy,
+a block of whole rows at a time (_integer_rows), with the bytes "%d" per
+value gives; float bodies are formatted a row at a time.
 
 Readers accept exactly what Python's float() and int() accept per token, with
 the same values and the same ConfigError messages; a file that is not UTF-8
@@ -49,6 +52,11 @@ _INT64 = np.iinfo(np.int64)
 
 # the bytes of plain integer text, as save_matrix_text and save_pgm write it
 _PLAIN_INTEGER_BYTES = b"0123456789 \n-"
+
+# values per block of whole rows that _integer_rows assembles at once
+_BLOCK_VALUES = 8192
+
+_SPACE, _LF, _MINUS, _ZERO = b" \n-0"
 
 
 @contextmanager
@@ -117,6 +125,47 @@ def _format_rows(values: np.ndarray, fmt: str) -> Iterator[str]:
     return (row_fmt % tuple(row.tolist()) for row in values)
 
 
+def _integer_rows(values: np.ndarray) -> Iterator[bytes]:
+    """The bytes of _format_rows(values, "%d") for a non-empty 2D array of
+    integers within +-2**53, or of floats that hold such integers, made a
+    block of whole rows (about _BLOCK_VALUES values) at a time.
+
+    Each value of a block gets a field of its sign, the block's widest digit
+    count and its separator; digits come from repeated // 10, and one
+    compress keeps the sign of negative values, the digits from the first
+    nonzero one (the last digit always) and the separator.
+    """
+    ny, nx = values.shape
+    step = max(1, _BLOCK_VALUES // nx)
+    for r0 in range(0, ny, step):
+        # int64 before abs: abs of int8's -128 overflows in int8
+        v = values[r0:r0 + step].astype(np.int64).ravel()
+        a = np.abs(v)
+        width = len(str(int(a.max())))
+        if width <= 9:
+            a = a.astype(np.int32)
+        neg = v < 0
+        lead = int(bool(neg.any()))
+        out = np.empty((v.size, lead + width + 1), dtype=np.uint8)
+        keep = np.ones(out.shape, dtype=bool)
+        if lead:
+            out[:, 0] = _MINUS
+            keep[:, 0] = neg
+        last = lead + width - 1
+        for col in range(lead, last):
+            np.greater_equal(a, 10 ** (last - col), out=keep[:, col])
+        q = np.empty_like(a)
+        for col in range(last, lead - 1, -1):
+            np.floor_divide(a, 10, out=q)
+            a -= q * 10
+            np.add(a, _ZERO, out=out[:, col], casting="unsafe")
+            a, q = q, a
+        seps = out[:, -1].reshape(-1, nx)
+        seps[:] = _SPACE
+        seps[:, -1] = _LF
+        yield np.compress(keep.ravel(), out.ravel()).tobytes()
+
+
 def _exact_integers(values: np.ndarray) -> bool:
     """True when values is a non-empty integer array whose every entry float
     holds exactly, so "%d" prints what "%.17g" of its float would."""
@@ -132,11 +181,14 @@ def _exact_integers(values: np.ndarray) -> bool:
 def save_matrix_text(path: str, values: np.ndarray, meta: Optional[dict] = None) -> None:
     """Write a 2D array as headered rows of decimals, one row per y."""
     values = np.asarray(values)
-    fmt = "%d" if _exact_integers(values) else "%.17g"
     meta = meta or {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"# {key} = {meta[key]}\n" for key in sorted(meta))
-        fh.writelines(_format_rows(values, fmt))
+    header = "".join(f"# {key} = {meta[key]}\n" for key in sorted(meta))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        if _exact_integers(values):
+            fh.writelines(_integer_rows(values))
+        else:
+            fh.writelines(row.encode() for row in _format_rows(values, "%.17g"))
 
 
 def load_matrix_text(path: str) -> Tuple[np.ndarray, dict]:
@@ -206,17 +258,21 @@ def save_pgm(path: str, values: np.ndarray) -> None:
     Negative inputs are clipped to 0; if any were present, a sidecar file
     <path>.note records how many. Non-finite values raise ParameterError.
     """
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    # one float copy, rescaled in place in the order rint(v / top * maxval)
+    gray = np.array(values, dtype=float)
+    if not np.all(np.isfinite(gray)):
         raise ParameterError(f"{path}: a graymap needs finite values")
-    clipped = int(np.count_nonzero(values < 0))
-    vals = np.clip(values, 0.0, None)
-    top = float(vals.max())
-    gray = np.rint(vals / top * PGM_MAXVAL).astype(int) if top > 0 else vals.astype(int)
+    clipped = int(np.count_nonzero(gray < 0))
+    np.clip(gray, 0.0, None, out=gray)
+    top = float(gray.max())
+    if top > 0:
+        gray /= top
+        gray *= PGM_MAXVAL
+        np.rint(gray, out=gray)
     ny, nx = gray.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"P2\n{nx} {ny}\n{PGM_MAXVAL}\n")
-        fh.writelines(_format_rows(gray, "%d"))
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n{nx} {ny}\n{PGM_MAXVAL}\n".encode())
+        fh.writelines(_integer_rows(gray))
     note = path + ".note"
     if clipped:
         with open(note, "w", encoding="utf-8", newline="\n") as fh:

@@ -468,12 +468,6 @@ def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
     return out
 
 
-def _imaging_raw(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Unnormalized Phi_I at flat point arrays (_disc_sum)."""
-    A, *terms = _point_terms(params, lens, x1, y1, x2, y2)
-    return _disc_sum(A, *_padded(*terms), lens.aperture_radius, nodes)[:x1.size]
-
-
 def _on_axis_raw(params, lens) -> complex:
     """On-axis reference Phi_I(0,0;0,0) of the quadrature path, exactly.
 
@@ -484,11 +478,6 @@ def _on_axis_raw(params, lens) -> complex:
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
     a = A * lens.aperture_radius**2
     return -math.pi * np.expm1(-a) / a
-
-
-def _point_amplitude(params, lens, x1, y1, x2, y2, nodes) -> np.ndarray:
-    """Normalized Phi_I at flat point arrays, by the disc rule with nodes."""
-    return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
 
 
 def imaging_amplitude(

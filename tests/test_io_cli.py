@@ -465,6 +465,137 @@ def test_integer_matrix_text_bytes_match_their_floats(tmp_path, case):
 
 
 # ---------------------------------------------------------------------------
+# integer bodies: _integer_rows against "%d" per value
+# ---------------------------------------------------------------------------
+
+
+def _assert_integer_rows_match_percent_d(values):
+    from ghostsim.io import _format_rows, _integer_rows
+
+    want = "".join(_format_rows(values, "%d")).encode()
+    assert b"".join(_integer_rows(values)) == want
+
+
+def _edge_integers(dtype):
+    """0, the dtype's limits within +-2**53, and 10**k - 1, 10**k and
+    -10**k for every k the dtype holds."""
+    info = np.iinfo(dtype)
+    lo, hi = max(int(info.min), -(2**53)), min(int(info.max), 2**53)
+    edges = {0, lo, hi}
+    for k in range(17):
+        edges.update({10**k - 1, 10**k, -(10**k), 1 - 10**k})
+    return np.array(sorted(v for v in edges if lo <= v <= hi), dtype=dtype), lo, hi
+
+
+_KERNEL_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", _KERNEL_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_integer_rows_match_percent_d_for_every_dtype(dtype):
+    edges, lo, hi = _edge_integers(dtype)
+    rng = np.random.default_rng(27)
+    # magnitudes spread over every digit count the dtype holds
+    scale = 10.0 ** rng.uniform(0, np.log10(hi), size=300)
+    sign = rng.choice([-1, 1], size=300) if lo < 0 else 1
+    draws = np.clip(np.round(sign * scale * rng.random(300)), lo, hi)
+    values = np.concatenate([edges, draws.astype(np.int64).astype(dtype)])
+    _assert_integer_rows_match_percent_d(np.resize(values, (37, 11)))
+    _assert_integer_rows_match_percent_d(edges[None, :])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64], ids=["int64", "uint64"])
+def test_integer_rows_match_percent_d_at_2_53(dtype):
+    top = np.array([2**53, 2**53 - 1, 0, 1], dtype=dtype)
+    if dtype is np.int64:
+        top = np.concatenate([top, -top])
+    _assert_integer_rows_match_percent_d(np.resize(top, (3, 5)))
+
+
+_KERNEL_SHAPES = {
+    "all zero": np.zeros((6, 7), dtype=np.int64),
+    "1x1": np.array([[-7]]),
+    "1x1 zero": np.array([[0]]),
+    "1xN wider than a block": np.arange(-10_000, 10_001)[None, :],
+    "Nx1 longer than a block": np.arange(-10_000, 10_001)[:, None],
+    # 256 columns run 32 rows a block; 300 run 27
+    "rows not a multiple of the block": np.arange(101 * 256).reshape(101, 256) - 12_000,
+    "width not dividing the block": np.arange(-45_000, 45_000).reshape(300, 300),
+    "signs in some blocks only": np.arange(-300, 100 * 256 - 300).reshape(100, 256)[::-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_SHAPES))
+def test_integer_rows_match_percent_d_for_every_shape(case):
+    _assert_integer_rows_match_percent_d(_KERNEL_SHAPES[case])
+
+
+@pytest.mark.parametrize("view", ["fortran", "transpose", "strided"])
+def test_integer_rows_match_percent_d_on_views(view):
+    base = np.random.default_rng(8).integers(-(10**6), 10**6, size=(150, 91))
+    values = {
+        "fortran": np.asfortranarray(base),
+        "transpose": base.T,
+        "strided": base[::2, ::3],
+    }[view]
+    _assert_integer_rows_match_percent_d(values)
+
+
+def test_integer_rows_match_percent_d_property(monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    from ghostsim import io as gio
+
+    def arrays(dtype):
+        info = np.iinfo(dtype)
+        elements = st.integers(max(int(info.min), -(2**53)), min(int(info.max), 2**53))
+        shape = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
+        return hnp.arrays(dtype, shape, elements=elements)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(_KERNEL_DTYPES).flatmap(arrays),
+           st.sampled_from(["C", "F", "T", "strided"]), st.integers(1, 64))
+    def check(values, layout, block):
+        # small blocks put block boundaries inside these small arrays
+        monkeypatch.setattr(gio, "_BLOCK_VALUES", block)
+        values = {"C": values, "F": np.asfortranarray(values), "T": values.T,
+                  "strided": values[::2, ::-1]}[layout]
+        _assert_integer_rows_match_percent_d(values)
+
+    check()
+
+
+def test_save_pgm_leaves_the_callers_array_unchanged(tmp_path):
+    values = np.array([[3.0, -1.5], [0.25, 7.0]])
+    kept = values.copy()
+    save_pgm(str(tmp_path / "g.pgm"), values)
+    np.testing.assert_array_equal(values, kept)
+
+
+def _peak_bytes(write):
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integer_frame_writers_peak_memory_stays_small(tmp_path):
+    # blocks keep the text writer at O(block); the graymap holds one float
+    # copy of the 8.4 MB frame (four float temporaries peaked at 32 MB)
+    rng = np.random.default_rng(13)
+    counts = rng.poisson(300, size=(1024, 1024)) - rng.poisson(300, size=(1024, 1024))
+    frame = CountFrame(counts=counts, meta={"seed": 13}, signed=True)
+    txt, pgm = str(tmp_path / "f.txt"), str(tmp_path / "f.pgm")
+    assert _peak_bytes(lambda: save_map(frame, txt)) < 1e6
+    assert _peak_bytes(lambda: save_map(frame, pgm, fmt="graymap")) < 17e6
+
+
+# ---------------------------------------------------------------------------
 # graymaps
 # ---------------------------------------------------------------------------
 

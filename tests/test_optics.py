@@ -31,10 +31,10 @@ from ghostsim.optics import (
     KERNEL_FLOOR,
     _axis_factors,
     _disc_rule,
-    _imaging_raw,
     _lens_plane_coefficients,
     _on_axis_raw,
-    _point_amplitude,
+    _padded,
+    _point_terms,
     converged_nodes,
     lens_axis_kernel,
     lens_plane_nodes,
@@ -596,6 +596,18 @@ def test_disc_rule_weights_sum_to_the_disc_area(imaging_lens, n):
         w = _leggauss(n)[1]
         np.testing.assert_allclose(W[n // 2], np.pi / 2 * w[n // 2] * w, rtol=1e-13)
     assert not W.flags.writeable and _disc_rule(n)[2] is W
+
+
+def _imaging_raw(params, lens, x1, y1, x2, y2, nodes):
+    """Unnormalized Phi_I at flat point arrays, by optics._disc_sum as it is
+    when called (a test may wrap it)."""
+    A, *terms = _point_terms(params, lens, x1, y1, x2, y2)
+    return optics._disc_sum(A, *_padded(*terms), lens.aperture_radius, nodes)[:x1.size]
+
+
+def _point_amplitude(params, lens, x1, y1, x2, y2, nodes):
+    """Normalized Phi_I at flat point arrays, by the disc rule with nodes."""
+    return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
 
 
 def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
