@@ -5,10 +5,8 @@ from .biphoton import (
     MAX_NODES,
     QuadSettings,
     SourceParams,
-    anticorrelation_locus,
     axis_amplitude,
     closed_form_amplitude,
-    correlation_width,
     envelope_coefficients,
     quadrature_oracle_amplitude,
 )
@@ -36,13 +34,11 @@ from .experiments import (
     CoincidenceMap,
     DoubleSlit,
     PhasePattern,
-    background_subtract,
     expected_fringe_period,
     ghost_image_map,
     ghost_interference_map,
     half_plane_pattern,
     pattern_from_extent,
-    rotate_pattern_90,
     uniform_pattern,
 )
 from .grids import GridSpec
@@ -69,8 +65,6 @@ from .polarization import (
     STANDARD_CHSH_ANGLES,
     TwoQubitPolState,
     VisibilityModel,
-    apply_pattern_phase,
-    canonical_angle,
     chsh_S,
     correlation_E,
     make_bell,

@@ -518,19 +518,3 @@ def quadrature_oracle_amplitude(
         raise NumericError("quadrature oracle produced non-finite values")
     return value
 
-
-# ---------------------------------------------------------------------------
-# derived source properties
-# ---------------------------------------------------------------------------
-
-
-def anticorrelation_locus(params: SourceParams, x1, y1) -> Tuple[np.ndarray, np.ndarray]:
-    """Peak of |Phi| over (x2, y2) for fixed (x1, y1): (-x1 s2/s1, -y1 s2/s1)."""
-    ratio = params.s2 / params.s1
-    return -ratio * np.asarray(x1, float), -ratio * np.asarray(y1, float)
-
-
-def correlation_width(params: SourceParams) -> float:
-    """1/e half-width of |Phi|^2 in the correlation variable x1/s1 + x2/s2."""
-    c_env, _ = envelope_coefficients(params)
-    return float(1.0 / np.sqrt(2.0 * c_env))

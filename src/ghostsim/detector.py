@@ -112,8 +112,6 @@ def _simulate(
     workers: int,
 ) -> CountFrame:
     check_workers(workers)
-    if cmap.signed:
-        raise ParameterError("cannot simulate counts from a signed map")
     values = cmap.values
     total = float(values.sum())
     shape = values.shape

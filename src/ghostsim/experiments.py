@@ -20,7 +20,7 @@ maps remain comparable on a common scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Tuple
 
@@ -157,19 +157,6 @@ def uniform_pattern(n: int = 128, extent: float = 4e-3, phi: float = 0.0) -> Pha
     return pattern_from_extent(np.full((n, n), float(phi)), (extent, extent))
 
 
-def rotate_pattern_90(pattern: PhasePattern) -> PhasePattern:
-    """Rotate a square, centered pattern by 90 degrees in its own plane."""
-    ny, nx = pattern.shape
-    if ny != nx or abs(pattern.pitch[0] - pattern.pitch[1]) > 1e-15:
-        raise ParameterError("rotation is defined for square patterns only")
-    cx = pattern.origin[0] + pattern.pitch[0] * (nx - 1) / 2
-    cy = pattern.origin[1] + pattern.pitch[1] * (ny - 1) / 2
-    if abs(cx) > 1e-12 or abs(cy) > 1e-12:
-        raise ParameterError("rotation is defined for centered patterns only")
-    ap = None if pattern.aperture is None else np.rot90(pattern.aperture).copy()
-    return replace(pattern, grid=np.rot90(pattern.grid).copy(), aperture=ap)
-
-
 # ---------------------------------------------------------------------------
 # coincidence maps
 # ---------------------------------------------------------------------------
@@ -179,8 +166,8 @@ def rotate_pattern_90(pattern: PhasePattern) -> PhasePattern:
 class CoincidenceMap(PixelGrid):
     """Gridded coincidence probabilities over the detection plane.
 
-    values: (ny, nx) array, peak-normalized to 1 unless identically zero;
-      signed maps (differences) are normalized by the largest magnitude.
+    values: (ny, nx) nonnegative array, peak-normalized to 1 unless
+      identically zero.
     pitch, origin: grid geometry as in PhasePattern, detection-plane meters.
     meta: polarizer angles, raw peak before normalization, provenance notes.
     """
@@ -189,7 +176,6 @@ class CoincidenceMap(PixelGrid):
     pitch: Tuple[float, float]
     origin: Tuple[float, float]
     meta: dict = field(default_factory=dict)
-    signed: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -197,9 +183,9 @@ class CoincidenceMap(PixelGrid):
             raise ParameterError("map values must be a non-empty 2D array")
         if not np.all(np.isfinite(vals)):
             raise ParameterError("map values must be finite")
-        if not self.signed and np.any(vals < 0):
+        if np.any(vals < 0):
             raise ParameterError("coincidence probabilities cannot be negative")
-        peak = float(np.max(np.abs(vals)))
+        peak = float(np.max(vals))
         if peak > 0 and abs(peak - 1.0) > 1e-9:
             raise ParameterError("map must be peak-normalized (or identically zero)")
         self._set_pixels("map", self.pitch, self.origin)
@@ -214,18 +200,15 @@ class CoincidenceMap(PixelGrid):
         return self.values * self.meta.get("raw_peak", 1.0)
 
 
-def _normalized_map(raw: np.ndarray, grid: PixelGrid, meta: dict, signed=False):
-    """CoincidenceMap of raw on grid's pixels, divided by its largest
-    magnitude; meta gains raw_peak and normalization."""
+def _normalized_map(raw: np.ndarray, grid: PixelGrid, meta: dict):
+    """CoincidenceMap of raw on grid's pixels, divided by its peak; meta
+    gains raw_peak and normalization."""
     peak = float(np.max(np.abs(raw)))
     vals = raw / peak if peak > 0 else raw
     meta = dict(meta)
     meta["raw_peak"] = peak
-    label = "max magnitude" if signed else "peak"
-    meta["normalization"] = label if peak > 0 else "zero map"
-    return CoincidenceMap(
-        values=vals, pitch=grid.pitch, origin=grid.origin, meta=meta, signed=signed
-    )
+    meta["normalization"] = "peak" if peak > 0 else "zero map"
+    return CoincidenceMap(values=vals, pitch=grid.pitch, origin=grid.origin, meta=meta)
 
 
 def expected_fringe_period(params: SourceParams, d: float) -> float:
@@ -393,20 +376,3 @@ def ghost_image_map(
     }
     return _normalized_map(raw, image_grid, meta)
 
-
-def background_subtract(
-    signal: CoincidenceMap, background: CoincidenceMap
-) -> CoincidenceMap:
-    """Pixel-wise difference signal - background on the common raw scale.
-
-    The result may contain negative values and is normalized by its largest
-    magnitude.
-    """
-    signal.check_same_grid(background)
-    raw = signal.raw_values() - background.raw_values()
-    meta = {
-        "experiment": "background-subtracted ghost image",
-        "delta1_deg": signal.meta.get("delta1_deg"),
-        "delta2_deg": signal.meta.get("delta2_deg"),
-    }
-    return _normalized_map(raw, signal, meta, signed=True)

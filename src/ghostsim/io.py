@@ -167,20 +167,27 @@ def _integer_rows(values: np.ndarray) -> Iterator[bytes]:
 
 
 def _exact_integers(values: np.ndarray) -> bool:
-    """True when values is a non-empty integer array whose every entry float
-    holds exactly, so "%d" prints what "%.17g" of its float would."""
+    """True when values, a non-empty array, holds integers whose every entry
+    float holds exactly, so "%d" prints what "%.17g" of its float would."""
     # min and max, not abs: abs of int64's minimum overflows
     return (
         np.issubdtype(values.dtype, np.integer)
-        and values.size > 0
         and -_EXACT_INT <= values.min()
         and values.max() <= _EXACT_INT
     )
 
 
+def _check_matrix(path: str, values: np.ndarray) -> None:
+    """Raise ParameterError unless values is a non-empty 2D array."""
+    if values.ndim != 2 or values.size == 0:
+        raise ParameterError(f"{path}: values must be a non-empty 2D array, got {values.shape}")
+
+
 def save_matrix_text(path: str, values: np.ndarray, meta: Optional[dict] = None) -> None:
-    """Write a 2D array as headered rows of decimals, one row per y."""
+    """Write a non-empty 2D array as headered rows of decimals, one row per
+    y; any other shape raises ParameterError before the file is opened."""
     values = np.asarray(values)
+    _check_matrix(path, values)
     meta = meta or {}
     header = "".join(f"# {key} = {meta[key]}\n" for key in sorted(meta))
     with open(path, "wb") as fh:
@@ -256,10 +263,12 @@ def save_pgm(path: str, values: np.ndarray) -> None:
     """Write values rescaled to [0, PGM_MAXVAL] as an ASCII graymap (magic P2).
 
     Negative inputs are clipped to 0; if any were present, a sidecar file
-    <path>.note records how many. Non-finite values raise ParameterError.
+    <path>.note records how many. Non-finite values and any shape but a
+    non-empty 2D array raise ParameterError before the file is opened.
     """
     # one float copy, rescaled in place in the order rint(v / top * maxval)
     gray = np.array(values, dtype=float)
+    _check_matrix(path, gray)
     if not np.all(np.isfinite(gray)):
         raise ParameterError(f"{path}: a graymap needs finite values")
     clipped = int(np.count_nonzero(gray < 0))

@@ -55,17 +55,8 @@ def _check_angles(*deltas) -> None:
         raise ParameterError("polarizer angle must be finite")
 
 
-def canonical_angle(delta: float) -> float:
-    """Fold a polarizer angle in radians into (-pi/2, pi/2]."""
-    _check_angles(delta)
-    folded = (delta + np.pi / 2) % np.pi - np.pi / 2
-    if folded == -np.pi / 2:
-        folded = np.pi / 2
-    return float(folded)
-
-
 # ---------------------------------------------------------------------------
-# state construction and transformation
+# state construction
 # ---------------------------------------------------------------------------
 
 _RT2 = 1.0 / np.sqrt(2.0)
@@ -89,21 +80,13 @@ def make_bell(kind: str) -> TwoQubitPolState:
     return TwoQubitPolState(amps.copy())
 
 
-def apply_pattern_phase(state: TwoQubitPolState, phi: float) -> TwoQubitPolState:
-    """Apply the pattern's unitary at one point: H of photon 1 gains exp(i*phi)."""
-    factor = np.exp(1j * float(phi))
-    amps = state.amps.copy()
-    amps[HH] *= factor
-    amps[HV] *= factor
-    return TwoQubitPolState(amps)
-
-
 def pattern_projection_coeff(phi, d1: float, d2: float) -> np.ndarray:
     """Projection amplitude of the pattern-transformed singlet, vectorized in phi.
 
-    Equals project_linear(apply_pattern_phase(psi_minus, phi), d1, d2) but
-    accepts an array of phase values, which is what map evaluation needs.
-    Non-finite angles raise ParameterError.
+    The pattern multiplies photon 1's H component by exp(i*phi), taking the
+    singlet (|HV> - |VH>)/sqrt(2) to (e^{i phi}|HV> - |VH>)/sqrt(2); this is
+    <d(d1)| <d(d2)| of that state, for an array of phase values as map
+    evaluation needs. Non-finite angles raise ParameterError.
     """
     _check_angles(d1, d2)
     phi = np.asarray(phi, dtype=float)

@@ -95,7 +95,11 @@ def check_magnification() -> tuple[bool, str]:
     i = min(max(i, 1), len(x2) - 2)
     m_found = -_parabola_vertex(x2, amp, i) / x1
     err = abs(m_found - m_expect) / m_expect
-    return err < 0.03, f"tracked magnification {m_found:.4f} vs {m_expect:.4f}"
+    # the refined vertex is 9.4e-6 off; a wrong-signed or missing parabola
+    # step is 5.0e-3 or 2.5e-3 off
+    return err < 1e-4, (
+        f"tracked magnification {m_found:.7f} vs {m_expect:.7f} (relative error {err:.2g})"
+    )
 
 
 def _small_image(pattern, d1_deg: float):

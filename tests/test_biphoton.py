@@ -14,10 +14,8 @@ from ghostsim import (
     QuadSettings,
     SourceParams,
     SourceRegimeWarning,
-    anticorrelation_locus,
     axis_amplitude,
     closed_form_amplitude,
-    correlation_width,
     envelope_coefficients,
     ghost_image_map,
     ghost_magnification,
@@ -136,22 +134,19 @@ def test_far_off_axis_coordinates_warn(fringe_params):
 # ---------------------------------------------------------------------------
 
 
-def test_anticorrelation_locus_values(fringe_params):
-    x2, y2 = anticorrelation_locus(fringe_params, 1e-3, -0.5e-3)
-    assert x2 == pytest.approx(-1e-3 * 1.0 / 1.33, rel=1e-12)
-    assert y2 == pytest.approx(0.5e-3 * 1.0 / 1.33, rel=1e-12)
-
-
 def test_locus_maximizes_envelope(fringe_params):
+    # |Phi| over x2 peaks on the anticorrelation locus x2 = -x1 s2/s1
     x1 = 1e-3
-    lx, _ = anticorrelation_locus(fringe_params, x1, 0.0)
+    lx = -x1 * fringe_params.s2 / fringe_params.s1
     x2 = np.linspace(lx - 2e-3, lx + 2e-3, 801)
     mags = np.abs(closed_form_amplitude(fringe_params, x1, 0.0, x2, 0.0))
     assert abs(x2[np.argmax(mags)] - lx) < 6e-6
 
 
 def test_correlation_width_frozen_and_one_sigma(fringe_params):
-    w = correlation_width(fringe_params)
+    # 1/e half-width of |Phi|^2 in the correlation variable x1/s1 + x2/s2
+    c_env, _ = envelope_coefficients(fringe_params)
+    w = 1.0 / np.sqrt(2.0 * c_env)
     assert w == pytest.approx(CORRELATION_WIDTH, rel=1e-12)
     # |Phi| falls to exp(-1/2) when the summed coordinate equals the width
     mag = np.abs(closed_form_amplitude(fringe_params, 0.0, 0.0, fringe_params.s2 * w, 0.0))

@@ -98,14 +98,6 @@ def test_counts_bounded_by_gates_and_conserved_at_unit_probability():
     assert frame_full.counts.sum() == frame_full.meta["gates_opened"]
 
 
-def test_signed_map_rejected():
-    m = CoincidenceMap(
-        values=np.array([[1.0, -0.2]]), pitch=(1e-5, 1e-5), origin=(0, 0), signed=True
-    )
-    with pytest.raises(ParameterError):
-        simulate_exposure(m, DetectorConfig(exposure=1.0))
-
-
 def test_same_seed_reproduces_and_seeds_differ():
     cfg = DetectorConfig(exposure=2.0, seed=11)
     a = simulate_exposure(ramp_map(), cfg)

@@ -13,7 +13,6 @@ from ghostsim import (
     CoincidenceMap,
     ConvergenceError,
     DoubleSlit,
-    GridMismatchError,
     GridSpec,
     NumericError,
     ParameterError,
@@ -23,7 +22,6 @@ from ghostsim import (
     SamplingError,
     SourceParams,
     SourceRegimeWarning,
-    background_subtract,
     closed_form_amplitude,
     expected_fringe_period,
     ghost_image_map,
@@ -31,7 +29,6 @@ from ghostsim import (
     ghost_magnification,
     half_plane_pattern,
     pattern_from_extent,
-    rotate_pattern_90,
     uniform_pattern,
 )
 
@@ -130,28 +127,6 @@ def test_default_transmission_is_open():
     np.testing.assert_array_equal(pat.transmission(), np.ones((4, 4)))
 
 
-def test_rotation_quarter_turn_moves_x_step_to_y():
-    rot = rotate_pattern_90(half_plane_pattern(n=10, extent=4e-3))
-    ypat = half_plane_pattern(n=10, extent=4e-3, axis="y")
-    # one counterclockwise quarter turn parks the phase step on positive y
-    np.testing.assert_array_equal(rot.grid, ypat.grid[::-1, :])
-
-
-def test_rotation_twice_is_a_point_reflection():
-    pat = half_plane_pattern(n=6, extent=4e-3)
-    twice = rotate_pattern_90(rotate_pattern_90(pat))
-    np.testing.assert_array_equal(twice.grid, pat.grid[::-1, ::-1])
-
-
-def test_rotation_requires_square_centered_pattern():
-    with pytest.raises(ParameterError):
-        rotate_pattern_90(pattern_from_extent(np.zeros((4, 8)), (4e-3, 4e-3)))
-    with pytest.raises(ParameterError):
-        rotate_pattern_90(
-            pattern_from_extent(np.zeros((4, 4)), (4e-3, 4e-3), center=(1e-3, 0.0))
-        )
-
-
 # ---------------------------------------------------------------------------
 # coincidence-map record
 # ---------------------------------------------------------------------------
@@ -165,12 +140,6 @@ def test_map_must_be_peak_normalized():
         CoincidenceMap(values=2 * good, pitch=(1e-5, 1e-5), origin=(0, 0))
     with pytest.raises(ParameterError):
         CoincidenceMap(values=good - 0.5, pitch=(1e-5, 1e-5), origin=(0, 0))
-
-
-def test_signed_map_allows_negatives():
-    vals = np.array([[1.0, -0.5], [0.25, 0.0]])
-    m = CoincidenceMap(values=vals, pitch=(1e-5, 1e-5), origin=(0, 0), signed=True)
-    assert m.values.min() == -0.5
 
 
 def test_raw_values_rescale():
@@ -611,40 +580,6 @@ def test_invalid_telescope_scale_rejected(imaging_params, imaging_lens):
             imaging_params, imaging_lens, half_plane_pattern(n=32),
             0.0, 0.0, grid, telescope_scale=0.0,
         )
-
-
-def test_background_subtraction(imaging_params, imaging_lens):
-    m = ghost_magnification(imaging_params, imaging_lens)
-    grid = GridSpec(nx=16, ny=16, extent_x=m * 1e-3, extent_y=m * 1e-3)
-    pat = half_plane_pattern(n=32)
-    sig = _image(imaging_params, imaging_lens, pat, -45.0, grid)
-    bg = _image(imaging_params, imaging_lens, uniform_pattern(n=32), -45.0, grid)
-    diff = background_subtract(sig, bg)
-    assert diff.signed
-    np.testing.assert_allclose(diff.raw_values(), sig.raw_values(), rtol=1e-12, atol=1e-28)
-    zero = background_subtract(sig, sig)
-    assert zero.meta["raw_peak"] == 0.0
-    np.testing.assert_array_equal(zero.values, 0.0)
-
-
-def test_background_subtraction_grid_mismatch(imaging_params, imaging_lens):
-    m = ghost_magnification(imaging_params, imaging_lens)
-    a = _image(
-        imaging_params, imaging_lens, half_plane_pattern(n=32), -45.0,
-        GridSpec(nx=16, ny=16, extent_x=m * 1e-3, extent_y=m * 1e-3),
-    )
-    b = _image(
-        imaging_params, imaging_lens, half_plane_pattern(n=32), -45.0,
-        GridSpec(nx=12, ny=12, extent_x=m * 1e-3, extent_y=m * 1e-3),
-    )
-    c = _image(
-        imaging_params, imaging_lens, half_plane_pattern(n=32), -45.0,
-        GridSpec(nx=16, ny=16, extent_x=m * 2e-3, extent_y=m * 2e-3),
-    )
-    with pytest.raises(GridMismatchError):
-        background_subtract(a, b)
-    with pytest.raises(GridMismatchError):
-        background_subtract(a, c)
 
 
 def test_image_workers_do_not_change_bytes(imaging_params, imaging_lens):

@@ -633,6 +633,24 @@ def test_pgm_writer_rejects_non_finite_values(tmp_path, values):
     assert list(tmp_path.iterdir()) == []
 
 
+NOT_A_MATRIX = {
+    "int 1D": np.arange(3),
+    "float 1D": np.arange(3.0),
+    "3D": np.zeros((2, 2, 2)),
+    "no rows": np.zeros((0, 3)),
+    "no columns": np.zeros((3, 0)),
+}
+
+
+@pytest.mark.parametrize("writer", [save_matrix_text, save_pgm], ids=["matrix-text", "pgm"])
+@pytest.mark.parametrize("values", NOT_A_MATRIX.values(), ids=NOT_A_MATRIX.keys())
+def test_writers_refuse_what_is_not_a_non_empty_2d_array(tmp_path, writer, values):
+    path = tmp_path / "out"
+    with pytest.raises(ParameterError, match="non-empty 2D array"):
+        writer(str(path), values)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pgm_loader_rejects_truncated_and_foreign_files(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_text("P2\n2 2\n255\n1 2 3\n")
@@ -1421,6 +1439,51 @@ def test_refine_peaks_puts_a_sampled_parabola_at_its_vertex():
 
     x = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(refine_peaks(x, 1.0 - (x - 0.33) ** 2), [0.33], rtol=1e-12)
+
+
+def test_magnification_check_fails_a_wrong_signed_parabola_step(monkeypatch):
+    from ghostsim import validate
+
+    right = validate._parabola_vertex
+
+    def flipped(coords, profile, i):
+        return 2 * coords[i] - right(coords, profile, i)
+
+    assert validate.check_magnification()[0]
+    monkeypatch.setattr(validate, "_parabola_vertex", flipped)
+    assert not validate.check_magnification()[0]
+
+
+PUBLIC_NAMES = [
+    "AIRY_FIRST_ZERO", "ApertureSamplingWarning", "CoincidenceMap", "ConfigError",
+    "ConvergenceError", "CountFrame", "DetectorConfig", "DoubleSlit", "GATE_BLOCKS",
+    "GhostsimError", "GridMismatchError", "GridSpec", "LensSystem", "MAX_NODES",
+    "NumericError", "PGM_MAXVAL", "ParameterError", "ParaxialWarning", "PhasePattern",
+    "QuadSettings", "STANDARD_CHSH_ANGLES", "SamplingError", "SourceParams",
+    "SourceRegimeWarning", "TwoQubitPolState", "VisibilityModel", "aperture_nodes",
+    "axis_amplitude", "build_ghost_image", "chsh_S", "closed_form_amplitude",
+    "correlation_E", "envelope_coefficients", "expected_fringe_period",
+    "expected_gate_count", "ghost_image_map", "ghost_interference_map",
+    "ghost_magnification", "half_plane_pattern", "imaging_amplitude",
+    "load_matrix_text", "load_pattern", "load_pgm", "make_bell",
+    "outcome_probabilities", "parse_config", "pattern_from_extent",
+    "pattern_projection_coeff", "project_linear", "quadrature_oracle_amplitude",
+    "save_map", "save_matrix_text", "save_pattern", "save_pgm", "simulate_exposure",
+    "uniform_pattern", "write_config_echo",
+]
+
+
+def test_public_names_are_pinned():
+    # an export added to or dropped from the package is an edit of this list
+    import types
+
+    import ghostsim
+
+    names = sorted(
+        name for name, value in vars(ghostsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
 
 
 def _declared_console_script():

@@ -6,8 +6,6 @@ from ghostsim import (
     STANDARD_CHSH_ANGLES,
     TwoQubitPolState,
     VisibilityModel,
-    apply_pattern_phase,
-    canonical_angle,
     chsh_S,
     correlation_E,
     make_bell,
@@ -15,8 +13,18 @@ from ghostsim import (
     pattern_projection_coeff,
     project_linear,
 )
+from ghostsim.polarization import HH, HV
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def apply_pattern_phase(state: TwoQubitPolState, phi: float) -> TwoQubitPolState:
+    """The pattern's unitary at one point: H of photon 1 gains exp(i*phi)."""
+    factor = np.exp(1j * float(phi))
+    amps = state.amps.copy()
+    amps[HH] *= factor
+    amps[HV] *= factor
+    return TwoQubitPolState(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +60,6 @@ def test_visibility_range_enforced():
     for bad in (-0.1, 1.1, np.nan):
         with pytest.raises(ParameterError):
             VisibilityModel(V=bad)
-
-
-def test_canonical_angle_folds_to_half_open_interval():
-    for raw, want in [(0.0, 0.0), (np.pi, 0.0), (3 * np.pi / 4, -np.pi / 4),
-                      (-np.pi / 2, np.pi / 2), (np.pi / 2, np.pi / 2)]:
-        assert canonical_angle(raw) == pytest.approx(want, abs=1e-15)
-    assert -np.pi / 2 < canonical_angle(7.3) <= np.pi / 2
 
 
 # ---------------------------------------------------------------------------
