@@ -142,6 +142,8 @@ class QuadSettings:
     check: bool = False
 
     def __post_init__(self):
+        if self.nodes is not None and not isinstance(self.nodes, (int, np.integer)):
+            raise ParameterError(f"quadrature node count must be an integer, got {self.nodes!r}")
         if self.nodes is not None and self.nodes < 64:
             raise ParameterError("quadrature needs at least 64 nodes per axis")
         if self.nodes is not None and self.nodes > MAX_NODES:

@@ -21,7 +21,6 @@ maps remain comparable on a common scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,7 +40,6 @@ from .optics import (
     LensSystem,
     ghost_magnification,
     lens_plane_nodes,
-    map_bandwidth,
     pattern_image_field,
 )
 from .polarization import pattern_projection_coeff
@@ -129,7 +127,9 @@ def pattern_from_extent(
 
 
 def check_pattern_size(n: int) -> None:
-    """Raise ParameterError unless a pattern has n >= 1 pixels a side."""
+    """Raise ParameterError unless a pattern has an integer n >= 1 pixels a side."""
+    if not isinstance(n, (int, np.integer)):
+        raise ParameterError(f"pattern size n must be an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"pattern size n must be >= 1, got {n}")
 
@@ -305,18 +305,19 @@ def ghost_image_map(
     Pattern pixels are points at their centres weighted by their areas, and
     camera values are intensities at pixel centres (module docstring).
 
-    lens_plane_nodes picks the lens-plane path for the pattern's pixel
-    centres, or rejects a pattern reaching min(s1, s2) from the axis; meta
-    records it as lens_path ("closed-form" or "quadrature"), with clip_bound,
-    aperture_nodes (the count used, 0 on the closed form), and
-    error_estimate: on the quadrature path the measured change against
+    lens_plane_nodes picks the lens-plane path for the pattern's and the
+    camera's pixel centres, or rejects a pattern reaching min(s1, s2) from
+    the axis; meta records it as lens_path ("closed-form" or "quadrature"),
+    with clip_bound, aperture_nodes (the count used, 0 on the closed form),
+    and error_estimate: on the quadrature path the measured change against
     the finer count (error_kind "refinement"), else clip_bound
     ("clip_bound"); both bound the lens plane only. Quadrature maps also
     record why the count was used: aperture_bandwidth_rad, the bandwidth
-    omega that sized the first count (map_bandwidth, optics.aperture_nodes),
-    and aperture_check_nodes, the finer count converged_nodes compared it
-    with on at most 16 x 16 strided camera pixels, the first and last rows
-    and columns included. workers is accepted and changes nothing.
+    omega that lens_plane_nodes formed to size the first count
+    (optics.aperture_nodes), and aperture_check_nodes, the finer count
+    converged_nodes compared it with on at most 16 x 16 strided camera
+    pixels, the first and last rows and columns included. workers is
+    accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -337,8 +338,11 @@ def ghost_image_map(
     x1c, y1c = pattern.x_centers(), pattern.y_centers()
     x2c = image_grid.x_centers() / telescope_scale
     y2c = image_grid.y_centers() / telescope_scale
-    bandwidth = partial(map_bandwidth, params, lens, x1c, y1c, x2c, y2c)
-    nodes, bound = lens_plane_nodes(params, lens, quad, x1c, y1c, bandwidth)
+    # the axis ends are enough: the centres are monotone and B is affine in
+    # a1 and a2, so max|a1| and max|B| are reached at a corner
+    nodes, bound, omega = lens_plane_nodes(
+        params, lens, quad, x1c[[0, -1], None], y1c[[0, -1], None], x2c[[0, -1]], y2c[[0, -1]]
+    )
     weights = (
         pattern.transmission()
         * pattern_projection_coeff(pattern.grid, d1, d2)
@@ -357,7 +361,7 @@ def ghost_image_map(
             lambda n: evaluate(n, x2c[ix], y2c[iy]), nodes, quad, "the image field"
         )
         kind = "refinement"
-        quadrature = {"aperture_bandwidth_rad": bandwidth(),
+        quadrature = {"aperture_bandwidth_rad": omega,
                       "aperture_check_nodes": finer_nodes(nodes, quad)}
     raw = np.abs(evaluate(nodes, x2c, y2c)) ** 2
 

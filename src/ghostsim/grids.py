@@ -90,6 +90,10 @@ class GridSpec(PixelGrid):
     origin: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise ParameterError(
+                f"grid pixel counts must be integers, got nx={self.nx!r}, ny={self.ny!r}"
+            )
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("grids need at least 2 pixels per axis")
         if not (self.extent_x > 0 and self.extent_y > 0):

@@ -39,9 +39,9 @@ is at most the tolerance (biphoton.DOUBLING_TOL under quad.check, else
 APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
 that reach min(s1, s2) from the axis. On the quadrature path the first node
 count comes from the integrand itself (``aperture_nodes``): its largest
-lens-plane phase rate over the aperture, the bandwidth omega (for points
-``_point_bandwidth``, for maps ``map_bandwidth``), and the curvature of its
-Gaussian envelope. The package's one node check,
+lens-plane phase rate over the aperture, the bandwidth omega, which
+``lens_plane_nodes`` forms over the object and image points it is given,
+and the curvature of its Gaussian envelope. The package's one node check,
 ``biphoton.converged_nodes``, then compares every point amplitude (for
 image maps: a strided sub-camera of at most 16 x 16 pixels) with one finer
 count, ~1.25 times as many nodes, and moves on to that count only if the
@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -160,17 +160,16 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
     return lens.v / u_expected
 
 
-def aperture_nodes(quad: QuadSettings, clipped: bool,
-                   bandwidth: Callable[[], float], envelope: float) -> int:
+def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: float) -> int:
     """First per-axis node count of the lens-plane integral: quad.nodes; else
     0, the closed form, unless the aperture clipped beyond the limit
     (lens_plane_nodes); else n* sized to the integrand, for converged_nodes
     to check.
 
     Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
-    with a = A rho^2 and b = B rho (_lens_plane_coefficients). bandwidth()
-    is omega, the largest rate of its phase over the aperture, asked for
-    only where n* is formed; envelope is Re a, the curvature of its
+    with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
+    the largest rate of its phase over the aperture (lens_plane_nodes),
+    read only where n* is formed; envelope is Re a, the curvature of its
     Gaussian envelope. Gauss-Legendre error on an analytic integrand falls
     super-exponentially once n passes its bandwidth (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5; Approximation
     Theory and Approximation Practice, ch. 19): exp(i omega s) needs
@@ -204,7 +203,6 @@ def aperture_nodes(quad: QuadSettings, clipped: bool,
         return quad.nodes
     if not clipped:
         return 0
-    omega = bandwidth()
     n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
     return min(MAX_NODES, 8 * max(1, math.ceil(n / 8)))
 
@@ -256,27 +254,19 @@ def _kernel(A, B, C) -> np.ndarray:
     return np.exp(B)
 
 
-def _bandwidth(A, largest_b: float, rho: float) -> float:
-    """omega = max|B| rho + 2 |Im A| rho^2 (aperture_nodes), with
-    largest_b the largest |B| over the evaluated points: the largest rate
-    of the phase of exp(-A xi^2 + B xi) over |xi| <= rho. In focus
-    (u = s1 + s2) Im A rho^2 is 0.3 rad at sigma = 3 mm and falls as
-    sigma^-4; a defocused lens adds its chirp."""
-    return largest_b * rho + 2.0 * abs(A.imag) * rho**2
-
-
-def map_bandwidth(params, lens, x1c, y1c, x2c, y2c) -> float:
-    """omega of an image map over every pair of object and camera pixel
-    centres, from the ends of each axis alone: B(a1, a2) is affine in a1
-    and a2, so |B| is convex and takes its largest value over the pairs at
-    one of the four pairs of axis ends."""
-    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
+def _bandwidth(params: SourceParams, lens: LensSystem, x1, y1, x2, y2) -> float:
+    """omega = max|B| rho + 2 |Im A| rho^2 (aperture_nodes), max|B| over
+    the pairs (x1, x2) and (y1, y2), each broadcast together (0 without
+    points): the largest rate of the phase of exp(-A xi^2 + B xi) over
+    |xi| <= rho. In focus (u = s1 + s2) Im A rho^2 is 0.3 rad at
+    sigma = 3 mm and falls as sigma^-4; a defocused lens adds its chirp."""
     largest = 0.0
-    for a1, a2 in ((x1c, x2c), (y1c, y2c)):
-        _, B, _ = _lens_plane_coefficients(
-            params, lens, np.array([[np.min(a1)], [np.max(a1)]]), [np.min(a2), np.max(a2)])
-        largest = max(largest, float(np.max(np.abs(B))))
-    return _bandwidth(A, largest, lens.aperture_radius)
+    for a1, a2 in ((x1, x2), (y1, y2)):
+        A, B, _ = _lens_plane_coefficients(params, lens, a1, a2)
+        if B.size:
+            largest = max(largest, float(np.max(np.abs(B))))
+    rho = lens.aperture_radius
+    return largest * rho + 2.0 * abs(A.imag) * rho**2
 
 
 def _object_reach(params: SourceParams, x1, y1) -> float:
@@ -294,21 +284,19 @@ def _object_reach(params: SourceParams, x1, y1) -> float:
 
 
 def lens_plane_nodes(
-    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1,
-    bandwidth: Callable[[], float] = lambda: 0.0,
-) -> Tuple[int, float]:
-    """Path choice for these object points: (nodes, clip_bound).
+    params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1, x2, y2,
+) -> Tuple[int, float, float]:
+    """Path choice for these object and image points: (nodes, clip_bound, omega).
 
     Object points beyond the model raise ParameterError (_object_reach).
     nodes, from aperture_nodes, is 0 for the closed form, which runs iff
     quad.nodes is None and the clip bound is at most the limit:
     DOUBLING_TOL when quad.check is set, else APERTURE_CLIP_TOL. Otherwise
     it is the aperture quadrature's first count per axis: quad.nodes, so
-    an explicit count always means quadrature, or n* for the bandwidth
-    omega of the values to be evaluated, which bandwidth() returns
-    (_point_bandwidth, map_bandwidth) and the closed form never asks for;
-    the default 0 sizes n* for the envelope alone, and the check climbs
-    from there.
+    an explicit count always means quadrature, or n* for omega, the
+    bandwidth of the values at the pairs (x1, x2) and (y1, y2)
+    (_bandwidth). omega is formed only for the quadrature and is 0.0 on
+    the closed form.
 
     clip_bound bounds |closed form - aperture-clipped value| of the
     normalized Phi_I at these object points (x1, y1, any shapes), in units
@@ -347,8 +335,10 @@ def lens_plane_nodes(
         return abs(A) / A.real * math.exp(-A.real * (rho - r) ** 2)
 
     bound = b(params.s2 / params.s1 * reach) + b(0.0)
-    limit = DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL
-    return aperture_nodes(quad, bound > limit, bandwidth, A.real * rho**2), bound
+    clipped = bound > (DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL)
+    quadrature = clipped or quad.nodes is not None
+    omega = _bandwidth(params, lens, x1, y1, x2, y2) if quadrature else 0.0
+    return aperture_nodes(quad, clipped, omega, A.real * rho**2), bound, omega
 
 
 # ---------------------------------------------------------------------------
@@ -399,34 +389,12 @@ def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return outer, t, weights
 
 
-def _axis_factors(params, lens, a1, a2, nodes) -> np.ndarray:
-    """(nodes, P) lens-plane factors along one axis at the given node positions.
-
-    exp(-A xi^2 + B xi + C): the source axis factor, the lens phase and the
-    Fresnel step, as one exponent (coefficients of lens_axis_kernel).
-    """
-    return _exponent_factors(*_lens_plane_coefficients(params, lens, a1, a2), nodes)
-
-
 def _exponent_factors(A, B, C, nodes) -> np.ndarray:
     """(nodes, P) values exp(-A xi^2 + B xi + C) at the node positions xi."""
     e = np.multiply.outer(nodes, B)
     e += C
     e -= (A * nodes * nodes)[:, None]
     return np.exp(e, out=e)
-
-
-def _point_terms(params, lens, x1, y1, x2, y2):
-    """(A, Bx, Cx, By, Cy) of the lens-plane exponents at flat point arrays."""
-    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
-    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
-    return A, Bx, Cx, By, Cy
-
-
-def _point_bandwidth(A, Bx, By, rho: float) -> float:
-    """omega over a set of points (aperture_nodes); 0 for no points."""
-    largest = max((float(np.max(np.abs(B))) for B in (Bx, By) if B.size), default=0.0)
-    return _bandwidth(A, largest, rho)
 
 
 def _padded(*terms) -> np.ndarray:
@@ -489,22 +457,21 @@ def imaging_amplitude(
     """Normalized imaging amplitude Phi_I(x1, y1; x2, y2).
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
-    image points (x2, y2). Each point's lens-plane exponent terms are formed
-    once per call; the bandwidth over the points (_point_bandwidth), the
-    closed form and every node count reuse them. The lens-plane path is
-    chosen by lens_plane_nodes. On the quadrature path converged_nodes
-    checks every point at the first count against one finer count (24
-    against 32 nodes for the benchmark's clipped PSF scans), and the values
-    at the count it accepts are returned.
+    image points (x2, y2). lens_plane_nodes first refuses object points
+    beyond the model and picks the lens-plane path and the first node count
+    for the points. Each point's lens-plane exponent terms are then formed
+    once per call; the closed form and every node count reuse them. On the
+    quadrature path converged_nodes checks every point at the first count
+    against one finer count (24 against 32 nodes for the benchmark's clipped
+    PSF scans), and the values at the count it accepts are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
-    _object_reach(params, pts[0], pts[1])
-    A, Bx, Cx, By, Cy = _point_terms(params, lens, *(a.ravel() for a in pts))
+    nodes, _, _ = lens_plane_nodes(params, lens, quad, *pts)
+    x1, y1, x2, y2 = (a.ravel() for a in pts)
+    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
+    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
     rho = lens.aperture_radius
-    nodes, _ = lens_plane_nodes(
-        params, lens, quad, pts[0], pts[1], lambda: _point_bandwidth(A, Bx, By, rho)
-    )
     if nodes:
         size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(params, lens)
         # measured against at least the on-axis value 1 the amplitude is
@@ -586,9 +553,10 @@ def pattern_image_field(
     else:
         outer, inner, W = _disc_rule(nodes)
         xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
-        # lens-plane factors without the image coordinate, which Ex, Ey carry
-        Fx = _axis_factors(params, lens, x1c, 0.0, xi)           # (nodes, npx)
-        Fy = _axis_factors(params, lens, y1c, 0.0, eta)
+        # (nodes, npx) and (nodes, npy) lens-plane factors without the image
+        # coordinate, which Ex, Ey carry
+        Fx = _exponent_factors(*_lens_plane_coefficients(params, lens, x1c, 0.0), xi)
+        Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, 0.0), eta)
         WF = weights.T @ Fy.T                                    # (npx, nodes)
         _, Bx, Cx = _lens_plane_coefficients(params, lens, 0.0, x2c)
         _, By, Cy = _lens_plane_coefficients(params, lens, 0.0, y2c)

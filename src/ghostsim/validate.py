@@ -131,7 +131,7 @@ def check_image_identities() -> tuple[bool, str]:
 def check_lens_closed_form() -> tuple[bool, str]:
     x1 = np.array([0.0, 1e-3, 2e-3])
     x2 = -ghost_magnification(_IMAGER, _LENS) * x1 + 0.1e-3
-    nodes, bound = lens_plane_nodes(_IMAGER, _LENS, QuadSettings(), x1, x1)
+    nodes, bound, _ = lens_plane_nodes(_IMAGER, _LENS, QuadSettings(), x1, x1, x2, x2)
     closed = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2)
     quad = imaging_amplitude(_IMAGER, _LENS, x1, x1, x2, x2, quad=QuadSettings(check=True))
     gap = float(np.max(np.abs(closed - quad)))

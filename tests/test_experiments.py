@@ -86,6 +86,22 @@ def test_half_plane_split_does_not_depend_on_the_extent():
                 np.testing.assert_array_equal(ygrid, grid.T)
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: GridSpec(nx=n, ny=16, extent_x=1e-3, extent_y=1e-3),
+    lambda n: GridSpec(nx=16, ny=n, extent_x=1e-3, extent_y=1e-3),
+    lambda n: QuadSettings(nodes=n),
+    lambda n: half_plane_pattern(n=n),
+    lambda n: uniform_pattern(n=n),
+], ids=["grid-nx", "grid-ny", "quad-nodes", "half-plane-n", "uniform-n"])
+def test_counts_must_be_integers(make):
+    # a float count once gave a grid of 16.5 columns with 17 centres, or a
+    # raw TypeError further on; numpy integers are counts too
+    for bad in (100.0, 100.5):
+        with pytest.raises(ParameterError, match="integer"):
+            make(bad)
+    make(np.int64(100))
+
+
 def test_pattern_validation():
     with pytest.raises(ParameterError):
         PhasePattern(grid=np.zeros((0, 4)), pitch=(1e-5, 1e-5), origin=(0, 0))
@@ -414,8 +430,9 @@ def test_clipped_map_converges_at_default_settings(imaging_lens):
     assert np.max(np.abs(auto.values - ref.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])
 def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
-    imaging_lens, monkeypatch
+    shape, imaging_lens, monkeypatch
 ):
     # the check at n and its finer count sees at most 16 camera columns and
     # rows, evenly strided with the first and last included; only the
@@ -424,7 +441,9 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
         warnings.simplefilter("ignore", SourceRegimeWarning)
         params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
     m = ghost_magnification(params, imaging_lens)
-    grid = GridSpec(nx=40, ny=8, extent_x=m * 4e-3, extent_y=m * 4e-3)
+    ny, nx = shape
+    grid = GridSpec(nx=nx, ny=ny, extent_x=m * 0.5e-3 * min(nx, 8),
+                    extent_y=m * 0.5e-3 * min(ny, 8))
     calls = []
 
     def recorded(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
@@ -434,7 +453,9 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
     field = experiments.pattern_image_field
     monkeypatch.setattr(experiments, "pattern_image_field", recorded)
     cmap = _auto_image(params, imaging_lens, half_plane_pattern(n=8), -45.0, grid)
+    assert cmap.meta["lens_path"] == "quadrature"
     *checked, (x2c, y2c, nodes) = calls
+    assert len(checked) == 2
     assert nodes == cmap.meta["aperture_nodes"] > 0
     np.testing.assert_array_equal(x2c, grid.x_centers())
     np.testing.assert_array_equal(y2c, grid.y_centers())
@@ -442,6 +463,7 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
     assert counts[1:] == [finer_nodes(n, QuadSettings()) for n in counts[:-1]]
     assert counts[-2] == nodes and counts[-1] == cmap.meta["aperture_check_nodes"]
     for x2p, y2p, _ in checked:
+        assert x2p.size * y2p.size <= 256
         for probe, full in ((x2p, grid.x_centers()), (y2p, grid.y_centers())):
             index = np.flatnonzero(np.isin(full, probe))
             np.testing.assert_array_equal(full[index], probe)

@@ -29,12 +29,11 @@ from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, _leggauss, finer
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     KERNEL_FLOOR,
-    _axis_factors,
     _disc_rule,
+    _exponent_factors,
     _lens_plane_coefficients,
     _on_axis_raw,
     _padded,
-    _point_terms,
     converged_nodes,
     lens_axis_kernel,
     lens_plane_nodes,
@@ -112,12 +111,12 @@ def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
     # and the envelope: a PSF scan (omega = 6.1 rad, Re a = 0.09), the same
     # under a sigma = 3 mm envelope (Re a = 15.3), and a wide map; 0, the
     # closed form, where it does not; or the explicit one
-    assert aperture_nodes(QuadSettings(), True, lambda: 6.1, 0.09) == 24
-    assert aperture_nodes(QuadSettings(), True, lambda: 6.1, 15.3) == 56
-    assert aperture_nodes(QuadSettings(), True, lambda: 289.6, 0.09) == 352
-    assert aperture_nodes(QuadSettings(), True, lambda: 1e5, 0.09) == MAX_NODES
-    assert aperture_nodes(QuadSettings(), False, lambda: 6.1, 0.09) == 0
-    assert aperture_nodes(QuadSettings(nodes=512), False, lambda: 6.1, 0.09) == 512
+    assert aperture_nodes(QuadSettings(), True, 6.1, 0.09) == 24
+    assert aperture_nodes(QuadSettings(), True, 6.1, 15.3) == 56
+    assert aperture_nodes(QuadSettings(), True, 289.6, 0.09) == 352
+    assert aperture_nodes(QuadSettings(), True, 1e5, 0.09) == MAX_NODES
+    assert aperture_nodes(QuadSettings(), False, 6.1, 0.09) == 0
+    assert aperture_nodes(QuadSettings(nodes=512), False, 6.1, 0.09) == 512
     # an explicit count that misses the doubling check warns, and is kept
     m = ghost_magnification(_wide_source(), imaging_lens)
     grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
@@ -272,7 +271,7 @@ def test_closed_form_amplitude_is_the_product_of_axis_kernels(imaging_params, im
     m = ghost_magnification(imaging_params, imaging_lens)
     x1, y1 = rng.uniform(-2e-3, 2e-3, (2, 40))
     x2, y2 = -m * np.array([x1, y1]) + rng.uniform(-0.2e-3, 0.2e-3, (2, 40))
-    assert lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), x1, y1)[0] == 0
+    assert lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), x1, y1, x2, y2)[0] == 0
     amp = imaging_amplitude(imaging_params, imaging_lens, x1, y1, x2, y2)
     kernels = (lens_axis_kernel(imaging_params, imaging_lens, x1, x2)
                * lens_axis_kernel(imaging_params, imaging_lens, y1, y2))
@@ -280,7 +279,7 @@ def test_closed_form_amplitude_is_the_product_of_axis_kernels(imaging_params, im
 
 
 def _clip_bound(params, lens, x1, y1):
-    return lens_plane_nodes(params, lens, QuadSettings(), x1, y1)[1]
+    return lens_plane_nodes(params, lens, QuadSettings(), x1, y1, 0.0, 0.0)[1]
 
 
 def test_clip_bound_values(imaging_params, imaging_lens):
@@ -307,42 +306,63 @@ def test_clip_bound_covers_closed_form_vs_quadrature(imaging_params, imaging_len
     assert np.max(np.abs(closed)) == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("u", [2.83, 3.0], ids=["in-focus", "defocused"])
+def test_map_axis_ends_size_the_count_of_every_pixel_pair(imaging_lens, u):
+    # ghost_image_map passes only the axis ends: B is affine in a1 and a2,
+    # so the largest |B| over every pattern x camera pixel pair is at a corner
+    params, lens = _wide_source(), LensSystem(f=1.5, u=u)
+    m = imaging_lens.magnification
+    pattern = pattern_from_extent(np.zeros((96, 128)), (4e-3, 3e-3), center=(0.5e-3, -0.2e-3))
+    grid = GridSpec(nx=256, ny=200, extent_x=m * 4.5e-3, extent_y=m * 3.5e-3,
+                    center=(-m * 0.5e-3, 0.1e-3))
+    x1c, y1c = pattern.x_centers(), pattern.y_centers()
+    x2c, y2c = grid.x_centers(), grid.y_centers()
+    ends = lens_plane_nodes(params, lens, QuadSettings(), x1c[[0, -1], None],
+                            y1c[[0, -1], None], x2c[[0, -1]], y2c[[0, -1]])
+    every = lens_plane_nodes(params, lens, QuadSettings(), x1c[:, None], y1c[:, None], x2c, y2c)
+    assert ends[0] == every[0] > 0
+    assert np.float64(ends[2]).tobytes() == np.float64(every[2]).tobytes()
+
+
 def test_closed_form_point_path_selected_at_default_geometry(imaging_params, imaging_lens):
-    nodes, bound = lens_plane_nodes(
+    nodes, bound, omega = lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(),
-        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
+        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS, 0.0, 0.0,
     )
-    assert nodes == 0 and bound <= APERTURE_CLIP_TOL
+    assert nodes == 0 and bound <= APERTURE_CLIP_TOL and omega == 0.0
     # quad.check holds the bound to DOUBLING_TOL: on axis a 40 mm aperture
     # meets it and keeps the closed form (the default 25 mm one does not)
     wide = LensSystem(f=1.5, u=2.83, aperture_radius=40e-3)
-    nodes, bound = lens_plane_nodes(imaging_params, wide, QuadSettings(check=True), 0.0, 0.0)
+    nodes, bound, _ = lens_plane_nodes(
+        imaging_params, wide, QuadSettings(check=True), 0.0, 0.0, 0.0, 0.0
+    )
     assert nodes == 0 and bound == pytest.approx(1.8e-17, rel=0.05) and bound < DOUBLING_TOL
 
 
 def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
-    # without a bandwidth the first count is sized for the envelope alone:
-    # 8 nodes for sigma = 40 mm, 40 for sigma = 3 mm (Re a = 15.3)
-    start = 40
+    # on axis omega is 2 |Im A| rho^2 alone, 0.62 rad at sigma = 3 mm: the
+    # first count is 8 nodes for sigma = 40 mm, 48 for sigma = 3 mm
+    # (Re a = 15.3)
+    on_axis = (0.0, 0.0, 0.0, 0.0)
     # the aperture clips the lens-plane envelope of a sigma = 40 mm source
-    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0)[0] == 8
-    assert lens_plane_nodes(
-        _wide_source(), imaging_lens, QuadSettings(), 0.0, 0.0, bandwidth=lambda: 6.1
-    )[0] == 24
+    assert lens_plane_nodes(_wide_source(), imaging_lens, QuadSettings(), *on_axis)[0] == 8
     # an explicit node count always means quadrature
     assert lens_plane_nodes(
-        imaging_params, imaging_lens, QuadSettings(nodes=512), 0.0, 0.0
+        imaging_params, imaging_lens, QuadSettings(nodes=512), *on_axis
     )[0] == 512
-    # under quad.check a bound above DOUBLING_TOL: the default pattern, and
-    # the axis alone, which APERTURE_CLIP_TOL would pass
+    # under quad.check a bound above DOUBLING_TOL: the default pattern at its
+    # conjugate image points (omega = 3.4 rad), and the axis alone, which
+    # APERTURE_CLIP_TOL would pass
+    image = -ghost_magnification(imaging_params, imaging_lens) * DEFAULT_PATTERN_CENTERS
     assert lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(check=True),
-        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS,
-    )[0] == start
-    nodes, bound = lens_plane_nodes(
-        imaging_params, imaging_lens, QuadSettings(check=True), 0.0, 0.0
+        DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS, image, image,
+    )[0] == 56
+    nodes, bound, omega = lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(check=True), *on_axis
     )
-    assert nodes == start and bound == pytest.approx(4.4e-7, rel=0.02)
+    assert nodes == 48 and bound == pytest.approx(4.4e-7, rel=0.02)
+    assert omega == pytest.approx(0.62, abs=0.01)
     assert DOUBLING_TOL < bound < APERTURE_CLIP_TOL
 
 
@@ -357,9 +377,11 @@ def test_imaging_amplitude_of_no_points_is_empty(imaging_params, imaging_lens, q
 
 def test_object_points_beyond_the_paraxial_model_are_rejected(imaging_params, imaging_lens):
     # the limit is min(s1, s2) = 1.33 m, 20 times the paraxial budget
-    assert lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.0, 0.0)[0] > 0
+    assert lens_plane_nodes(
+        imaging_params, imaging_lens, QuadSettings(), 1.0, 0.0, 0.0, 0.0
+    )[0] > 0
     with pytest.raises(ParameterError, match=r"reach 1.4 m .* min\(s1, s2\) = 1.33 m"):
-        lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.4, 0.0)
+        lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.4, 0.0, 0.0, 0.0)
     # points get the check before any kernel is built, as maps do
     with pytest.raises(ParameterError, match="reach"):
         imaging_amplitude(imaging_params, imaging_lens, 0.0, 1.4, 0.0, 0.0)
@@ -397,8 +419,8 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
         return (Ky.T @ weights @ Kx) * out_phase
     outer, inner, W = _disc_rule(nodes)
     xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
-    Fx = _axis_factors(params, lens, x1c, np.zeros_like(x1c), xi)
-    Fy = _axis_factors(params, lens, y1c, np.zeros_like(y1c), eta)
+    Fx = _exponent_factors(*_lens_plane_coefficients(params, lens, x1c, np.zeros_like(x1c)), xi)
+    Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, np.zeros_like(y1c)), eta)
     Ex = np.exp(-1j * params.k * np.outer(xi, x2c) / lens.v)
     Ey = np.exp(-1j * params.k * np.outer(eta, y2c) / lens.v)
     H = (Fx @ (weights.T @ Fy.T)) * W
@@ -601,8 +623,9 @@ def test_disc_rule_weights_sum_to_the_disc_area(imaging_lens, n):
 def _imaging_raw(params, lens, x1, y1, x2, y2, nodes):
     """Unnormalized Phi_I at flat point arrays, by optics._disc_sum as it is
     when called (a test may wrap it)."""
-    A, *terms = _point_terms(params, lens, x1, y1, x2, y2)
-    return optics._disc_sum(A, *_padded(*terms), lens.aperture_radius, nodes)[:x1.size]
+    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
+    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
+    return optics._disc_sum(A, *_padded(Bx, Cx, By, Cy), lens.aperture_radius, nodes)[:x1.size]
 
 
 def _point_amplitude(params, lens, x1, y1, x2, y2, nodes):
@@ -865,7 +888,7 @@ def test_doubling_check_passes_where_the_aperture_clips(imaging_lens):
     # default tol = 1e-8 holds at the default node count
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
-    assert lens_plane_nodes(params, imaging_lens, QuadSettings(check=True), *pts[:2])[0] > 0
+    assert lens_plane_nodes(params, imaging_lens, QuadSettings(check=True), *pts)[0] > 0
     imaging_amplitude(params, imaging_lens, *pts, QuadSettings(check=True))
 
 
