@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ghostsim import (
     ApertureSamplingWarning,
     ConvergenceError,
+    GridSpec,
     ParameterError,
     ParaxialWarning,
     QuadSettings,
@@ -15,9 +17,12 @@ from ghostsim import (
     axis_amplitude,
     closed_form_amplitude,
     envelope_coefficients,
+    ghost_image_map,
+    ghost_magnification,
+    half_plane_pattern,
     quadrature_oracle_amplitude,
 )
-from ghostsim import biphoton
+from ghostsim import biphoton, experiments
 from ghostsim.biphoton import (
     DOUBLING_TOL,
     MAX_NODES,
@@ -326,6 +331,43 @@ def test_leggauss_is_cached_read_only():
     assert _leggauss(16)[0] is x
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])
+def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
+    # the one probe left is the image map's: converged_nodes checks at most
+    # 16 evenly strided camera rows and columns, the first and last included
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
+    m = ghost_magnification(params, imaging_lens)
+    ny, nx = shape
+    grid = GridSpec(nx=nx, ny=ny, extent_x=m * 0.5e-3 * min(nx, 8),
+                    extent_y=m * 0.5e-3 * min(ny, 8))
+    calls = []
+
+    def flat_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
+        calls.append((x2c, y2c))
+        return np.ones((y2c.size, x2c.size), dtype=complex)
+
+    monkeypatch.setattr(experiments, "pattern_image_field", flat_field)
+    cmap = ghost_image_map(params, imaging_lens, half_plane_pattern(n=8), np.deg2rad(-45.0),
+                           np.deg2rad(-45.0), grid)
+    assert cmap.meta["lens_path"] == "quadrature"
+    *checked, (x2c, y2c) = calls
+    assert len(checked) == 2
+    np.testing.assert_array_equal(x2c, grid.x_centers())
+    np.testing.assert_array_equal(y2c, grid.y_centers())
+    for x2p, y2p in checked:
+        assert x2p.size * y2p.size <= 256
+        for probe, full in ((x2p, x2c), (y2p, y2c)):
+            picked = np.flatnonzero(np.isin(full, probe))
+            np.testing.assert_array_equal(full[picked], probe)
+            assert picked.size == min(full.size, 16)
+            assert picked[0] == 0 and picked[-1] == full.size - 1
+            gaps = np.diff(picked)
+            if gaps.size:
+                assert gaps.max() - gaps.min() <= 1      # evenly strided
 
 
 def test_doubling_search_evaluates_each_count_once_and_returns_its_values():

@@ -430,9 +430,8 @@ def test_clipped_map_converges_at_default_settings(imaging_lens):
     assert np.max(np.abs(auto.values - ref.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])
 def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
-    shape, imaging_lens, monkeypatch
+    imaging_lens, monkeypatch
 ):
     # the check at n and its finer count sees at most 16 camera columns and
     # rows, evenly strided with the first and last included; only the
@@ -441,9 +440,7 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
         warnings.simplefilter("ignore", SourceRegimeWarning)
         params = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.5)
     m = ghost_magnification(params, imaging_lens)
-    ny, nx = shape
-    grid = GridSpec(nx=nx, ny=ny, extent_x=m * 0.5e-3 * min(nx, 8),
-                    extent_y=m * 0.5e-3 * min(ny, 8))
+    grid = GridSpec(nx=40, ny=8, extent_x=m * 4e-3, extent_y=m * 4e-3)
     calls = []
 
     def recorded(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
