@@ -273,12 +273,12 @@ def test_leggauss_matches_numpy(n):
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
-@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("n", [64, 512, 1024, 2048])
 def test_leggauss_weights_match_extended_precision(n):
     mpmath = pytest.importorskip("mpmath")
     x, w = _leggauss(n)
-    # every 8th node of the upper half, and the outermost one, where numpy's
-    # weights are least accurate
+    # every (n // 64)-th node of the upper half, and the outermost one, where
+    # numpy's weights are least accurate
     with mpmath.workdps(40):
         for i in list(range(n // 2, n, max(1, n // 64))) + [n - 1]:
             xi = mpmath.mpf(float(x[i]))
@@ -307,23 +307,29 @@ def test_leggauss_moments_at_large_n(n):
 
 
 @pytest.mark.parametrize("n", [512, 2048, 4363])
-def test_leggauss_takes_two_recurrence_passes(n, monkeypatch):
-    # one third-order step from Tricomi's guesses converges, and the second
-    # pass verifies it and supplies the weights
-    passes = []
+def test_leggauss_newton_work_is_bounded(n, monkeypatch):
+    # from Tricomi's guesses three Newton steps converge, the third only
+    # confirming; the O(n) exact cosine series is taken only at the few nodes
+    # nearest +-1, where Stieltjes's series misses its bound within its cap
+    calls = []
 
-    def counted(n, x):
-        passes.append(n)
-        return slope(n, x)
+    def counted(n, theta, terms):
+        calls.append((theta.copy(), terms.copy()))
+        return evaluate(n, theta, terms)
 
-    slope = biphoton._legendre_slope
-    monkeypatch.setattr(biphoton, "_legendre_slope", counted)
+    evaluate = biphoton._legendre_theta
+    monkeypatch.setattr(biphoton, "_legendre_theta", counted)
     _leggauss.cache_clear()
     try:
         _leggauss(n)
     finally:
         _leggauss.cache_clear()
-    assert passes == [n, n]
+    assert 1 <= len(calls) <= 3
+    theta, terms = calls[-1]
+    exact = terms == 0
+    assert 1 <= np.count_nonzero(exact) <= 8
+    assert np.max(theta[exact]) < np.min(theta[~exact])
+    assert np.max(terms) <= biphoton.STIELTJES_TERMS
 
 
 def test_leggauss_is_cached_read_only():
