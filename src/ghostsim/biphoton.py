@@ -27,18 +27,18 @@ The Gauss-Legendre rule itself lives here too: ``_leggauss`` builds it in
 O(n), by Newton's method on Stieltjes's asymptotic series for P_n, with the
 exact cosine series at the few nodes nearest +-1. So does
 ``converged_nodes``: the one function that checks the node count of every
-quadrature in the package (the oracle and the aperture). It compares every
-value its caller evaluates at n nodes and at the finer count
-``finer_nodes`` names (2n for an explicit count, ~1.25n for the aperture's
-own choice) against DOUBLING_TOL, and hands back the values at the count it
-accepted, so no caller evaluates that count again.
+quadrature in the package (the oracle and the aperture), on every call. It
+compares every value its caller evaluates at n nodes and at the finer count
+``finer_nodes`` names (~1.25n, whether n was given or chosen) against
+DOUBLING_TOL, and hands back the values at the count it accepted, so no
+caller evaluates that count again.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -113,9 +113,8 @@ class SourceParams:
 
 # largest explicit node count per axis, and the most the aperture rule's
 # automatic search climbs to. The aperture rule's weights are an n x n
-# matrix built in O(n^3), so the doubled check of an explicit MAX_NODES, at
-# 4096, holds 128 MB of weights (the search checks MAX_NODES at 2560); larger
-# counts are refused before any work.
+# matrix built in O(n^3), so the check of MAX_NODES, at 2560, holds 52 MB
+# of weights; larger counts are refused before any work.
 MAX_NODES = 2048
 
 
@@ -123,7 +122,8 @@ MAX_NODES = 2048
 # Gaussian envelope exp(-t^2/sigma^2) is exp(-16) = 1.1e-7 at its ends
 ORACLE_HALF_WIDTH_SIGMAS = 4.0
 
-# relative change at which node doubling counts a quadrature as converged
+# relative change against the finer count at which the node check counts a
+# quadrature as converged
 DOUBLING_TOL = 1e-8
 
 
@@ -135,9 +135,9 @@ class QuadSettings:
       default (2048 for the source oracle; for the aperture quadrature a
       count sized by the lens-plane bandwidth, optics.aperture_nodes).
     check: when True, a checked change above DOUBLING_TOL raises
-      ConvergenceError (the oracle is checked only then; the other
-      quadratures warn), and optics.lens_plane_nodes holds the closed form
-      to DOUBLING_TOL.
+      ConvergenceError (every quadrature is checked; without check a miss
+      warns ApertureSamplingWarning), and optics.lens_plane_nodes holds the
+      closed form to DOUBLING_TOL.
     """
 
     nodes: Optional[int] = None
@@ -341,17 +341,16 @@ def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
     return float(np.max(np.abs(fine - coarse))) / scale
 
 
-def finer_nodes(nodes: int, quad: QuadSettings) -> int:
+def finer_nodes(nodes: int) -> int:
     """The count converged_nodes checks nodes against.
 
-    Twice an explicit quad.nodes. Otherwise 1.25 nodes rounded up to a
-    multiple of 8, at most MAX_NODES while nodes is below it: a count sized
-    to its integrand (optics.aperture_nodes) is already past the point where
-    Gauss-Legendre error falls super-exponentially, so a step of a quarter
-    shows whether it has converged at a fraction of doubling's cost.
+    1.25 nodes rounded up to a multiple of 8, at most MAX_NODES while nodes
+    is below it. Gauss-Legendre error on the package's analytic integrands
+    falls super-exponentially once nodes passes their bandwidth (Trefethen,
+    SIAM Rev. 50, 67 (2008)), so a step of a quarter separates a converged
+    count from an unconverged one, whether the count was sized to its
+    integrand (optics.aperture_nodes) or given.
     """
-    if quad.nodes is not None:
-        return 2 * nodes
     finer = -(-5 * nodes // 32) * 8
     return finer if nodes >= MAX_NODES else min(finer, MAX_NODES)
 
@@ -363,25 +362,24 @@ def converged_nodes(evaluate, nodes: int, quad: QuadSettings, what: str,
 
     evaluate(n) returns the values to check with n nodes per axis, and
     values is what it returned at the accepted count. nodes is compared
-    once with finer_nodes(nodes, quad), by doubling_change against floor.
-    An explicit quad.nodes is kept whatever the change. Without it a change
-    above DOUBLING_TOL moves to the finer count, which is then checked the
-    same way, until one passes or MAX_NODES is checked. A change still above
+    with finer_nodes(nodes), by doubling_change against floor. An explicit
+    quad.nodes is kept whatever the change. Without it a change above
+    DOUBLING_TOL moves to the finer count, which is then checked the same
+    way, until one passes or MAX_NODES is checked. A change still above
     DOUBLING_TOL raises ConvergenceError under quad.check, else warns
     ApertureSamplingWarning at the caller's line. what names the result in
     the message.
     """
-    finer = finer_nodes(nodes, quad)
+    finer = finer_nodes(nodes)
     coarse, fine = evaluate(nodes), evaluate(finer)
     change = doubling_change(coarse, fine, floor)
     while quad.nodes is None and nodes < MAX_NODES and change > DOUBLING_TOL:
         nodes, coarse = finer, fine
-        finer = finer_nodes(nodes, quad)
+        finer = finer_nodes(nodes)
         fine = evaluate(finer)
         change = doubling_change(coarse, fine, floor)
     if change > DOUBLING_TOL:
-        step = "refining" if quad.nodes is None else "doubling"
-        message = (f"{step} {nodes} -> {finer} nodes changed {what} by "
+        message = (f"refining {nodes} -> {finer} nodes changed {what} by "
                    f"{change:.3e} relative (tol {DOUBLING_TOL:g})")
         if quad.check:
             raise ConvergenceError(message)
@@ -585,10 +583,11 @@ def quadrature_oracle_amplitude(
     u of the x axis, the y axis and the origin, then scattered back to the
     points. The result is Ix * Iy / I0^2, normalized so that
     oracle(0,0;0,0) = 1 with phases comparable to closed_form_amplitude.
-    Under quad.check, converged_nodes compares every value against twice
-    the nodes.
+    converged_nodes compares every value with its value at finer_nodes of
+    the count, and a miss warns, or raises under quad.check. The values
+    returned are those at oracle_nodes(quad): an explicit count never
+    climbs, and the default, ORACLE_DEFAULT_NODES, is already MAX_NODES.
     """
-    nodes = oracle_nodes(quad)
     half_width = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
     k, s1, s2 = params.k, params.s1, params.s2
     pts = _broadcast_points(x1, y1, x2, y2)
@@ -605,10 +604,7 @@ def quadrature_oracle_amplitude(
         ix, iy, i0 = sums[:a1.size], sums[a1.size:-1], sums[-1]
         return phase * ix * iy / i0**2
 
-    if quad.check:
-        _, _, value = converged_nodes(evaluate, nodes, replace(quad, nodes=nodes), "the oracle")
-    else:
-        value = evaluate(nodes)
+    _, _, value = converged_nodes(evaluate, oracle_nodes(quad), quad, "the oracle")
     value = value.reshape(pts[0].shape)
     if not np.all(np.isfinite(value)):
         raise NumericError("quadrature oracle produced non-finite values")

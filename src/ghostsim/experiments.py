@@ -316,8 +316,9 @@ def ghost_image_map(
     omega that lens_plane_nodes formed to size the first count
     (optics.aperture_nodes), and aperture_check_nodes, the finer count
     converged_nodes compared it with on at most 16 x 16 strided camera
-    pixels, the first and last rows and columns included. workers is
-    accepted and changes nothing.
+    pixels, the first and last rows and columns included. The first count
+    runs once, on the whole camera, and its field is the map's when it
+    passes. workers is accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -352,18 +353,25 @@ def ghost_image_map(
     def evaluate(n: int, x2, y2) -> np.ndarray:
         return pattern_image_field(params, lens, weights, x1c, y1c, x2, y2, n)
 
+    field = evaluate(nodes, x2c, y2c)
     error, kind, quadrature = bound, "clip_bound", {}
     if nodes:
-        # a strided sub-camera: at 2n a whole 256^2 camera costs ~3x as much
+        # finer counts run on a strided sub-camera, compared with the first
+        # count's field there: at 1.25n a whole 256^2 camera costs ~3x as much
         iy, ix = (np.linspace(0, a.size - 1, min(a.size, 16)).round().astype(np.intp)
                   for a in (y2c, x2c))
+        first = nodes
         nodes, error, _ = converged_nodes(
-            lambda n: evaluate(n, x2c[ix], y2c[iy]), nodes, quad, "the image field"
+            lambda n: field[np.ix_(iy, ix)] if n == first else evaluate(n, x2c[ix], y2c[iy]),
+            nodes, quad, "the image field",
         )
+        if nodes != first:
+            field = evaluate(nodes, x2c, y2c)
         kind = "refinement"
         quadrature = {"aperture_bandwidth_rad": omega,
-                      "aperture_check_nodes": finer_nodes(nodes, quad)}
-    raw = np.abs(evaluate(nodes, x2c, y2c)) ** 2
+                      "aperture_check_nodes": finer_nodes(nodes)}
+    raw = np.abs(field) ** 2
+    del field   # the largest array of the map, not held while it is normalized
 
     meta = {
         "experiment": "ghost image",

@@ -45,9 +45,9 @@ and the curvature of its Gaussian envelope. The package's one node check,
 ``biphoton.converged_nodes``, then compares every point amplitude (for
 image maps: a strided sub-camera of at most 16 x 16 pixels) with one finer
 count, ~1.25 times as many nodes, and moves on to that count only if the
-change exceeds DOUBLING_TOL; an explicit count is checked once against its
-double. The quadrature path is the independent oracle the closed form is
-tested against where nothing clips.
+change exceeds DOUBLING_TOL; an explicit count is checked the same way but
+kept whatever the change. The quadrature path is the independent oracle the
+closed form is tested against where nothing clips.
 """
 
 from __future__ import annotations

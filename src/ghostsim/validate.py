@@ -11,6 +11,7 @@ import numpy as np
 from .biphoton import (
     QuadSettings,
     SourceParams,
+    axis_amplitude,
     closed_form_amplitude,
     quadrature_oracle_amplitude,
 )
@@ -59,9 +60,7 @@ def check_oracle_agreement() -> tuple[bool, str]:
     g = np.linspace(-2e-3, 2e-3, 3)
     x1, y1, x2, y2 = np.meshgrid(g, g, g, g, indexing="ij")
     closed = closed_form_amplitude(_INTERFEROMETER, x1, y1, x2, y2)
-    oracle = quadrature_oracle_amplitude(
-        _INTERFEROMETER, x1, y1, x2, y2, QuadSettings(nodes=2048)
-    )
+    oracle = quadrature_oracle_amplitude(_INTERFEROMETER, x1, y1, x2, y2)
     rel = np.max(np.abs(closed - oracle) / np.abs(oracle))
     return rel < 1e-6, f"worst relative error {rel:.3g} on a 3^4 lattice"
 
@@ -70,11 +69,19 @@ def check_fringe_period() -> tuple[bool, str]:
     slit = DoubleSlit(d=2e-3, axis="x")
     grid = GridSpec(nx=512, ny=3, extent_x=6e-3, extent_y=0.5e-3)
     cmap = ghost_interference_map(_INTERFEROMETER, slit, grid)
-    peaks = refine_peaks(cmap.x_centers(), cmap.values[1])
+    x = cmap.x_centers()
+    # the slits' incoherent sum is the envelope that pulls the fringe peaks
+    # toward the axis; divided out, the refined period is 8.5e-6 off, and
+    # 6.1e-3 with the envelope left in
+    envelope = sum(np.abs(axis_amplitude(_INTERFEROMETER, c, x)) ** 2
+                   for c in (slit.d / 2, -slit.d / 2))
+    peaks = refine_peaks(x, cmap.values[1] / envelope)
     period = float(np.mean(np.diff(peaks)))
     expected = expected_fringe_period(_INTERFEROMETER, slit.d)
     err = abs(period - expected) / expected
-    return err < 0.02, f"period {period * 1e3:.4f} mm vs {expected * 1e3:.4f} mm"
+    return err < 1e-4, (
+        f"period {period * 1e3:.4f} mm vs {expected * 1e3:.4f} mm (relative error {err:.2g})"
+    )
 
 
 def check_chsh() -> tuple[bool, str]:

@@ -190,6 +190,21 @@ def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params):
         )
 
 
+def test_oracle_checks_its_nodes_without_being_asked():
+    # the amplitude subcommand's default line under a sigma = 6 mm source,
+    # whose chirp 2048 nodes do not resolve: the miss warns by default and
+    # raises under quad.check, and the values are still the 2048-node ones
+    params = SourceParams(wavelength=810e-9, sigma=6e-3, s1=1.33, s2=1.0)
+    x1 = np.linspace(-3e-3, 3e-3, 201)
+    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
+        value = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0)
+    with pytest.raises(ConvergenceError, match="refining 2048 -> 2560 nodes"):
+        quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(check=True))
+    with pytest.warns(ApertureSamplingWarning):
+        given = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(nodes=2048))
+    assert value.tobytes() == given.tobytes()
+
+
 @pytest.mark.parametrize("quad", [QuadSettings(), QuadSettings(check=True)])
 def test_oracle_of_no_points_is_empty(fringe_params, quad):
     # the doubling check under quad.check once took numpy's max of nothing
@@ -237,8 +252,12 @@ _LINE = np.linspace(-3e-3, 3e-3, 41)
 def test_oracle_matches_direct_quadrature(fringe_params, nodes, half_width_sigmas, points):
     # the folded cosine sum over distinct shifts is the same quadrature as
     # the direct sum over all points and nodes, up to rounding; the direct
-    # oracle's origin value is 1
-    folded = quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+    # oracle's origin value is 1. 65 nodes do not resolve the chirp, and
+    # the oracle's node check says so; 2048 do.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        folded = quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+    assert [w.category for w in caught] == [ApertureSamplingWarning] * (nodes == 65)
     direct = _direct_oracle(fringe_params, *points, nodes, half_width_sigmas)
     assert folded.shape == np.broadcast_shapes(*(np.shape(a) for a in points))
     assert np.max(np.abs(folded.ravel() - direct)) <= 1e-12
@@ -360,8 +379,9 @@ def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
     cmap = ghost_image_map(params, imaging_lens, half_plane_pattern(n=8), np.deg2rad(-45.0),
                            np.deg2rad(-45.0), grid)
     assert cmap.meta["lens_path"] == "quadrature"
-    *checked, (x2c, y2c) = calls
-    assert len(checked) == 2
+    # the first count runs on the whole camera, the finer one on the probe
+    (x2c, y2c), *checked = calls
+    assert len(checked) == 1
     np.testing.assert_array_equal(x2c, grid.x_centers())
     np.testing.assert_array_equal(y2c, grid.y_centers())
     for x2p, y2p in checked:
@@ -392,15 +412,15 @@ def test_doubling_search_evaluates_each_count_once_and_returns_its_values():
     np.testing.assert_array_equal(values, [1.0, 2.0, 4.0 + 1e6 * 2.0**-48])
 
 
-def test_finer_count_is_a_quarter_more_or_the_double_of_an_explicit_one():
-    auto = QuadSettings()
-    assert [finer_nodes(n, auto) for n in (8, 24, 352, 1856, MAX_NODES)] == [
-        16, 32, 440, MAX_NODES, 2560]
-    assert finer_nodes(64, QuadSettings(nodes=64)) == 128
+def test_finer_count_is_a_quarter_more_for_every_count():
+    # one step whether the count was sized or given: 64 and 1536 are
+    # checked at 80 and 1920
+    assert [finer_nodes(n) for n in (8, 24, 64, 352, 1536, 1856, MAX_NODES)] == [
+        16, 32, 80, 440, 1920, MAX_NODES, 2560]
 
 
 def _settled_at(fine):
-    """Values [1, 2, 4] at 64 nodes and [1, 2, 4] + fine at 128."""
+    """Values [1, 2, 4] at 64 nodes and [1, 2, 4] + fine at 80."""
     coarse = np.array([1.0, 2.0, 4.0])
     return lambda n: coarse if n == 64 else coarse + fine
 
@@ -412,7 +432,7 @@ def test_doubling_check_raises_above_tolerance():
     converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")
     with pytest.raises(
         ConvergenceError,
-        match=r"64 -> 128 nodes changed the map by 1.000e-07 relative \(tol 1e-08\)",
+        match=r"refining 64 -> 80 nodes changed the map by 1.000e-07 relative \(tol 1e-08\)",
     ):
         converged_nodes(_settled_at([0, 0, 4e-7]), 64, quad, "the map")
 
@@ -431,7 +451,7 @@ def test_doubling_check_returns_the_change():
 def test_doubling_check_warns_without_check():
     # the same miss without quad.check warns at the caller's line and
     # returns the change
-    message = "64 -> 128 nodes changed the map by 1.000e-07"
+    message = "refining 64 -> 80 nodes changed the map by 1.000e-07"
     with pytest.warns(ApertureSamplingWarning, match=message) as caught:
         nodes, change, _ = converged_nodes(
             _settled_at([0, 0, 4e-7]), 64, QuadSettings(nodes=64), "the map"

@@ -1021,6 +1021,28 @@ def test_cli_amplitude_oracle_reports_its_node_count(tmp_path, flags, nodes):
     assert table.shape == (9, 4)
 
 
+def test_cli_oracle_reports_unconverged_nodes(tmp_path):
+    # 2048 nodes do not resolve a sigma = 6 mm source's chirp: the table is
+    # still written, and the miss is reported
+    argv = ["amplitude", "--oracle", "1", "--sigma", "6e-3", "--out", str(tmp_path)]
+    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
+        code, _ = run_cli(argv, quiet_sampling=False)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["interference"], ["image"], ["montecarlo"], ["amplitude"],
+    ["amplitude", "--oracle", "1"], ["chsh"],
+], ids=lambda argv: "-".join(argv))
+def test_every_subcommand_runs_warning_free_at_its_defaults(tmp_path, argv):
+    # the oracle's node check runs on every call; at the defaults it passes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(argv + ["--out", str(tmp_path)], quiet_sampling=False)
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+
+
 def _fails_fast(argv, out, capsys):
     """Run the CLI in-process: exit 2, an error line, and no file written."""
     code, stdout = run_cli(argv + ["--out", str(out)])

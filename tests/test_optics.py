@@ -117,10 +117,11 @@ def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
     assert aperture_nodes(QuadSettings(), True, 1e5, 0.09) == MAX_NODES
     assert aperture_nodes(QuadSettings(), False, 6.1, 0.09) == 0
     assert aperture_nodes(QuadSettings(nodes=512), False, 6.1, 0.09) == 512
-    # an explicit count that misses the doubling check warns, and is kept
+    # an explicit count that misses its check against the finer count
+    # warns, and is kept
     m = ghost_magnification(_wide_source(), imaging_lens)
     grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
-    with pytest.warns(ApertureSamplingWarning, match="doubling 64 -> 128"):
+    with pytest.warns(ApertureSamplingWarning, match="refining 64 -> 80"):
         cmap = ghost_image_map(
             _wide_source(), imaging_lens, half_plane_pattern(n=8), 0.3, 0.2, grid,
             QuadSettings(nodes=64),
@@ -181,7 +182,7 @@ def test_imaging_convergence_check(imaging_params, imaging_lens):
     )
     # 64 nodes cannot resolve the lens-plane phase of an image point 2 mm
     # from the conjugate of its object
-    with pytest.raises(ConvergenceError, match="doubling 64 -> 128"):
+    with pytest.raises(ConvergenceError, match="refining 64 -> 80"):
         imaging_amplitude(
             imaging_params, imaging_lens, 0.0, 0.0, 2e-3, 0.0,
             QuadSettings(nodes=64, check=True),
@@ -429,9 +430,9 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
 
 
 def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
-    """(field, reference) of the last contraction a ghost_image_map call runs;
-    the reference is reference, _full_phase_field by default, on the same
-    arguments."""
+    """(field, reference) of the last contraction over the whole camera that
+    a ghost_image_map call runs; the reference is reference,
+    _full_phase_field by default, on the same arguments."""
     seen = []
 
     def both(*field_args):
@@ -441,7 +442,8 @@ def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
 
     monkeypatch.setattr(experiments, "pattern_image_field", both)
     ghost_image_map(*args, **kwargs)
-    return seen[-1]
+    whole = max(field.size for field, _ in seen)
+    return [pair for pair in seen if pair[0].size == whole][-1]
 
 
 def _default_cli_map_args(params, lens, pattern):
@@ -863,15 +865,16 @@ def test_automatic_points_evaluate_two_counts_where_the_first_check_passes(
     monkeypatch, case
 ):
     _, _, counts = _auto_points(monkeypatch, *case)
-    assert len(counts) == 2 and counts[1] == finer_nodes(counts[0], QuadSettings())
+    assert len(counts) == 2 and counts[1] == finer_nodes(counts[0])
 
 
 @pytest.mark.parametrize("case", BANDWIDTH_MAP_CASES)
 def test_automatic_maps_evaluate_two_counts_where_the_first_check_passes(monkeypatch, case):
-    # two on the strided sub-camera, then the first on the whole camera
+    # the first on the whole camera, then the finer one on the strided
+    # sub-camera
     _, _, counts = _auto_map(monkeypatch, *case)
     n = counts[0]
-    assert counts == [n, finer_nodes(n, QuadSettings()), n]
+    assert counts == [n, finer_nodes(n)]
 
 
 def test_point_blocks_do_not_change_bytes(imaging_lens, monkeypatch):
@@ -900,19 +903,20 @@ def test_explicit_node_count_is_capped():
 
     # values that never settle: the search climbs by finer_nodes and stops
     # at MAX_NODES, checked against 2560; an explicit count is checked
-    # against its double only. Each count is evaluated once.
+    # against the same finer count, once, and kept. Each count is evaluated
+    # once.
     def never_settles(n):
         asked.append(n)
         return np.array([1.0 + 1.0 / n])
 
     for quad, start, used, check in ((QuadSettings(), 32, MAX_NODES, 2560),
-                                     (QuadSettings(nodes=64), 64, 64, 128)):
+                                     (QuadSettings(nodes=64), 64, 64, 80)):
         asked = []
         with pytest.warns(ApertureSamplingWarning):
             nodes, change, _ = converged_nodes(never_settles, start, quad, "the values")
         assert nodes == used and asked[-1] == check and change > DOUBLING_TOL
         assert len(set(asked)) == len(asked)
-    assert asked == [64, 128]
+    assert asked == [64, 80]
 
 
 def _sampling_warning_of(call):
