@@ -25,13 +25,13 @@ adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
 The Gauss-Legendre rule itself lives here too: ``_leggauss`` builds it in
 O(n), by Newton's method on Stieltjes's asymptotic series for P_n, with the
-exact cosine series at the few nodes nearest +-1. So does
-``converged_nodes``: the one function that checks the node count of every
-quadrature in the package (the oracle and the aperture), on every call. It
-compares every value its caller evaluates at n nodes and at the finer count
-``finer_nodes`` names (~1.25n, whether n was given or chosen) against
-DOUBLING_TOL, and hands back the values at the count it accepted, so no
-caller evaluates that count again.
+exact cosine series at the few nodes nearest +-1. So do the node rule and
+the node check of every quadrature in the package (the oracle and the
+aperture). ``bandwidth_nodes`` sizes a count n from its integrand's phase
+rate and envelope, unless the caller gives one; each quadrature evaluates n
+and the finer count ``finer_nodes`` names (~1.25n), once each, and
+``check_refinement`` compares every value at the two against DOUBLING_TOL.
+The values at n are the result.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ class SourceParams:
         return 2.0 * np.pi / self.wavelength
 
 
-# largest explicit node count per axis, and the most the aperture rule's
-# automatic search climbs to. The aperture rule's weights are an n x n
-# matrix built in O(n^3), so the check of MAX_NODES, at 2560, holds 52 MB
-# of weights; larger counts are refused before any work.
+# largest explicit node count per axis, and the most the aperture rule
+# sizes. Its weights are an n x n matrix built in O(n^3), so the check of
+# MAX_NODES, at 2560, holds 52 MB of weights; larger explicit counts are
+# refused before any work.
 MAX_NODES = 2048
 
 
@@ -131,9 +131,9 @@ DOUBLING_TOL = 1e-8
 class QuadSettings:
     """Gauss-Legendre quadrature controls.
 
-    nodes: nodes per axis, 64 to MAX_NODES; None lets each consumer pick its
-      default (2048 for the source oracle; for the aperture quadrature a
-      count sized by the lens-plane bandwidth, optics.aperture_nodes).
+    nodes: nodes per axis, 64 to MAX_NODES; None lets each quadrature size
+      its count to its integrand (bandwidth_nodes: oracle_nodes for the
+      source oracle, optics.aperture_nodes for the aperture).
     check: when True, a checked change above DOUBLING_TOL raises
       ConvergenceError (every quadrature is checked; without check a miss
       warns ApertureSamplingWarning), and optics.lens_plane_nodes holds the
@@ -152,14 +152,6 @@ class QuadSettings:
             raise ParameterError(
                 f"{self.nodes} quadrature nodes per axis exceeds the limit {MAX_NODES}"
             )
-
-
-ORACLE_DEFAULT_NODES = 2048
-
-
-def oracle_nodes(quad: QuadSettings) -> int:
-    """Nodes per axis of the source oracle: quad.nodes, else ORACLE_DEFAULT_NODES."""
-    return quad.nodes if quad.nodes is not None else ORACLE_DEFAULT_NODES
 
 
 # Newton steps allowed from Tricomi's initial guesses; at most three (the
@@ -326,65 +318,64 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def doubling_change(coarse, fine, floor: float = 1e-300) -> float:
-    """Relative change max|fine - coarse| / max(max|fine|, floor) of checked values.
+def bandwidth_nodes(omega: float, envelope: float) -> int:
+    """Gauss-Legendre nodes for an integrand exp(-a s^2 + i phi(s)) on s in
+    [-1, 1]: n*, the first count of every sized quadrature.
+
+    omega is the largest rate of the phase phi over the interval, envelope
+    is Re a, the curvature of the Gaussian envelope. Gauss-Legendre error on
+    an analytic integrand falls super-exponentially once n passes its
+    bandwidth (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5; Approximation
+    Theory and Approximation Practice, ch. 19): exp(i omega s) needs omega
+    plus a transition of width ~omega^(1/3), and exp(-a s^2), whose
+    Chebyshev coefficients fall as exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more.
+    So
+
+        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
+
+    rounded up to a multiple of 8, the constants calibrated on the aperture
+    rule (optics.aperture_nodes) and taken unchanged by the source oracle
+    (oracle_nodes).
+    """
+    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
+    return 8 * max(1, math.ceil(n / 8))
+
+
+def finer_nodes(nodes: int) -> int:
+    """The count check_refinement checks nodes against: 1.25 nodes rounded
+    up to a multiple of 8.
+
+    Gauss-Legendre error on the package's analytic integrands falls
+    super-exponentially once nodes passes their bandwidth (bandwidth_nodes),
+    so a step of a quarter separates a converged count from an unconverged
+    one, whether the count was sized to its integrand or given.
+    """
+    return -(-5 * nodes // 32) * 8
+
+
+def check_refinement(coarse, fine, nodes: int, check: bool, what: str,
+                     floor: float = 1e-300) -> float:
+    """Relative change max|fine - coarse| / max(max|fine|, floor) of the
+    values at nodes (coarse) against those at finer_nodes(nodes) (fine).
 
     floor is the least scale the change is measured against: a normalized
     output passes the value it is normalized to, so that values far below
     it are not held to a relative tolerance of their own. No values change
-    by 0.
+    by 0. A change above DOUBLING_TOL raises ConvergenceError when check is
+    set, else warns ApertureSamplingWarning at the caller's line; either way
+    the count is kept and the change returned. what names the result in the
+    message.
     """
     coarse, fine = np.ravel(coarse), np.ravel(fine)
-    if not fine.size:
-        return 0.0
-    scale = max(float(np.max(np.abs(fine))), floor)
-    return float(np.max(np.abs(fine - coarse))) / scale
-
-
-def finer_nodes(nodes: int) -> int:
-    """The count converged_nodes checks nodes against.
-
-    1.25 nodes rounded up to a multiple of 8, at most MAX_NODES while nodes
-    is below it. Gauss-Legendre error on the package's analytic integrands
-    falls super-exponentially once nodes passes their bandwidth (Trefethen,
-    SIAM Rev. 50, 67 (2008)), so a step of a quarter separates a converged
-    count from an unconverged one, whether the count was sized to its
-    integrand (optics.aperture_nodes) or given.
-    """
-    finer = -(-5 * nodes // 32) * 8
-    return finer if nodes >= MAX_NODES else min(finer, MAX_NODES)
-
-
-def converged_nodes(evaluate, nodes: int, quad: QuadSettings, what: str,
-                    floor: float = 1e-300) -> Tuple[int, float, np.ndarray]:
-    """Node count accepted by a check against a finer count: (nodes, measured
-    change, values).
-
-    evaluate(n) returns the values to check with n nodes per axis, and
-    values is what it returned at the accepted count. nodes is compared
-    with finer_nodes(nodes), by doubling_change against floor. An explicit
-    quad.nodes is kept whatever the change. Without it a change above
-    DOUBLING_TOL moves to the finer count, which is then checked the same
-    way, until one passes or MAX_NODES is checked. A change still above
-    DOUBLING_TOL raises ConvergenceError under quad.check, else warns
-    ApertureSamplingWarning at the caller's line. what names the result in
-    the message.
-    """
-    finer = finer_nodes(nodes)
-    coarse, fine = evaluate(nodes), evaluate(finer)
-    change = doubling_change(coarse, fine, floor)
-    while quad.nodes is None and nodes < MAX_NODES and change > DOUBLING_TOL:
-        nodes, coarse = finer, fine
-        finer = finer_nodes(nodes)
-        fine = evaluate(finer)
-        change = doubling_change(coarse, fine, floor)
+    scale = max(float(np.max(np.abs(fine), initial=0.0)), floor)
+    change = float(np.max(np.abs(fine - coarse), initial=0.0)) / scale
     if change > DOUBLING_TOL:
-        message = (f"refining {nodes} -> {finer} nodes changed {what} by "
+        message = (f"refining {nodes} -> {finer_nodes(nodes)} nodes changed {what} by "
                    f"{change:.3e} relative (tol {DOUBLING_TOL:g})")
-        if quad.check:
+        if check:
             raise ConvergenceError(message)
         warnings.warn(message, ApertureSamplingWarning, stacklevel=outside_stacklevel())
-    return nodes, change, coarse
+    return change
 
 
 def envelope_coefficients(params: SourceParams) -> Tuple[float, float]:
@@ -544,28 +535,69 @@ def axis_opening_mean(params: SourceParams, lo, hi, a2) -> Tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int,
-                   half_width: float) -> np.ndarray:
+# most nodes per axis the source oracle sizes: it admits sigma = 40 mm on the
+# amplitude subcommand's default line (351,288 nodes, checked at 439,112)
+ORACLE_MAX_NODES = 1 << 19
+
+# (shifts x nodes) elements per block of the oracle's cosine kernel: 8 MB
+_ORACLE_BLOCK_ELEMENTS = 1 << 20
+
+
+def oracle_nodes(params: SourceParams, quad: QuadSettings, x1, y1, x2, y2) -> int:
+    """Nodes per axis of the source oracle at these points: quad.nodes, else
+    bandwidth_nodes of its integrand.
+
+    On s = t / h, h = ORACLE_HALF_WIDTH_SIGMAS sigma, the integrand of
+    _axis_integral is exp(-(h/sigma)^2 s^2 + i (c h^2 s^2 - k u h s)), with
+    c = k/2 (1/s1 + 1/s2) and u the shift a1/s1 + a2/s2 of a point's axis.
+    So its envelope is Re a = (h/sigma)^2 = 16, and its phase rate is at
+    most omega = 2 c h^2 + k max|u| h over both axes of every point. Points
+    that are not finite, or a count above ORACLE_MAX_NODES, raise
+    ParameterError.
+    """
+    a1, b1, a2, b2 = (a.ravel() for a in _broadcast_points(x1, y1, x2, y2))
+    s1, s2 = params.s1, params.s2
+    u = float(np.max(np.abs(np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]))))
+    if not math.isfinite(u):
+        raise ParameterError("the oracle's points must be finite")
+    h = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
+    omega = params.k * ((1 / s1 + 1 / s2) * h * h + u * h)
+    nodes = quad.nodes or bandwidth_nodes(omega, ORACLE_HALF_WIDTH_SIGMAS**2)
+    if nodes > ORACLE_MAX_NODES:
+        raise ParameterError(f"the oracle needs {nodes} nodes per axis here (bandwidth "
+                             f"{omega:.3g} rad), above its limit {ORACLE_MAX_NODES}")
+    return nodes
+
+
+def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int) -> np.ndarray:
     """Single-axis source integral without its per-point phase, at shifts u.
 
     The oracle's integrand along one axis,
     exp(-t^2/sigma^2 + i k/2 ((a1-t)^2/s1 + (a2-t)^2/s2)) over
-    t in [-half_width, half_width], expands into
+    t in +-h, h = ORACLE_HALF_WIDTH_SIGMAS sigma, expands into
     exp(i k/2 (a1^2/s1 + a2^2/s2)) * e(t) * exp(-i k t u) with
     e(t) = exp(-t^2/sigma^2 + i k/2 (1/s1 + 1/s2) t^2) and u = a1/s1 + a2/s2.
     This returns sum_t w_t e(t) exp(-i k t u) over the Gauss-Legendre nodes
     for a flat array u. The nodes are symmetric and g(t) = w_t e(t) is even,
     so the sum is sum over t >= 0 of 2 g(t) cos(k t u), the middle node of
     an odd count taken once: one real cosine kernel times the real and
-    imaginary parts of g.
+    imaginary parts of g. The kernel runs in blocks of nodes of about
+    _ORACLE_BLOCK_ELEMENTS, summed in node order. The rule is built
+    uncached: a sized one may hold hundreds of thousands of nodes, used by
+    this call only.
     """
-    t, w = _leggauss(nodes)
-    t, w = half_width * t[nodes // 2:], half_width * w[nodes // 2:]  # t >= 0
+    h = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
+    t, w = _leggauss.__wrapped__(nodes)
+    t, w = h * t[nodes // 2:], h * w[nodes // 2:]  # t >= 0
     g = w * np.exp(-(t * t) / params.sigma**2
                    + 0.5j * params.k * (1 / params.s1 + 1 / params.s2) * (t * t))
     g[nodes % 2:] *= 2.0
-    kernel = np.cos(np.multiply.outer(u, params.k * t))
-    return (kernel @ g.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    g = g.view(float).reshape(-1, 2)
+    step = max(1, _ORACLE_BLOCK_ELEMENTS // u.size)
+    sums = np.zeros((u.size, 2))
+    for j in range(0, t.size, step):
+        sums += np.cos(np.multiply.outer(u, params.k * t[j:j + step])) @ g[j:j + step]
+    return sums.view(complex)[:, 0]
 
 
 def quadrature_oracle_amplitude(
@@ -576,37 +608,35 @@ def quadrature_oracle_amplitude(
     Independent of the closed form: the source integral factorizes into an
     x and a y integral of exp(-t^2/sigma^2) * exp(i k/2 ((a1-t)^2/s1 +
     (a2-t)^2/s2)) over t in +-ORACLE_HALF_WIDTH_SIGMAS * sigma, each taken by
-    Gauss-Legendre quadrature with oracle_nodes(quad) nodes. Expanding the
+    Gauss-Legendre quadrature with oracle_nodes nodes, sized to the
+    integrand at these points unless quad.nodes gives them. Expanding the
     square splits off the phase exp(i k/2 (a1^2/s1 + a2^2/s2)) and leaves a
     sum that depends on the point only through u = a1/s1 + a2/s2
-    (_axis_integral). Those sums are taken once per call over the distinct
+    (_axis_integral). Those sums are taken once per count over the distinct
     u of the x axis, the y axis and the origin, then scattered back to the
     points. The result is Ix * Iy / I0^2, normalized so that
     oracle(0,0;0,0) = 1 with phases comparable to closed_form_amplitude.
-    converged_nodes compares every value with its value at finer_nodes of
-    the count, and a miss warns, or raises under quad.check. The values
-    returned are those at oracle_nodes(quad): an explicit count never
-    climbs, and the default, ORACLE_DEFAULT_NODES, is already MAX_NODES.
+    check_refinement compares every value with its value at finer_nodes of
+    the count, and a miss warns, or raises under quad.check; the values
+    returned are those at the first count.
     """
-    half_width = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
+    nodes = oracle_nodes(params, quad, x1, y1, x2, y2)
     k, s1, s2 = params.k, params.s1, params.s2
     pts = _broadcast_points(x1, y1, x2, y2)
     a1, b1, a2, b2 = (a.ravel() for a in pts)
-    shifts, inverse = np.unique(
-        np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]),
-        return_inverse=True,
-    )
+    shifts, inverse = np.unique(np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]),
+                                return_inverse=True)
     phase = np.exp(0.5j * k * ((a1 * a1 + b1 * b1) / s1 + (a2 * a2 + b2 * b2) / s2))
 
     def evaluate(n: int) -> np.ndarray:
         """Flat values at the points with n nodes."""
-        sums = _axis_integral(params, shifts, n, half_width)[inverse]
+        sums = _axis_integral(params, shifts, n)[inverse]
         ix, iy, i0 = sums[:a1.size], sums[a1.size:-1], sums[-1]
         return phase * ix * iy / i0**2
 
-    _, _, value = converged_nodes(evaluate, oracle_nodes(quad), quad, "the oracle")
+    value = evaluate(nodes)
+    check_refinement(value, evaluate(finer_nodes(nodes)), nodes, quad.check, "the oracle")
     value = value.reshape(pts[0].shape)
     if not np.all(np.isfinite(value)):
         raise NumericError("quadrature oracle produced non-finite values")
     return value
-

@@ -195,12 +195,7 @@ def _write(out: str, stem: str, obj, cfg: dict, note: str = "") -> None:
 
 
 def _source(cfg: dict) -> SourceParams:
-    return SourceParams(
-        wavelength=cfg["wavelength"],
-        sigma=cfg["sigma"],
-        s1=cfg["s1"],
-        s2=cfg["s2"],
-    )
+    return SourceParams(**{key: cfg[key] for key in ("wavelength", "sigma", "s1", "s2")})
 
 
 def _lens(cfg: dict) -> LensSystem:
@@ -328,6 +323,10 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
         raise ConfigError(f"axis must be 'x' or 'y', got '{cfg['axis']}'")
     if cfg["samples"] < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
+    if cfg["oracle"] not in (0, 1):
+        raise ConfigError(f"oracle must be 0 or 1, got {cfg['oracle']}")
+    if not 0 < cfg["extent"] < np.inf:
+        raise ConfigError(f"extent must be finite and > 0, got {cfg['extent']}")
     _check_derived(cfg, "nodes")
     if cfg["nodes"] and not cfg["oracle"]:
         raise ConfigError(
@@ -341,8 +340,8 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
         x1, y1 = cfg["fixed"], coords
     quad = QuadSettings(nodes=cfg["nodes"] or None)
     if cfg["oracle"]:
+        used = oracle_nodes(params, quad, x1, y1, cfg["x2"], cfg["y2"])
         phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"], quad)
-        used = oracle_nodes(quad)
     else:
         phi = closed_form_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])
         used = 0

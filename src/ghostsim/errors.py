@@ -60,4 +60,9 @@ class SourceRegimeWarning(UserWarning):
 
 
 class ApertureSamplingWarning(UserWarning):
-    """A finer aperture node count moved a result by more than the tolerance."""
+    """A finer node count moved a quadrature result by more than the tolerance.
+
+    The miss warning of every node check (biphoton.check_refinement): the
+    aperture rule's, and the source oracle's too, although that integral
+    has no aperture.
+    """

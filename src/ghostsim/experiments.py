@@ -31,7 +31,7 @@ from .biphoton import (
     _warn_paraxial,
     axis_amplitude,
     axis_opening_mean,
-    converged_nodes,
+    check_refinement,
     finer_nodes,
 )
 from .errors import NumericError, ParameterError, SamplingError
@@ -315,10 +315,10 @@ def ghost_image_map(
     record why the count was used: aperture_bandwidth_rad, the bandwidth
     omega that lens_plane_nodes formed to size the first count
     (optics.aperture_nodes), and aperture_check_nodes, the finer count
-    converged_nodes compared it with on at most 16 x 16 strided camera
+    check_refinement compared it with on at most 16 x 16 strided camera
     pixels, the first and last rows and columns included. The first count
-    runs once, on the whole camera, and its field is the map's when it
-    passes. workers is accepted and changes nothing.
+    runs once, on the whole camera, and its field is the map's. workers is
+    accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -356,20 +356,15 @@ def ghost_image_map(
     field = evaluate(nodes, x2c, y2c)
     error, kind, quadrature = bound, "clip_bound", {}
     if nodes:
-        # finer counts run on a strided sub-camera, compared with the first
-        # count's field there: at 1.25n a whole 256^2 camera costs ~3x as much
+        # the finer count runs on a strided sub-camera, compared with the
+        # field there: at 1.25n a whole 256^2 camera costs ~3x as much
         iy, ix = (np.linspace(0, a.size - 1, min(a.size, 16)).round().astype(np.intp)
                   for a in (y2c, x2c))
-        first = nodes
-        nodes, error, _ = converged_nodes(
-            lambda n: field[np.ix_(iy, ix)] if n == first else evaluate(n, x2c[ix], y2c[iy]),
-            nodes, quad, "the image field",
-        )
-        if nodes != first:
-            field = evaluate(nodes, x2c, y2c)
+        finer = finer_nodes(nodes)
+        error = check_refinement(field[np.ix_(iy, ix)], evaluate(finer, x2c[ix], y2c[iy]),
+                                 nodes, quad.check, "the image field")
         kind = "refinement"
-        quadrature = {"aperture_bandwidth_rad": omega,
-                      "aperture_check_nodes": finer_nodes(nodes)}
+        quadrature = {"aperture_bandwidth_rad": omega, "aperture_check_nodes": finer}
     raw = np.abs(field) ** 2
     del field   # the largest array of the map, not held while it is normalized
 

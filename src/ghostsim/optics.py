@@ -41,13 +41,14 @@ that reach min(s1, s2) from the axis. On the quadrature path the first node
 count comes from the integrand itself (``aperture_nodes``): its largest
 lens-plane phase rate over the aperture, the bandwidth omega, which
 ``lens_plane_nodes`` forms over the object and image points it is given,
-and the curvature of its Gaussian envelope. The package's one node check,
-``biphoton.converged_nodes``, then compares every point amplitude (for
-image maps: a strided sub-camera of at most 16 x 16 pixels) with one finer
-count, ~1.25 times as many nodes, and moves on to that count only if the
-change exceeds DOUBLING_TOL; an explicit count is checked the same way but
-kept whatever the change. The quadrature path is the independent oracle the
-closed form is tested against where nothing clips.
+and the curvature of its Gaussian envelope. That count, or an explicit one,
+is evaluated once, and the package's one node check,
+``biphoton.check_refinement``, compares every point amplitude (for image
+maps: a strided sub-camera of at most 16 x 16 pixels) with one finer count,
+~1.25 times as many nodes; a change above DOUBLING_TOL warns, or raises
+under quad.check, and the first count is kept either way. The quadrature
+path is the independent oracle the closed form is tested against where
+nothing clips.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ from .biphoton import (
     _axis_coefficients,
     _broadcast_points,
     _leggauss,
-    converged_nodes,
+    bandwidth_nodes,
+    check_refinement,
+    finer_nodes,
 )
 from .errors import NumericError, ParameterError
 
@@ -163,25 +166,16 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
 def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: float) -> int:
     """First per-axis node count of the lens-plane integral: quad.nodes; else
     0, the closed form, unless the aperture clipped beyond the limit
-    (lens_plane_nodes); else n* sized to the integrand, for converged_nodes
-    to check.
+    (lens_plane_nodes); else n* = biphoton.bandwidth_nodes(omega, envelope),
+    at most MAX_NODES, for check_refinement to check.
 
     Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
     with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
     the largest rate of its phase over the aperture (lens_plane_nodes),
     read only where n* is formed; envelope is Re a, the curvature of its
-    Gaussian envelope. Gauss-Legendre error on an analytic integrand falls
-    super-exponentially once n passes its bandwidth (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5; Approximation
-    Theory and Approximation Practice, ch. 19): exp(i omega s) needs
-    omega plus a transition of width ~omega^(1/3), and exp(-a s^2), whose
-    Chebyshev coefficients fall as exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more.
-    So
-
-        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
-
-    rounded up to a multiple of 8 and at most MAX_NODES, the constants
-    calibrated against 1536 to 2048 nodes (largest error in on-axis units
-    for points, of peak for map fields):
+    Gaussian envelope. The constants of n* = omega + 8 omega^(1/3) +
+    9 sqrt(Re a) were calibrated here against 1536 to 2048 nodes (largest
+    error in on-axis units for points, of peak for map fields):
     - 141-point clipped PSF scans (sigma = 40 mm, Re a = 0.09), the first 40
       of the benchmark's seed 0: omega = 4.4-6.1 rad, n* = 24; at 16, 20,
       24 and 28 nodes the worst error is 6.9e-7, 6.5e-10, 3.5e-13 and 2e-15.
@@ -197,14 +191,13 @@ def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: fl
       to 1.6 times the count that first reaches 1e-13.
     n(1e-8) ~ omega + 7 omega^(1/3) fits the bandwidth-bound cases; the
     larger margin puts the values at n* near 1e-14, far inside
-    DOUBLING_TOL, so the check at ~1.25 n* passes at once.
+    DOUBLING_TOL, so the check at ~1.25 n* passes.
     """
     if quad.nodes is not None:
         return quad.nodes
     if not clipped:
         return 0
-    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
-    return min(MAX_NODES, 8 * max(1, math.ceil(n / 8)))
+    return min(MAX_NODES, bandwidth_nodes(omega, envelope))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +453,10 @@ def imaging_amplitude(
     image points (x2, y2). lens_plane_nodes first refuses object points
     beyond the model and picks the lens-plane path and the first node count
     for the points. Each point's lens-plane exponent terms are then formed
-    once per call; the closed form and every node count reuse them. On the
-    quadrature path converged_nodes checks every point at the first count
+    once per call; the closed form and both node counts reuse them. On the
+    quadrature path check_refinement checks every point at the first count
     against one finer count (24 against 32 nodes for the benchmark's clipped
-    PSF scans), and the values at the count it accepts are returned.
+    PSF scans), and the values at the first count are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
@@ -474,13 +467,12 @@ def imaging_amplitude(
     rho = lens.aperture_radius
     if nodes:
         size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(params, lens)
+        value, finer = (_disc_sum(A, *terms, rho, n)[:size] / on_axis
+                        for n in (nodes, finer_nodes(nodes)))
         # measured against at least the on-axis value 1 the amplitude is
         # normalized to: image points far from their object's conjugate,
         # ~1e-9 of it, are not held to tol relative to themselves
-        _, _, value = converged_nodes(
-            lambda n: _disc_sum(A, *terms, rho, n)[:size] / on_axis,
-            nodes, quad, "the imaging amplitude", floor=1.0,
-        )
+        check_refinement(value, finer, nodes, quad.check, "the imaging amplitude", floor=1.0)
     else:
         value = _kernel(A, Bx, Cx) * _kernel(A, By, Cy)
     value = value.reshape(shape)

@@ -27,12 +27,13 @@ from ghostsim.biphoton import (
     DOUBLING_TOL,
     MAX_NODES,
     ORACLE_HALF_WIDTH_SIGMAS,
+    ORACLE_MAX_NODES,
     _faddeeva,
     _leggauss,
     axis_opening_mean,
-    converged_nodes,
-    doubling_change,
+    check_refinement,
     finer_nodes,
+    oracle_nodes,
 )
 
 # Frozen reference values for the fringe geometry (lambda=810 nm, sigma=3 mm,
@@ -191,18 +192,89 @@ def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params):
 
 
 def test_oracle_checks_its_nodes_without_being_asked():
-    # the amplitude subcommand's default line under a sigma = 6 mm source,
-    # whose chirp 2048 nodes do not resolve: the miss warns by default and
-    # raises under quad.check, and the values are still the 2048-node ones
+    # the amplitude subcommand's default line under a sigma = 6 mm source:
+    # the sized count resolves its chirp and passes its check. 2048 nodes
+    # do not: given explicitly, they are still checked, the miss warns by
+    # default and raises under quad.check, and the values are the 2048-node
+    # ones
     params = SourceParams(wavelength=810e-9, sigma=6e-3, s1=1.33, s2=1.0)
     x1 = np.linspace(-3e-3, 3e-3, 201)
-    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
-        value = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0)
-    with pytest.raises(ConvergenceError, match="refining 2048 -> 2560 nodes"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(check=True))
-    with pytest.warns(ApertureSamplingWarning):
+    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
         given = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(nodes=2048))
-    assert value.tobytes() == given.tobytes()
+    with pytest.raises(ConvergenceError, match="refining 2048 -> 2560 nodes"):
+        quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0,
+                                    QuadSettings(nodes=2048, check=True))
+    direct = _direct_oracle(params, x1, 0.0, 0.0, 0.0, 2048, ORACLE_HALF_WIDTH_SIGMAS)
+    assert np.max(np.abs(given - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [3e-3, 6e-3, 10e-3, 20e-3])
+def test_sized_oracle_matches_the_closed_form_on_the_acceptance_lattice(sigma):
+    # criterion 1's 5^4 lattice: the sized count passes its check, and what
+    # is left, 8.4e-9 at 3 mm falling to 1.2e-9 at 20 mm, is the +-4 sigma
+    # window's truncation
+    params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.0)
+    g = np.linspace(-2e-3, 2e-3, 5)
+    points = np.meshgrid(g, g, g, g, indexing="ij")
+    oracle = quadrature_oracle_amplitude(params, *points, QuadSettings(check=True))
+    closed = closed_form_amplitude(params, *points)
+    assert np.max(np.abs(closed - oracle) / np.abs(closed)) <= 1e-8
+
+
+def test_oracle_count_is_sized_from_its_bandwidth(fringe_params):
+    # omega = 2 c h^2 + k max|u| h with h = 4 sigma, and envelope 16: on
+    # the amplitude subcommand's default line 2167 rad, so 2312 nodes; a
+    # given count is taken as it is
+    x1 = np.linspace(-3e-3, 3e-3, 201)
+    assert oracle_nodes(fringe_params, QuadSettings(), x1, 0.0, 0.0, 0.0) == 2312
+    assert oracle_nodes(fringe_params, QuadSettings(nodes=128), x1, 0.0, 0.0, 0.0) == 128
+    assert oracle_nodes(fringe_params, QuadSettings(), 0.0, 0.0, 0.0, 0.0) == 2096
+    # the points' shifts widen the band on either axis alike
+    assert (oracle_nodes(fringe_params, QuadSettings(), 0.0, x1, 0.0, 0.0)
+            == oracle_nodes(fringe_params, QuadSettings(), 0.0, 0.0, x1 / 1.33, 0.0)
+            == 2312)
+
+
+def _no_rule(monkeypatch):
+    """Make building any Gauss-Legendre rule, cached or not, fail the test."""
+    def refuse(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    refuse.__wrapped__ = refuse
+    monkeypatch.setattr(biphoton, "_leggauss", refuse)
+
+
+@pytest.mark.parametrize("points", [
+    (np.nan, 0.0, 0.0, 0.0),
+    (0.0, np.nan, 0.0, 0.0),
+    (0.0, 0.0, 0.0, np.inf),
+    (np.array([0.0, np.nan]), 0.0, 0.0, 0.0),
+], ids=["nan-x", "nan-y", "inf", "nan-in-array"])
+@pytest.mark.parametrize("nodes", [None, 128])
+def test_oracle_refuses_non_finite_points_before_building_a_rule(
+    fringe_params, monkeypatch, points, nodes
+):
+    # refused before the count is sized, whose bandwidth would be NaN
+    _no_rule(monkeypatch)
+    with pytest.raises(ParameterError, match="must be finite"):
+        quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+
+
+def test_oracle_limit_admits_sigma_40mm_and_refuses_more_before_building_a_rule(
+    fringe_params, monkeypatch
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        wide = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.0)
+    x1 = np.linspace(-3e-3, 3e-3, 201)
+    assert oracle_nodes(wide, QuadSettings(), x1, 0.0, 0.0, 0.0) == 351288 <= ORACLE_MAX_NODES
+    # an image point 10 m off axis: a phase rate of 9.3e5 rad
+    _no_rule(monkeypatch)
+    with pytest.raises(ParameterError, match="above its limit 524288"):
+        quadrature_oracle_amplitude(fringe_params, 0.0, 0.0, 10.0, 0.0)
 
 
 @pytest.mark.parametrize("quad", [QuadSettings(), QuadSettings(check=True)])
@@ -360,7 +432,7 @@ def test_leggauss_is_cached_read_only():
 
 @pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])
 def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
-    # the one probe left is the image map's: converged_nodes checks at most
+    # the one probe left is the image map's: check_refinement checks at most
     # 16 evenly strided camera rows and columns, the first and last included
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SourceRegimeWarning)
@@ -396,56 +468,39 @@ def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
                 assert gaps.max() - gaps.min() <= 1      # evenly strided
 
 
-def test_doubling_search_evaluates_each_count_once_and_returns_its_values():
-    # the values settle between 72 and 96 nodes; the search climbs by
-    # finer_nodes, asks for each count once and hands back every value at
-    # the count it chose
-    asked = []
-
-    def evaluate(n):
-        asked.append(n)
-        return np.array([1.0, 2.0, 4.0 + 1e6 * 2.0 ** (-n / 2)])
-
-    nodes, change, values = converged_nodes(evaluate, 32, QuadSettings(), "the map")
-    assert nodes == 96 and change < DOUBLING_TOL
-    assert asked == [32, 40, 56, 72, 96, 120]
-    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0 + 1e6 * 2.0**-48])
-
-
 def test_finer_count_is_a_quarter_more_for_every_count():
-    # one step whether the count was sized or given: 64 and 1536 are
-    # checked at 80 and 1920
-    assert [finer_nodes(n) for n in (8, 24, 64, 352, 1536, 1856, MAX_NODES)] == [
-        16, 32, 80, 440, 1920, MAX_NODES, 2560]
+    # one step whether the count was sized or given, and whatever its size:
+    # 64, 1536 and 1856 are checked at 80, 1920 and 2320
+    assert [finer_nodes(n) for n in (8, 24, 64, 352, 1536, 1856, MAX_NODES, 351288)] == [
+        16, 32, 80, 440, 1920, 2320, 2560, 439112]
 
 
 def _settled_at(fine):
-    """Values [1, 2, 4] at 64 nodes and [1, 2, 4] + fine at 80."""
+    """(values at 64 nodes, values at 80): [1, 2, 4] and [1, 2, 4] + fine."""
     coarse = np.array([1.0, 2.0, 4.0])
-    return lambda n: coarse if n == 64 else coarse + fine
+    return coarse, coarse + fine
 
 
 def test_doubling_check_raises_above_tolerance():
     # a change of DOUBLING_TOL = 1e-8 passes, one of 1e-7 raises
     assert DOUBLING_TOL == 1e-8
-    quad = QuadSettings(nodes=64, check=True)
-    converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")
+    check_refinement(*_settled_at([0, 0, 4e-8]), 64, True, "the map")
     with pytest.raises(
         ConvergenceError,
         match=r"refining 64 -> 80 nodes changed the map by 1.000e-07 relative \(tol 1e-08\)",
     ):
-        converged_nodes(_settled_at([0, 0, 4e-7]), 64, quad, "the map")
+        check_refinement(*_settled_at([0, 0, 4e-7]), 64, True, "the map")
 
 
 def test_doubling_check_returns_the_change():
-    quad = QuadSettings(nodes=64, check=True)
-    nodes, change, values = converged_nodes(_settled_at([0, 0, 4e-8]), 64, quad, "the map")
-    assert (nodes, change) == (64, pytest.approx(1e-8))
-    np.testing.assert_array_equal(values, [1.0, 2.0, 4.0])
+    change = check_refinement(*_settled_at([0, 0, 4e-8]), 64, True, "the map")
+    assert change == pytest.approx(1e-8)
     coarse = np.array([1.0, 2.0, 4.0])
-    assert doubling_change(coarse, coarse + [0, 0, -4e-7]) == pytest.approx(1e-7)
+    with pytest.warns(ApertureSamplingWarning):
+        assert check_refinement(coarse, coarse + [0, 0, -4e-7], 64, False,
+                                "the map") == pytest.approx(1e-7)
     # no values: no change, where numpy's max of nothing raised
-    assert doubling_change(np.zeros(0), np.zeros(0)) == 0.0
+    assert check_refinement(np.zeros(0), np.zeros(0), 64, True, "the map") == 0.0
 
 
 def test_doubling_check_warns_without_check():
@@ -453,10 +508,8 @@ def test_doubling_check_warns_without_check():
     # returns the change
     message = "refining 64 -> 80 nodes changed the map by 1.000e-07"
     with pytest.warns(ApertureSamplingWarning, match=message) as caught:
-        nodes, change, _ = converged_nodes(
-            _settled_at([0, 0, 4e-7]), 64, QuadSettings(nodes=64), "the map"
-        )
-    assert (nodes, change) == (64, pytest.approx(1e-7))
+        change = check_refinement(*_settled_at([0, 0, 4e-7]), 64, False, "the map")
+    assert change == pytest.approx(1e-7)
     assert caught[0].filename == __file__
 
 

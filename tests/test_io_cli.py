@@ -1011,7 +1011,9 @@ def test_cli_amplitude_matches_library(tmp_path):
     np.testing.assert_allclose(table[:, 3], np.abs(want), rtol=1e-12)
 
 
-@pytest.mark.parametrize("flags, nodes", [([], "2048"), (["--nodes", "128"], "128")])
+# the sized count depends on the line's ends only, so 9 samples over the
+# default extent take the 2312 nodes of the default 201
+@pytest.mark.parametrize("flags, nodes", [([], "2312"), (["--nodes", "128"], "128")])
 def test_cli_amplitude_oracle_reports_its_node_count(tmp_path, flags, nodes):
     out = tmp_path / "amp"
     code, _ = run_cli(["amplitude", "--samples", "9", "--oracle", "1", *flags, "--out", str(out)])
@@ -1022,12 +1024,62 @@ def test_cli_amplitude_oracle_reports_its_node_count(tmp_path, flags, nodes):
 
 
 def test_cli_oracle_reports_unconverged_nodes(tmp_path):
-    # 2048 nodes do not resolve a sigma = 6 mm source's chirp: the table is
+    # 64 given nodes do not resolve the default source's chirp: the table is
     # still written, and the miss is reported
-    argv = ["amplitude", "--oracle", "1", "--sigma", "6e-3", "--out", str(tmp_path)]
-    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
+    argv = ["amplitude", "--oracle", "1", "--nodes", "64", "--out", str(tmp_path)]
+    with pytest.warns(ApertureSamplingWarning, match="refining 64 -> 80 nodes"):
         code, _ = run_cli(argv, quiet_sampling=False)
     assert code == 0
+
+
+def test_cli_oracle_resolves_a_sigma_40mm_source(tmp_path):
+    # 2048 nodes left |Phi| at 0.41 where the closed form gives 0.999; the
+    # sized count (351,288) passes its check, and only the source's regime
+    # warning is left
+    tables = []
+    for oracle in ("0", "1"):
+        out = tmp_path / oracle
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(["amplitude", "--sigma", "0.04", "--oracle", oracle,
+                               "--out", str(out)], quiet_sampling=False)
+        assert code == 0
+        assert {w.category.__name__ for w in caught} == {"SourceRegimeWarning"}
+        tables.append(load_matrix_text(str(out / "amplitude.txt")))
+    (closed, _), (oracle, meta) = tables
+    assert meta["quadrature_nodes"] == "351288"
+    assert np.max(np.abs(oracle - closed)) <= 1e-8 * np.max(closed[:, 3])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--oracle", "2"], "oracle must be 0 or 1, got 2"),
+    (["--oracle=-1"], "oracle must be 0 or 1, got -1"),
+    (["--extent=-1"], "extent must be finite and > 0, got -1.0"),
+    (["--extent", "0"], "extent must be finite and > 0, got 0.0"),
+    (["--extent", "nan"], "extent must be finite and > 0, got nan"),
+    (["--oracle", "1", "--extent", "inf"], "extent must be finite and > 0, got inf"),
+], ids=" ".join)
+def test_cli_amplitude_checks_its_keys_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    import ghostsim.cli as cli
+
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("an amplitude was computed with a bad key")
+
+    # --oracle 2 and -1 ran the oracle and echoed them; --extent -1 wrote a
+    # reversed line, and --extent nan blamed the closed form
+    monkeypatch.setattr(cli, "closed_form_amplitude", no_amplitude)
+    monkeypatch.setattr(cli, "quadrature_oracle_amplitude", no_amplitude)
+    err = _fails_fast(["amplitude", *argv], tmp_path / "amp", capsys)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["--fixed", "--x2"])
+def test_cli_oracle_refuses_a_non_finite_point(tmp_path, capsys, key):
+    # refused before the count is sized, whose bandwidth would be NaN
+    err = _fails_fast(["amplitude", "--oracle", "1", key, "nan"], tmp_path / "amp", capsys)
+    assert err == "error: the oracle's points must be finite\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,7 +34,7 @@ from ghostsim.optics import (
     _lens_plane_coefficients,
     _on_axis_raw,
     _padded,
-    converged_nodes,
+    check_refinement,
     lens_axis_kernel,
     lens_plane_nodes,
     pattern_image_field,
@@ -193,20 +193,20 @@ def test_far_from_conjugate_point_converges_against_on_axis_value(
     imaging_params, imaging_lens, monkeypatch
 ):
     # |Phi_I| ~ 2e-9 here; measured against that alone, the doubling change
-    # stalls near 1e-7 and the search ran to 2048 nodes and raised, although
-    # the change is ~1e-16 of the on-axis value 1
+    # would stall near 1e-7 and the check raise, although the change is
+    # ~1e-16 of the on-axis value 1
     chosen = []
 
-    def recorded(*args, **kwargs):
-        chosen.append(converged_nodes(*args, **kwargs))
-        return chosen[-1]
+    def recorded(coarse, fine, nodes, *args, **kwargs):
+        chosen.append((nodes, check_refinement(coarse, fine, nodes, *args, **kwargs)))
+        return chosen[-1][1]
 
-    monkeypatch.setattr(optics, "converged_nodes", recorded)
+    monkeypatch.setattr(optics, "check_refinement", recorded)
     value = imaging_amplitude(
         imaging_params, imaging_lens, 0.0, 0.0, 1e-3, 0.0, QuadSettings(check=True)
     )
     assert abs(value) < 1e-8
-    [(nodes, change, _)] = chosen
+    [(nodes, change)] = chosen
     assert nodes <= 256 and change <= 1e-8
 
 
@@ -800,6 +800,24 @@ BANDWIDTH_MAP_CASES = [
     (3e-3, 25e-3, "edge", True),
 ]
 
+# the extremes of a sweep over sigma 1-40 mm, aperture radius 5-60 mm,
+# patterns of 1-8 mm and points in focus and 5 cm out of it (u = 2.88 m),
+# with the fields of the cases above
+SWEEP_POINT_CASES = [
+    (1e-3, 25e-3, "edge", 2.83, True),
+    (40e-3, 5e-3, (0.7e-3, -0.4e-3), 2.83, False),
+    (3e-3, 60e-3, "edge", 2.83, True),
+    (20e-3, 25e-3, (0.7e-3, -0.4e-3), 2.88, True),
+]
+# (sigma, aperture radius, pattern centre or "edge", quad.check, pattern
+# extent)
+SWEEP_MAP_CASES = [
+    (1e-3, 25e-3, "edge", True, 1e-3),
+    (40e-3, 5e-3, 0.0, False, 1e-3),
+    (3e-3, 60e-3, "edge", True, 1e-3),
+    (40e-3, 25e-3, 0.0, False, 8e-3),
+]
+
 
 def _edge_or(place, params, rho):
     return rho * params.s1 / params.s2 if place == "edge" else place
@@ -827,14 +845,15 @@ def _auto_points(monkeypatch, sigma, rho, obj, u, check):
     return value, _point_amplitude(params, lens, *pts, 2048), counts
 
 
-def _auto_map(monkeypatch, sigma, rho, centre, check):
+def _auto_map(monkeypatch, sigma, rho, centre, check, extent=1e-3):
     """(last field, its 2048-node reference, counts contracted) of the
-    automatic count on one 16^2 map."""
+    automatic count on one 16^2 map of an 8^2 half plane over extent."""
     params, lens = _source(sigma), LensSystem(f=1.5, u=2.83, aperture_radius=rho)
     c = _edge_or(centre, params, rho)
     m = ghost_magnification(params, lens)
-    pattern = pattern_from_extent(half_plane_pattern(n=8).grid, (1e-3, 1e-3), center=(c, 0.0))
-    grid = GridSpec(nx=16, ny=16, extent_x=m * 1e-3, extent_y=m * 1e-3, center=(-m * c, 0.0))
+    pattern = pattern_from_extent(half_plane_pattern(n=8).grid, (extent, extent), center=(c, 0.0))
+    grid = GridSpec(nx=16, ny=16, extent_x=m * extent, extent_y=m * extent,
+                    center=(-m * c, 0.0))
     counts = []
 
     def reference(*args):
@@ -860,19 +879,24 @@ def test_bandwidth_count_matches_a_2048_node_reference_on_maps(monkeypatch, case
     assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", BANDWIDTH_POINT_CASES)
+@pytest.mark.parametrize("case", BANDWIDTH_POINT_CASES + SWEEP_POINT_CASES)
 def test_automatic_points_evaluate_two_counts_where_the_first_check_passes(
     monkeypatch, case
 ):
-    _, _, counts = _auto_points(monkeypatch, *case)
+    # a miss would warn, or raise under quad.check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ApertureSamplingWarning)
+        _, _, counts = _auto_points(monkeypatch, *case)
     assert len(counts) == 2 and counts[1] == finer_nodes(counts[0])
 
 
-@pytest.mark.parametrize("case", BANDWIDTH_MAP_CASES)
+@pytest.mark.parametrize("case", BANDWIDTH_MAP_CASES + SWEEP_MAP_CASES)
 def test_automatic_maps_evaluate_two_counts_where_the_first_check_passes(monkeypatch, case):
     # the first on the whole camera, then the finer one on the strided
-    # sub-camera
-    _, _, counts = _auto_map(monkeypatch, *case)
+    # sub-camera; a miss would warn, or raise under quad.check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ApertureSamplingWarning)
+        _, _, counts = _auto_map(monkeypatch, *case)
     n = counts[0]
     assert counts == [n, finer_nodes(n)]
 
@@ -896,27 +920,14 @@ def test_doubling_check_passes_where_the_aperture_clips(imaging_lens):
 
 
 def test_explicit_node_count_is_capped():
+    # the aperture rule's n x n weights bound a given count, and a sized
+    # one, to MAX_NODES; its check runs at 2560
     assert MAX_NODES == 2048
     assert QuadSettings(nodes=MAX_NODES).nodes == MAX_NODES
     with pytest.raises(ParameterError, match="exceeds"):
         QuadSettings(nodes=MAX_NODES + 1)
-
-    # values that never settle: the search climbs by finer_nodes and stops
-    # at MAX_NODES, checked against 2560; an explicit count is checked
-    # against the same finer count, once, and kept. Each count is evaluated
-    # once.
-    def never_settles(n):
-        asked.append(n)
-        return np.array([1.0 + 1.0 / n])
-
-    for quad, start, used, check in ((QuadSettings(), 32, MAX_NODES, 2560),
-                                     (QuadSettings(nodes=64), 64, 64, 80)):
-        asked = []
-        with pytest.warns(ApertureSamplingWarning):
-            nodes, change, _ = converged_nodes(never_settles, start, quad, "the values")
-        assert nodes == used and asked[-1] == check and change > DOUBLING_TOL
-        assert len(set(asked)) == len(asked)
-    assert asked == [64, 80]
+    assert aperture_nodes(QuadSettings(), True, 1e5, 0.09) == MAX_NODES
+    assert finer_nodes(MAX_NODES) == 2560
 
 
 def _sampling_warning_of(call):
