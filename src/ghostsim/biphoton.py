@@ -13,8 +13,9 @@ with r2 = (x1/s1 + x2/s2)^2 + (y1/s1 + y2/s2)^2 and
 
 All constant prefactors are collapsed into a normalization that makes
 Phi(0,0;0,0) = 1 exactly; only relative values are observable. An independent
-Gauss-Legendre quadrature of the underlying source integral, normalized the
-same way, serves as the correctness oracle for the closed form.
+trapezoidal quadrature of the underlying source integral, normalized the
+same way, serves as the correctness oracle for the closed form; its step
+follows in closed form from its integrand's spectrum (``oracle_nodes``).
 
 Phi is a product of one factor per axis, a complex Gaussian
 exp(-P t^2 + Q t + R) in either plane's coordinate t, and
@@ -23,15 +24,13 @@ mean is an erf difference (``axis_opening_mean``), taken through the Faddeeva
 function w(z) of Weideman's rational expansion (``_faddeeva``); ``optics``
 adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
-The Gauss-Legendre rule itself lives here too: ``_leggauss`` builds it in
-O(n), by Newton's method on Stieltjes's asymptotic series for P_n, with the
-exact cosine series at the few nodes nearest +-1. So do the node rule and
-the node check of every quadrature in the package (the oracle and the
-aperture). ``bandwidth_nodes`` sizes a count n from its integrand's phase
-rate and envelope, unless the caller gives one; each quadrature evaluates n
-and the finer count ``finer_nodes`` names (~1.25n), once each, and
-``check_refinement`` compares every value at the two against DOUBLING_TOL.
-The values at n are the result.
+The aperture's Gauss-Legendre rule lives here too: ``_leggauss`` builds it
+in O(n), by Newton's method on Stieltjes's asymptotic series for P_n, with
+the exact cosine series at the few nodes nearest +-1. So does the node
+check of every quadrature in the package (the oracle and the aperture):
+each evaluates its count n and the finer count ``finer_nodes`` names
+(~1.25n), once each, and ``check_refinement`` compares every value at the
+two against DOUBLING_TOL. The values at n are the result.
 """
 
 from __future__ import annotations
@@ -117,11 +116,6 @@ class SourceParams:
 # refused before any work.
 MAX_NODES = 2048
 
-
-# half-width of the oracle's source integral in units of sigma: the
-# Gaussian envelope exp(-t^2/sigma^2) is exp(-16) = 1.1e-7 at its ends
-ORACLE_HALF_WIDTH_SIGMAS = 4.0
-
 # relative change against the finer count at which the node check counts a
 # quadrature as converged
 DOUBLING_TOL = 1e-8
@@ -129,11 +123,11 @@ DOUBLING_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Gauss-Legendre quadrature controls.
+    """Quadrature controls.
 
-    nodes: nodes per axis, 64 to MAX_NODES; None lets each quadrature size
-      its count to its integrand (bandwidth_nodes: oracle_nodes for the
-      source oracle, optics.aperture_nodes for the aperture).
+    nodes: the aperture rule's Gauss-Legendre nodes per axis, 64 to
+      MAX_NODES; None sizes it to its integrand (optics.aperture_nodes).
+      The source oracle sizes its own rule and refuses a count.
     check: when True, a checked change above DOUBLING_TOL raises
       ConvergenceError (every quadrature is checked; without check a miss
       warns ApertureSamplingWarning), and optics.lens_plane_nodes holds the
@@ -318,37 +312,15 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def bandwidth_nodes(omega: float, envelope: float) -> int:
-    """Gauss-Legendre nodes for an integrand exp(-a s^2 + i phi(s)) on s in
-    [-1, 1]: n*, the first count of every sized quadrature.
-
-    omega is the largest rate of the phase phi over the interval, envelope
-    is Re a, the curvature of the Gaussian envelope. Gauss-Legendre error on
-    an analytic integrand falls super-exponentially once n passes its
-    bandwidth (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5; Approximation
-    Theory and Approximation Practice, ch. 19): exp(i omega s) needs omega
-    plus a transition of width ~omega^(1/3), and exp(-a s^2), whose
-    Chebyshev coefficients fall as exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more.
-    So
-
-        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
-
-    rounded up to a multiple of 8, the constants calibrated on the aperture
-    rule (optics.aperture_nodes) and taken unchanged by the source oracle
-    (oracle_nodes).
-    """
-    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
-    return 8 * max(1, math.ceil(n / 8))
-
-
 def finer_nodes(nodes: int) -> int:
     """The count check_refinement checks nodes against: 1.25 nodes rounded
     up to a multiple of 8.
 
-    Gauss-Legendre error on the package's analytic integrands falls
-    super-exponentially once nodes passes their bandwidth (bandwidth_nodes),
-    so a step of a quarter separates a converged count from an unconverged
-    one, whether the count was sized to its integrand or given.
+    The error of both the package's rules on their analytic integrands
+    falls at least geometrically once nodes passes their bandwidth
+    (optics.aperture_nodes, oracle_nodes), so a step of a quarter separates
+    a converged count from an unconverged one, whether the count was sized
+    to its integrand or given.
     """
     return -(-5 * nodes // 32) * 8
 
@@ -535,37 +507,48 @@ def axis_opening_mean(params: SourceParams, lo, hi, a2) -> Tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-# most nodes per axis the source oracle sizes: it admits sigma = 40 mm on the
-# amplitude subcommand's default line (351,288 nodes, checked at 439,112)
+# most steps per axis the source oracle sizes: it admits sigma = 40 mm on the
+# amplitude subcommand's default line (146,933, checked at 183,672)
 ORACLE_MAX_NODES = 1 << 19
+
+# Gaussian widths at which the oracle cuts both tails of its integrand: the
+# window +-D sigma in t, and the spectrum D widths past the phase rate of a
+# point, each at exp(-D^2) = 4.5e-19
+ORACLE_TAIL_CUT = 6.5
 
 # (shifts x nodes) elements per block of the oracle's cosine kernel: 8 MB
 _ORACLE_BLOCK_ELEMENTS = 1 << 20
 
 
-def oracle_nodes(params: SourceParams, quad: QuadSettings, x1, y1, x2, y2) -> int:
-    """Nodes per axis of the source oracle at these points: quad.nodes, else
-    bandwidth_nodes of its integrand.
+def oracle_nodes(params: SourceParams, x1, y1, x2, y2) -> int:
+    """Steps n per axis of the source oracle's trapezoidal rule (its n + 1
+    nodes t_j = j T / n) at these points, in closed form.
 
-    On s = t / h, h = ORACLE_HALF_WIDTH_SIGMAS sigma, the integrand of
-    _axis_integral is exp(-(h/sigma)^2 s^2 + i (c h^2 s^2 - k u h s)), with
-    c = k/2 (1/s1 + 1/s2) and u the shift a1/s1 + a2/s2 of a point's axis.
-    So its envelope is Re a = (h/sigma)^2 = 16, and its phase rate is at
-    most omega = 2 c h^2 + k max|u| h over both axes of every point. Points
-    that are not finite, or a count above ORACLE_MAX_NODES, raise
-    ParameterError.
+    The integrand of _axis_integral is e(t) cos(k t u), with
+    e(t) = exp(-(1/sigma^2 - i c) t^2), c = k/2 (1/s1 + 1/s2) and u the
+    shift a1/s1 + a2/s2 of a point's axis. The spectrum of e falls as
+    exp(-(omega/W)^2), W = 2 sqrt(1 + c^2 sigma^4) / sigma, and the cosine
+    moves it to +-k u. By Poisson summation, a step 2 pi / Omega aliases
+    the spectrum at Omega - k u onto the value at k u (Trefethen & Weideman,
+    SIAM Rev. 56, 385 (2014)), so with D = ORACLE_TAIL_CUT,
+    Omega = k u + sqrt((k u)^2 + (D W)^2) keeps that alias exp(-D^2) below
+    the point's own value. Over the window T = D sigma the count is
+    n = ceil(T Omega / 2 pi), with u the largest |u| over both axes of every
+    point. Points that are not finite, or a count above ORACLE_MAX_NODES,
+    raise ParameterError.
     """
     a1, b1, a2, b2 = (a.ravel() for a in _broadcast_points(x1, y1, x2, y2))
-    s1, s2 = params.s1, params.s2
+    s1, s2, k, sigma = params.s1, params.s2, params.k, params.sigma
     u = float(np.max(np.abs(np.concatenate([a1 / s1 + a2 / s2, b1 / s1 + b2 / s2, [0.0]]))))
     if not math.isfinite(u):
         raise ParameterError("the oracle's points must be finite")
-    h = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
-    omega = params.k * ((1 / s1 + 1 / s2) * h * h + u * h)
-    nodes = quad.nodes or bandwidth_nodes(omega, ORACLE_HALF_WIDTH_SIGMAS**2)
+    c = 0.5 * k * (1 / s1 + 1 / s2)
+    width = 2.0 * math.sqrt(1.0 + (c * sigma * sigma) ** 2) / sigma
+    omega = k * u + math.hypot(k * u, ORACLE_TAIL_CUT * width)
+    nodes = math.ceil(ORACLE_TAIL_CUT * sigma * omega / (2 * math.pi))
     if nodes > ORACLE_MAX_NODES:
         raise ParameterError(f"the oracle needs {nodes} nodes per axis here (bandwidth "
-                             f"{omega:.3g} rad), above its limit {ORACLE_MAX_NODES}")
+                             f"{omega:.3g} rad/m), above its limit {ORACLE_MAX_NODES}")
     return nodes
 
 
@@ -573,25 +556,22 @@ def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int) -> np.ndarra
     """Single-axis source integral without its per-point phase, at shifts u.
 
     The oracle's integrand along one axis,
-    exp(-t^2/sigma^2 + i k/2 ((a1-t)^2/s1 + (a2-t)^2/s2)) over
-    t in +-h, h = ORACLE_HALF_WIDTH_SIGMAS sigma, expands into
+    exp(-t^2/sigma^2 + i k/2 ((a1-t)^2/s1 + (a2-t)^2/s2)), expands into
     exp(i k/2 (a1^2/s1 + a2^2/s2)) * e(t) * exp(-i k t u) with
     e(t) = exp(-t^2/sigma^2 + i k/2 (1/s1 + 1/s2) t^2) and u = a1/s1 + a2/s2.
-    This returns sum_t w_t e(t) exp(-i k t u) over the Gauss-Legendre nodes
-    for a flat array u. The nodes are symmetric and g(t) = w_t e(t) is even,
-    so the sum is sum over t >= 0 of 2 g(t) cos(k t u), the middle node of
-    an odd count taken once: one real cosine kernel times the real and
-    imaginary parts of g. The kernel runs in blocks of nodes of about
-    _ORACLE_BLOCK_ELEMENTS, summed in node order. The rule is built
-    uncached: a sized one may hold hundreds of thousands of nodes, used by
-    this call only.
+    e is even, so over t in +-T, T = ORACLE_TAIL_CUT sigma, the integral is
+    that of 2 e(t) cos(k t u) over [0, T]. This returns its trapezoidal sum
+    on the nodes t_j = j T / nodes, j = 0 .. nodes, for a flat array u: one
+    real cosine kernel times the real and imaginary parts of the weighted
+    e. The kernel runs in blocks of nodes of about _ORACLE_BLOCK_ELEMENTS
+    (shifts x nodes), summed in node order.
     """
-    h = ORACLE_HALF_WIDTH_SIGMAS * params.sigma
-    t, w = _leggauss.__wrapped__(nodes)
-    t, w = h * t[nodes // 2:], h * w[nodes // 2:]  # t >= 0
-    g = w * np.exp(-(t * t) / params.sigma**2
-                   + 0.5j * params.k * (1 / params.s1 + 1 / params.s2) * (t * t))
-    g[nodes % 2:] *= 2.0
+    half_width = ORACLE_TAIL_CUT * params.sigma
+    t = np.linspace(0.0, half_width, nodes + 1)
+    g = (2.0 * half_width / nodes) * np.exp(
+        -(t * t) / params.sigma**2 + 0.5j * params.k * (1 / params.s1 + 1 / params.s2) * (t * t)
+    )
+    g[[0, -1]] *= 0.5
     g = g.view(float).reshape(-1, 2)
     step = max(1, _ORACLE_BLOCK_ELEMENTS // u.size)
     sums = np.zeros((u.size, 2))
@@ -607,20 +587,24 @@ def quadrature_oracle_amplitude(
 
     Independent of the closed form: the source integral factorizes into an
     x and a y integral of exp(-t^2/sigma^2) * exp(i k/2 ((a1-t)^2/s1 +
-    (a2-t)^2/s2)) over t in +-ORACLE_HALF_WIDTH_SIGMAS * sigma, each taken by
-    Gauss-Legendre quadrature with oracle_nodes nodes, sized to the
-    integrand at these points unless quad.nodes gives them. Expanding the
-    square splits off the phase exp(i k/2 (a1^2/s1 + a2^2/s2)) and leaves a
-    sum that depends on the point only through u = a1/s1 + a2/s2
-    (_axis_integral). Those sums are taken once per count over the distinct
-    u of the x axis, the y axis and the origin, then scattered back to the
-    points. The result is Ix * Iy / I0^2, normalized so that
-    oracle(0,0;0,0) = 1 with phases comparable to closed_form_amplitude.
-    check_refinement compares every value with its value at finer_nodes of
-    the count, and a miss warns, or raises under quad.check; the values
-    returned are those at the first count.
+    (a2-t)^2/s2)), each taken by the trapezoidal rule over
+    t in +-ORACLE_TAIL_CUT * sigma with the step oracle_nodes sizes to the
+    integrand at these points. The oracle takes no node count: a given
+    quad.nodes raises ParameterError. Expanding the square splits off the
+    phase exp(i k/2 (a1^2/s1 + a2^2/s2)) and leaves a sum that depends on
+    the point only through u = a1/s1 + a2/s2 (_axis_integral). Those sums
+    are taken once per count over the distinct u of the x axis, the y axis
+    and the origin, then scattered back to the points. The result is
+    Ix * Iy / I0^2, normalized so that oracle(0,0;0,0) = 1 with phases
+    comparable to closed_form_amplitude. check_refinement compares every
+    value with its value at finer_nodes of the count, and a miss warns, or
+    raises under quad.check; the values returned are those at the first
+    count.
     """
-    nodes = oracle_nodes(params, quad, x1, y1, x2, y2)
+    nodes = oracle_nodes(params, x1, y1, x2, y2)
+    if quad.nodes is not None:
+        raise ParameterError(f"the oracle sizes its own rule; it takes no node count "
+                             f"(got {quad.nodes})")
     k, s1, s2 = params.k, params.s1, params.s2
     pts = _broadcast_points(x1, y1, x2, y2)
     a1, b1, a2, b2 = (a.ravel() for a in pts)

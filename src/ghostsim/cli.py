@@ -136,7 +136,6 @@ _AMPLITUDE_DEFAULTS = dict(
     x2=0.0,
     y2=0.0,
     oracle=0,
-    nodes=0,
 )
 
 # --- configuration resolution -------------------------------------------------
@@ -327,21 +326,14 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
         raise ConfigError(f"oracle must be 0 or 1, got {cfg['oracle']}")
     if not 0 < cfg["extent"] < np.inf:
         raise ConfigError(f"extent must be finite and > 0, got {cfg['extent']}")
-    _check_derived(cfg, "nodes")
-    if cfg["nodes"] and not cfg["oracle"]:
-        raise ConfigError(
-            f"nodes = {cfg['nodes']} sets the oracle's quadrature; the closed form "
-            "(oracle = 0) takes no node count"
-        )
     coords = np.linspace(-cfg["extent"] / 2, cfg["extent"] / 2, cfg["samples"])
     if cfg["axis"] == "x":
         x1, y1 = coords, cfg["fixed"]
     else:
         x1, y1 = cfg["fixed"], coords
-    quad = QuadSettings(nodes=cfg["nodes"] or None)
     if cfg["oracle"]:
-        used = oracle_nodes(params, quad, x1, y1, cfg["x2"], cfg["y2"])
-        phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"], quad)
+        used = oracle_nodes(params, x1, y1, cfg["x2"], cfg["y2"])
+        phi = quadrature_oracle_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])
     else:
         phi = closed_form_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])
         used = 0

@@ -68,7 +68,6 @@ from .biphoton import (
     _axis_coefficients,
     _broadcast_points,
     _leggauss,
-    bandwidth_nodes,
     check_refinement,
     finer_nodes,
 )
@@ -166,38 +165,31 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
 def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: float) -> int:
     """First per-axis node count of the lens-plane integral: quad.nodes; else
     0, the closed form, unless the aperture clipped beyond the limit
-    (lens_plane_nodes); else n* = biphoton.bandwidth_nodes(omega, envelope),
-    at most MAX_NODES, for check_refinement to check.
+    (lens_plane_nodes); else n*, at most MAX_NODES, for check_refinement to
+    check.
 
     Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
     with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
     the largest rate of its phase over the aperture (lens_plane_nodes),
     read only where n* is formed; envelope is Re a, the curvature of its
-    Gaussian envelope. The constants of n* = omega + 8 omega^(1/3) +
-    9 sqrt(Re a) were calibrated here against 1536 to 2048 nodes (largest
-    error in on-axis units for points, of peak for map fields):
-    - 141-point clipped PSF scans (sigma = 40 mm, Re a = 0.09), the first 40
-      of the benchmark's seed 0: omega = 4.4-6.1 rad, n* = 24; at 16, 20,
-      24 and 28 nodes the worst error is 6.9e-7, 6.5e-10, 3.5e-13 and 2e-15.
-    - Maps of a 4 mm pattern onto a camera over m * 4.5 mm, omega = 290
-      rad: at 320, 336, 344 and 352 nodes the errors are 1.2e-8, 4.5e-12,
-      4e-14 and 6e-15 at sigma = 40 mm (n* = 352), and 1.4e-8, 1.8e-11,
-      3.8e-13 and 6e-15 at sigma = 3 mm (n* = 384). With rho = 12.5 mm,
-      omega = 144 rad: 1.4e-10 at 176 and 5e-15 at n* = 192.
-    - sigma = 3 mm (Re a = 15.3): PSF lines with omega = 5.7-8.0 rad need
-      48 nodes for 1e-13, where sigma = 40 mm needs 24; n* = 56-64. Over
-      rho = 12.5-60 mm, sigma = 2-40 mm (Re a = 0.02-198) and object
-      points out to (4, 4) mm, the error at n* is at most 9.4e-15, at up
-      to 1.6 times the count that first reaches 1e-13.
-    n(1e-8) ~ omega + 7 omega^(1/3) fits the bandwidth-bound cases; the
-    larger margin puts the values at n* near 1e-14, far inside
-    DOUBLING_TOL, so the check at ~1.25 n* passes.
+    Gaussian envelope. Gauss-Legendre error on an analytic integrand falls
+    super-exponentially once n passes its bandwidth (Trefethen, SIAM Rev.
+    50, 67 (2008), Thm 4.5; Approximation Theory and Approximation Practice,
+    ch. 19): exp(i omega s) needs omega plus a transition of width
+    ~omega^(1/3), and exp(-a s^2), whose Chebyshev coefficients fall as
+    exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more. So
+
+        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
+
+    rounded up to a multiple of 8, the constants calibrated against 1536 to
+    2048 nodes on clipped PSF scans and maps (tests/test_optics.py).
     """
     if quad.nodes is not None:
         return quad.nodes
     if not clipped:
         return 0
-    return min(MAX_NODES, bandwidth_nodes(omega, envelope))
+    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
+    return min(MAX_NODES, 8 * max(1, math.ceil(n / 8)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def check_oracle_agreement() -> tuple[bool, str]:
     closed = closed_form_amplitude(_INTERFEROMETER, x1, y1, x2, y2)
     oracle = quadrature_oracle_amplitude(_INTERFEROMETER, x1, y1, x2, y2)
     rel = np.max(np.abs(closed - oracle) / np.abs(oracle))
-    return rel < 1e-6, f"worst relative error {rel:.3g} on a 3^4 lattice"
+    return rel < 1e-12, f"worst relative error {rel:.3g} on a 3^4 lattice"
 
 
 def check_fringe_period() -> tuple[bool, str]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,8 +27,8 @@ from ghostsim import biphoton, experiments
 from ghostsim.biphoton import (
     DOUBLING_TOL,
     MAX_NODES,
-    ORACLE_HALF_WIDTH_SIGMAS,
     ORACLE_MAX_NODES,
+    ORACLE_TAIL_CUT,
     _faddeeva,
     _leggauss,
     axis_opening_mean,
@@ -163,17 +164,13 @@ def test_oracle_matches_closed_form_on_small_lattice(fringe_params):
     g = np.linspace(-2e-3, 2e-3, 3)
     x1, y1, x2, y2 = np.meshgrid(g, g, g, g, indexing="ij")
     closed = closed_form_amplitude(fringe_params, x1, y1, x2, y2)
-    oracle = quadrature_oracle_amplitude(
-        fringe_params, x1, y1, x2, y2, QuadSettings(nodes=2048)
-    )
+    oracle = quadrature_oracle_amplitude(fringe_params, x1, y1, x2, y2)
     rel = np.max(np.abs(closed - oracle) / np.abs(oracle))
-    assert rel < 1e-6
+    assert rel < 1e-12
 
 
 def test_oracle_normalized_at_origin(fringe_params):
-    val = quadrature_oracle_amplitude(
-        fringe_params, 0.0, 0.0, 0.0, 0.0, QuadSettings(nodes=256)
-    )
+    val = quadrature_oracle_amplitude(fringe_params, 0.0, 0.0, 0.0, 0.0)
     assert complex(val) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
@@ -183,67 +180,77 @@ def test_oracle_doubling_check_passes_at_default_nodes(fringe_params):
     )
 
 
-def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params):
-    with pytest.raises(ConvergenceError):
+def _oracle_count(monkeypatch, count):
+    """Make the oracle take count(sized count) nodes, its check unchanged."""
+    sized = biphoton.oracle_nodes
+    monkeypatch.setattr(biphoton, "oracle_nodes", lambda *args: count(sized(*args)))
+
+
+def test_oracle_doubling_check_catches_coarse_quadrature(fringe_params, monkeypatch):
+    _oracle_count(monkeypatch, lambda n: 64)
+    with pytest.raises(ConvergenceError, match="refining 64 -> 80 nodes"):
         quadrature_oracle_amplitude(
-            fringe_params, 1e-3, 0.0, -0.5e-3, 0.0,
-            QuadSettings(nodes=64, check=True),
+            fringe_params, 1e-3, 0.0, -0.5e-3, 0.0, QuadSettings(check=True)
         )
 
 
-def test_oracle_checks_its_nodes_without_being_asked():
+def test_oracle_checks_its_nodes_without_being_asked(monkeypatch):
     # the amplitude subcommand's default line under a sigma = 6 mm source:
-    # the sized count resolves its chirp and passes its check. 2048 nodes
-    # do not: given explicitly, they are still checked, the miss warns by
-    # default and raises under quad.check, and the values are the 2048-node
-    # ones
+    # the sized count resolves its chirp and passes its check. 0.6 of it
+    # does not: the miss warns by default and raises under quad.check, and
+    # the values are the coarse count's
     params = SourceParams(wavelength=810e-9, sigma=6e-3, s1=1.33, s2=1.0)
     x1 = np.linspace(-3e-3, 3e-3, 201)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(check=True))
-    with pytest.warns(ApertureSamplingWarning, match="refining 2048 -> 2560 nodes"):
-        given = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(nodes=2048))
-    with pytest.raises(ConvergenceError, match="refining 2048 -> 2560 nodes"):
-        quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0,
-                                    QuadSettings(nodes=2048, check=True))
-    direct = _direct_oracle(params, x1, 0.0, 0.0, 0.0, 2048, ORACLE_HALF_WIDTH_SIGMAS)
+    coarse = int(0.6 * oracle_nodes(params, x1, 0.0, 0.0, 0.0))
+    miss = f"refining {coarse} -> {finer_nodes(coarse)} nodes"
+    _oracle_count(monkeypatch, lambda n: int(0.6 * n))
+    with pytest.warns(ApertureSamplingWarning, match=miss):
+        given = quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0)
+    with pytest.raises(ConvergenceError, match=miss):
+        quadrature_oracle_amplitude(params, x1, 0.0, 0.0, 0.0, QuadSettings(check=True))
+    direct = _direct_oracle(params, x1, 0.0, 0.0, 0.0, coarse, ORACLE_TAIL_CUT)
     assert np.max(np.abs(given - direct)) <= 1e-12
 
 
-@pytest.mark.parametrize("sigma", [3e-3, 6e-3, 10e-3, 20e-3])
-def test_sized_oracle_matches_the_closed_form_on_the_acceptance_lattice(sigma):
-    # criterion 1's 5^4 lattice: the sized count passes its check, and what
-    # is left, 8.4e-9 at 3 mm falling to 1.2e-9 at 20 mm, is the +-4 sigma
-    # window's truncation
-    params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.0)
+@pytest.mark.parametrize("sigma", [3e-3, 6e-3, 10e-3, 20e-3, 40e-3])
+def test_sized_oracle_matches_the_closed_form_on_the_acceptance_lattice(sigma, monkeypatch):
+    # criterion 1's 5^4 lattice: the sized count passes its check, with no
+    # Gauss-Legendre rule built. What is left is rounding: 2e-14 at 3 and
+    # 6 mm, 1.3e-13 at 10 mm, 3.4e-13 at 20 mm and 1.0e-12 at 40 mm, whose
+    # rule takes 147,336 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.0)
     g = np.linspace(-2e-3, 2e-3, 5)
     points = np.meshgrid(g, g, g, g, indexing="ij")
+    _no_rule(monkeypatch)
     oracle = quadrature_oracle_amplitude(params, *points, QuadSettings(check=True))
     closed = closed_form_amplitude(params, *points)
-    assert np.max(np.abs(closed - oracle) / np.abs(closed)) <= 1e-8
+    bound = 5e-12 if sigma == 40e-3 else 1e-12
+    assert np.max(np.abs(closed - oracle) / np.abs(closed)) <= bound
 
 
 def test_oracle_count_is_sized_from_its_bandwidth(fringe_params):
-    # omega = 2 c h^2 + k max|u| h with h = 4 sigma, and envelope 16: on
-    # the amplitude subcommand's default line 2167 rad, so 2312 nodes; a
-    # given count is taken as it is
+    # n = ceil(T Omega / 2 pi), T = 6.5 sigma and Omega = k u + sqrt((k u)^2
+    # + (6.5 W)^2): on the amplitude subcommand's default line 879, and 823
+    # at the origin alone, where Omega = 6.5 W
     x1 = np.linspace(-3e-3, 3e-3, 201)
-    assert oracle_nodes(fringe_params, QuadSettings(), x1, 0.0, 0.0, 0.0) == 2312
-    assert oracle_nodes(fringe_params, QuadSettings(nodes=128), x1, 0.0, 0.0, 0.0) == 128
-    assert oracle_nodes(fringe_params, QuadSettings(), 0.0, 0.0, 0.0, 0.0) == 2096
+    assert oracle_nodes(fringe_params, x1, 0.0, 0.0, 0.0) == 879
+    assert oracle_nodes(fringe_params, 0.0, 0.0, 0.0, 0.0) == 823
     # the points' shifts widen the band on either axis alike
-    assert (oracle_nodes(fringe_params, QuadSettings(), 0.0, x1, 0.0, 0.0)
-            == oracle_nodes(fringe_params, QuadSettings(), 0.0, 0.0, x1 / 1.33, 0.0)
-            == 2312)
+    assert (oracle_nodes(fringe_params, 0.0, x1, 0.0, 0.0)
+            == oracle_nodes(fringe_params, 0.0, 0.0, x1 / 1.33, 0.0)
+            == 879)
 
 
 def _no_rule(monkeypatch):
-    """Make building any Gauss-Legendre rule, cached or not, fail the test."""
+    """Make building any Gauss-Legendre rule fail the test."""
     def refuse(n):
         raise AssertionError("a Gauss-Legendre rule was built")
 
-    refuse.__wrapped__ = refuse
     monkeypatch.setattr(biphoton, "_leggauss", refuse)
 
 
@@ -257,10 +264,26 @@ def _no_rule(monkeypatch):
 def test_oracle_refuses_non_finite_points_before_building_a_rule(
     fringe_params, monkeypatch, points, nodes
 ):
-    # refused before the count is sized, whose bandwidth would be NaN
+    # refused before the count is sized, whose bandwidth would be NaN, and
+    # before a given count, which the oracle refuses too
     _no_rule(monkeypatch)
     with pytest.raises(ParameterError, match="must be finite"):
         quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+
+
+def _no_kernel(monkeypatch):
+    """Make any sum of the oracle's fail the test."""
+    def refuse(*args):
+        raise AssertionError("an oracle kernel ran")
+
+    monkeypatch.setattr(biphoton, "_axis_integral", refuse)
+
+
+def test_oracle_refuses_a_node_count_before_any_kernel(fringe_params, monkeypatch):
+    # the oracle sizes its own rule
+    _no_kernel(monkeypatch)
+    with pytest.raises(ParameterError, match="takes no node count"):
+        quadrature_oracle_amplitude(fringe_params, 1e-3, 0.0, 0.0, 0.0, QuadSettings(nodes=2048))
 
 
 def test_oracle_limit_admits_sigma_40mm_and_refuses_more_before_building_a_rule(
@@ -270,11 +293,29 @@ def test_oracle_limit_admits_sigma_40mm_and_refuses_more_before_building_a_rule(
         warnings.simplefilter("ignore", SourceRegimeWarning)
         wide = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.0)
     x1 = np.linspace(-3e-3, 3e-3, 201)
-    assert oracle_nodes(wide, QuadSettings(), x1, 0.0, 0.0, 0.0) == 351288 <= ORACLE_MAX_NODES
-    # an image point 10 m off axis: a phase rate of 9.3e5 rad
-    _no_rule(monkeypatch)
+    assert oracle_nodes(wide, x1, 0.0, 0.0, 0.0) == 146933 <= ORACLE_MAX_NODES
+    # an image point 10 m off axis sizes to 481,483; one 20 m off, to
+    # 962,964
+    assert oracle_nodes(fringe_params, 0.0, 0.0, 10.0, 0.0) == 481483
+    _no_kernel(monkeypatch)
     with pytest.raises(ParameterError, match="above its limit 524288"):
-        quadrature_oracle_amplitude(fringe_params, 0.0, 0.0, 10.0, 0.0)
+        quadrature_oracle_amplitude(fringe_params, 0.0, 0.0, 20.0, 0.0)
+
+
+def test_oracle_peak_memory_at_sigma_40mm():
+    # the sigma = 40 mm default line: 146,933 steps, whose kernel runs in
+    # blocks of 8 MB; 21.2 MB traced at its peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        wide = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.0)
+    x1 = np.linspace(-3e-3, 3e-3, 201)
+    tracemalloc.start()
+    try:
+        quadrature_oracle_amplitude(wide, x1, 0.0, 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 @pytest.mark.parametrize("quad", [QuadSettings(), QuadSettings(check=True)])
@@ -286,11 +327,12 @@ def test_oracle_of_no_points_is_empty(fringe_params, quad):
 
 
 def _direct_axis_integral(params, a1, a2, nodes, half_width):
-    """The oracle's per-axis integral as first written: one complex exp over
+    """The oracle's per-axis integral written out: the trapezoidal rule of
+    nodes steps on each side of 0 over +-half_width, one complex exp over
     every (point, node) pair, then the weighted sum."""
-    t, wts = _leggauss(nodes)
-    t = t * half_width
-    wts = wts * half_width
+    t = np.linspace(-half_width, half_width, 2 * nodes + 1)
+    wts = np.full(t.size, half_width / nodes)
+    wts[[0, -1]] *= 0.5
     a1 = np.atleast_1d(np.asarray(a1, float))[:, None]
     a2 = np.atleast_1d(np.asarray(a2, float))[:, None]
     tt = t[None, :]
@@ -313,36 +355,40 @@ _LINE = np.linspace(-3e-3, 3e-3, 41)
 
 
 @pytest.mark.parametrize("nodes", [65, 2048])
-# the direct sum over the oracle's own truncation
-@pytest.mark.parametrize("half_width_sigmas", [ORACLE_HALF_WIDTH_SIGMAS])
+# the direct sum over a +-4 sigma window and over the oracle's own
+@pytest.mark.parametrize("half_width_sigmas", [4.0, ORACLE_TAIL_CUT])
 @pytest.mark.parametrize("points", [
     (_LATTICE[:, None, None, None], _LATTICE[None, :, None, None],
      _LATTICE[None, None, :, None], _LATTICE[None, None, None, :]),
     (_LINE, 0.0, -0.4e-3, 0.0),
     (0.0, _LINE, 0.0, 1.1e-3),
 ], ids=["lattice", "x-line", "y-line"])
-def test_oracle_matches_direct_quadrature(fringe_params, nodes, half_width_sigmas, points):
+def test_oracle_matches_direct_quadrature(
+    fringe_params, monkeypatch, nodes, half_width_sigmas, points
+):
     # the folded cosine sum over distinct shifts is the same quadrature as
-    # the direct sum over all points and nodes, up to rounding; the direct
-    # oracle's origin value is 1. 65 nodes do not resolve the chirp, and
-    # the oracle's node check says so; 2048 do.
+    # the direct sum over all points and nodes, up to rounding of the peak;
+    # the direct oracle's origin value is 1. 65 steps do not resolve the
+    # chirp, and the oracle's node check says so; 2048 do.
+    monkeypatch.setattr(biphoton, "ORACLE_TAIL_CUT", half_width_sigmas)
+    _oracle_count(monkeypatch, lambda n: nodes)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        folded = quadrature_oracle_amplitude(fringe_params, *points, QuadSettings(nodes=nodes))
+        folded = quadrature_oracle_amplitude(fringe_params, *points)
     assert [w.category for w in caught] == [ApertureSamplingWarning] * (nodes == 65)
     direct = _direct_oracle(fringe_params, *points, nodes, half_width_sigmas)
     assert folded.shape == np.broadcast_shapes(*(np.shape(a) for a in points))
-    assert np.max(np.abs(folded.ravel() - direct)) <= 1e-12
+    assert np.max(np.abs(folded.ravel() - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_oracle_widening_window_is_stable(fringe_params):
-    # truncating the source integral at ORACLE_HALF_WIDTH_SIGMAS = 4 already
-    # buries the tail: the direct sum over 5 sigma moves it by less than 1e-6
-    a = quadrature_oracle_amplitude(
-        fringe_params, 1e-3, 0.0, -1e-3, 0.0, QuadSettings(nodes=2048)
-    )
-    [b] = _direct_oracle(fringe_params, 1e-3, 0.0, -1e-3, 0.0, 2048, 5.0)
-    assert abs(a - b) / abs(b) < 1e-6
+def test_oracle_widening_window_is_stable(fringe_params, monkeypatch):
+    # ORACLE_TAIL_CUT = 6.5 cuts both tails at exp(-42.25) = 4.5e-19: a
+    # window and a spectrum cut at 8 widths, with their own sized count,
+    # move the value by rounding only
+    a = quadrature_oracle_amplitude(fringe_params, 1e-3, 0.0, -1e-3, 0.0)
+    monkeypatch.setattr(biphoton, "ORACLE_TAIL_CUT", 8.0)
+    b = quadrature_oracle_amplitude(fringe_params, 1e-3, 0.0, -1e-3, 0.0)
+    assert abs(a - b) / abs(b) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

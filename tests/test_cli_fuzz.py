@@ -116,7 +116,7 @@ COMMANDS = {
             oracle=["0", "1"],
         ),
         dict(samples=["1", "5", "17"]),
-        dict(nodes=["0", "64"]),
+        {},
     ),
     "chsh": (
         dict(
@@ -175,9 +175,8 @@ def _must_fail(argv):
            (_number(argv, key) for key in ("pattern_extent_x", "pattern_extent_y"))
            if value is not None):
         return True
-    # the closed form takes no node count
-    return (command == "amplitude" and _text(argv, "oracle") in (None, "0")
-            and _text(argv, "nodes") not in (None, "0"))
+    # amplitude takes no node count: the oracle sizes its own rule
+    return command == "amplitude" and _text(argv, "nodes") is not None
 
 
 def _runs_cleanly(argv):

@@ -1011,31 +1011,33 @@ def test_cli_amplitude_matches_library(tmp_path):
     np.testing.assert_allclose(table[:, 3], np.abs(want), rtol=1e-12)
 
 
-# the sized count depends on the line's ends only, so 9 samples over the
-# default extent take the 2312 nodes of the default 201
-@pytest.mark.parametrize("flags, nodes", [([], "2312"), (["--nodes", "128"], "128")])
-def test_cli_amplitude_oracle_reports_its_node_count(tmp_path, flags, nodes):
+def test_cli_amplitude_oracle_reports_its_node_count(tmp_path):
+    # the sized count depends on the line's ends only, so 9 samples over the
+    # default extent take the 879 of the default 201
     out = tmp_path / "amp"
-    code, _ = run_cli(["amplitude", "--samples", "9", "--oracle", "1", *flags, "--out", str(out)])
+    code, _ = run_cli(["amplitude", "--samples", "9", "--oracle", "1", "--out", str(out)])
     assert code == 0
     table, meta = load_matrix_text(str(out / "amplitude.txt"))
-    assert meta["quadrature_nodes"] == nodes
+    assert meta["quadrature_nodes"] == "879"
     assert table.shape == (9, 4)
 
 
-def test_cli_oracle_reports_unconverged_nodes(tmp_path):
-    # 64 given nodes do not resolve the default source's chirp: the table is
+def test_cli_oracle_reports_unconverged_nodes(tmp_path, monkeypatch):
+    from ghostsim import biphoton
+
+    # 64 steps do not resolve the default source's chirp: the table is
     # still written, and the miss is reported
-    argv = ["amplitude", "--oracle", "1", "--nodes", "64", "--out", str(tmp_path)]
+    monkeypatch.setattr(biphoton, "oracle_nodes", lambda *args: 64)
+    argv = ["amplitude", "--oracle", "1", "--out", str(tmp_path)]
     with pytest.warns(ApertureSamplingWarning, match="refining 64 -> 80 nodes"):
         code, _ = run_cli(argv, quiet_sampling=False)
     assert code == 0
 
 
 def test_cli_oracle_resolves_a_sigma_40mm_source(tmp_path):
-    # 2048 nodes left |Phi| at 0.41 where the closed form gives 0.999; the
-    # sized count (351,288) passes its check, and only the source's regime
-    # warning is left
+    # 2048 Gauss-Legendre nodes left |Phi| at 0.41 where the closed form
+    # gives 0.999; the sized count (146,933) passes its check, and only the
+    # source's regime warning is left
     tables = []
     for oracle in ("0", "1"):
         out = tmp_path / oracle
@@ -1047,8 +1049,8 @@ def test_cli_oracle_resolves_a_sigma_40mm_source(tmp_path):
         assert {w.category.__name__ for w in caught} == {"SourceRegimeWarning"}
         tables.append(load_matrix_text(str(out / "amplitude.txt")))
     (closed, _), (oracle, meta) = tables
-    assert meta["quadrature_nodes"] == "351288"
-    assert np.max(np.abs(oracle - closed)) <= 1e-8 * np.max(closed[:, 3])
+    assert meta["quadrature_nodes"] == "146933"
+    assert np.max(np.abs(oracle - closed)) <= 1e-11 * np.max(closed[:, 3])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1127,7 +1129,6 @@ def test_cli_interference_refuses_a_map_that_is_zero_everywhere(tmp_path, capsys
     ["image", "--extent-x", "-1"],
     ["image", "--extent-y=-1e-3"],
     ["montecarlo", "--extent-x", "-1"],
-    ["amplitude", "--oracle", "1", "--nodes", "-3"],
 ], ids=" ".join)
 def test_cli_rejects_a_negative_derived_value_before_any_map(
     tmp_path, capsys, monkeypatch, argv
@@ -1150,11 +1151,23 @@ def test_cli_closed_form_amplitude_refuses_a_node_count(tmp_path, capsys, monkey
     def no_amplitude(*args, **kwargs):
         raise AssertionError("the closed form ran with a node count it ignores")
 
-    # it ran, and its table and config echo recorded nodes = 128
+    # amplitude has no nodes key: the oracle sizes its own rule
     monkeypatch.setattr(cli, "closed_form_amplitude", no_amplitude)
     err = _fails_fast(["amplitude", "--nodes", "128"], tmp_path / "amp", capsys)
-    assert err == ("error: nodes = 128 sets the oracle's quadrature; the closed form "
-                   "(oracle = 0) takes no node count\n")
+    assert err == "error: unrecognized arguments: --nodes 128\n"
+
+
+def test_cli_oracle_takes_no_node_count(tmp_path, capsys, monkeypatch):
+    import ghostsim.cli as cli
+
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("the oracle ran with a node count")
+
+    # the oracle sizes its own rule; amplitude has no nodes key
+    monkeypatch.setattr(cli, "quadrature_oracle_amplitude", no_amplitude)
+    argv = ["amplitude", "--oracle", "1", "--nodes", "64"]
+    err = _fails_fast(argv, tmp_path / "amp", capsys)
+    assert err == "error: unrecognized arguments: --nodes 64\n"
 
 
 @pytest.mark.parametrize("command", ["image", "montecarlo"])
@@ -1384,7 +1397,7 @@ SMALL_RUNS = {
     "interference": ["--nx", "64", "--ny", "8", "--extent-x", "3e-3"],
     "image": ["--nx", "32", "--ny", "32", "--pattern-n", "16"],
     "montecarlo": ["--nx", "32", "--ny", "32", "--pattern-n", "16", "--exposure", "1"],
-    "amplitude": ["--samples", "9", "--oracle", "1", "--nodes", "64"],
+    "amplitude": ["--samples", "9", "--oracle", "1"],
 }
 
 
@@ -1470,6 +1483,7 @@ def test_cli_help_still_exits_0(capsys):
     assert "--workers" in capsys.readouterr().out
 
 
+# amplitude has no nodes key, and refuses any count at the parser
 @pytest.mark.parametrize("command", ["image", "montecarlo", "amplitude"])
 def test_cli_rejects_node_counts_above_the_cap(tmp_path, capsys, monkeypatch, command):
     import ghostsim.cli as cli

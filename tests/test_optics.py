@@ -775,6 +775,9 @@ def _source(sigma):
         return SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
 
 
+# The constants of optics.aperture_nodes' n* were calibrated on the cases
+# below, against 1536 to 2048 nodes: at n* the error is near 1e-14, far
+# inside DOUBLING_TOL, so the check at ~1.25 n* passes.
 # (sigma, aperture radius, object point or "edge", lens object distance u,
 # quad.check) of clipped PSF lines; "edge" puts the lens-plane envelope's
 # centre, at -(s2/s1) x1, on the aperture's rim. u = s1 + s2 + 0.1 m
