@@ -24,13 +24,11 @@ mean is an erf difference (``axis_opening_mean``), taken through the Faddeeva
 function w(z) of Weideman's rational expansion (``_faddeeva``); ``optics``
 adds the lens's terms to (P, Q, R) for its lens-plane kernel.
 
-The aperture's Gauss-Legendre rule lives here too: ``_leggauss`` builds it
-in O(n), by Newton's method on Stieltjes's asymptotic series for P_n, with
-the exact cosine series at the few nodes nearest +-1. So does the node
-check of every quadrature in the package (the oracle and the aperture):
-each evaluates its count n and the finer count ``finer_nodes`` names
-(~1.25n), once each, and ``check_refinement`` compares every value at the
-two against DOUBLING_TOL. The values at n are the result.
+The node check of every quadrature in the package (the oracle and the
+aperture) lives here too: each evaluates its count n and the finer count
+``finer_nodes`` names (~1.25n), once each, and ``check_refinement``
+compares every value at the two against DOUBLING_TOL. The values at n are
+the result.
 """
 
 from __future__ import annotations
@@ -111,9 +109,10 @@ class SourceParams:
 
 
 # largest explicit node count per axis, and the most the aperture rule
-# sizes. Its weights are an n x n matrix built in O(n^3), so the check of
-# MAX_NODES, at 2560, holds 52 MB of weights; larger explicit counts are
-# refused before any work.
+# sizes. Its weights are an n x n matrix of closed-form sums, built by one
+# O(n^3) matmul (optics._disc_rule), so the check of MAX_NODES, at 2560,
+# holds 52 MB of weights; larger explicit counts are refused before any
+# work.
 MAX_NODES = 2048
 
 # relative change against the finer count at which the node check counts a
@@ -125,7 +124,7 @@ DOUBLING_TOL = 1e-8
 class QuadSettings:
     """Quadrature controls.
 
-    nodes: the aperture rule's Gauss-Legendre nodes per axis, 64 to
+    nodes: the aperture rule's nodes per axis, 64 to
       MAX_NODES; None sizes it to its integrand (optics.aperture_nodes).
       The source oracle sizes its own rule and refuses a count.
     check: when True, a checked change above DOUBLING_TOL raises
@@ -148,177 +147,15 @@ class QuadSettings:
             )
 
 
-# Newton steps allowed from Tricomi's initial guesses; at most three (the
-# last only confirming) converge for every n up to 400 and from 512 to 8192
-# tried, the outermost node being the slowest, so hitting the cap means the
-# iteration has gone wrong
-NEWTON_MAX_STEPS = 10
-# most terms of Stieltjes's series one node takes; a rule of at most twice as
-# many nodes takes the exact cosine series at every node
-STIELTJES_TERMS = 20
-# bound on the series' remainder, relative to its leading term
-STIELTJES_TOL = 2.0**-52
-# pi as a head of 26 significant bits, so that its product with an integer
-# or quarter-integer below 2^25 is exact, and its tail pi - head, to twice
-# double precision
-_PI_HEAD = 3.1415926814079285
-_PI_TAIL = -2.7818135228334233e-08
-
-
-def _split(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(head, tail) with head + tail = v exactly and at most 26 significant
-    bits in head (Dekker's split)."""
-    t = 134217729.0 * v   # 2^27 + 1
-    head = t - (t - v)
-    return head, v - head
-
-
-def _stieltjes_coefficients(n: int) -> np.ndarray:
-    """h_0 .. h_STIELTJES_TERMS of Stieltjes's series for P_n: h_0 = 1,
-    h_m = h_(m-1) (m - 1/2)^2 / (m (n + m + 1/2))."""
-    m = np.arange(1, STIELTJES_TERMS + 1)
-    return np.cumprod(np.concatenate([[1.0], (m - 0.5) ** 2 / (m * (n + m + 0.5))]))
-
-
-def _stieltjes_terms(n: int, theta: np.ndarray) -> np.ndarray:
-    """Terms of Stieltjes's series that each theta in (0, pi/2] takes.
-
-    That is the fewest M whose remainder bound 2 h_M / (2 sin theta)^M, relative
-    to the leading term, is at most STIELTJES_TOL, or 0 (the exact cosine
-    series) where STIELTJES_TERMS terms do not meet it.
-    """
-    m = np.arange(1, STIELTJES_TERMS + 1)
-    bound = 2.0 * _stieltjes_coefficients(n)[1:] / STIELTJES_TOL
-    # the least sin(theta) at which m or fewer terms meet the bound
-    least = np.minimum.accumulate(0.5 * bound ** (1.0 / m))
-    terms = STIELTJES_TERMS + 1 - np.searchsorted(least[::-1], np.sin(theta), side="right")
-    return np.where(terms > STIELTJES_TERMS, 0, terms)
-
-
-def _legendre_theta(n: int, theta: np.ndarray,
-                    terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(P_n(cos theta), dP_n/dtheta) at each theta in (0, pi/2], each pair up
-    to a sign of its own.
-
-    Where terms is 0, the exact cosine series
-    P_n(cos theta) = sum_(m=0..n) g_m g_(n-m) cos((n - 2m) theta), with
-    g_m = C(2m, m) / 4^m and the equal terms m and n - m taken once: O(n)
-    work per theta. Elsewhere, terms[i] terms of Stieltjes's series
-    (Szego, Orthogonal Polynomials, 8.21.14),
-    P_n(cos theta) = C_n sum_(m<M) h_m cos((n + m + 1/2) theta - (m + 1/2) pi/2)
-    / (2 sin theta)^(m + 1/2), with C_n = (4/pi) prod_(j=1..n) j / (j + 1/2)
-    = 2 / (pi (n + 1/2) g_n).
-    Its phase is reduced by q pi, q the integer nearest (n + 1/2) theta / pi,
-    and the sign (-1)^q dropped. The reduction forms (n + 1/2) theta and
-    (q + 1/4) pi from 26-bit heads, so exactly: with the phase rounded as
-    one double of size ~n, nodes were up to 2.8e-16 off at n = 2048.
-    """
-    j = np.arange(1, n + 1)
-    g = np.cumprod(np.concatenate([[1.0], (j - 0.5) / j]))   # g_0 .. g_n
-    p, dp = np.empty_like(theta), np.empty_like(theta)
-    exact = terms == 0
-    if exact.any():
-        freq = n - 2.0 * np.arange(n // 2 + 1)
-        c = np.where(freq > 0, 2.0, 1.0) * g[:freq.size] * g[:n - freq.size:-1]
-        phase = np.outer(theta[exact], freq)
-        p[exact], dp[exact] = np.cos(phase) @ c, -(np.sin(phase) @ (c * freq))
-    series = ~exact
-    if series.any():
-        t, count = theta[series], terms[series]
-        # one entry per (node, term) pair: node index and term m
-        node = np.repeat(np.arange(t.size), count)
-        m = np.arange(node.size) - np.repeat(np.cumsum(count) - count, count)
-        head, tail = _split(t)
-        q = np.rint((n + 0.5) * t / np.pi) + 0.25
-        psi = ((n + 0.5) * head - q * _PI_HEAD) + ((n + 0.5) * tail - q * _PI_TAIL)
-        psi = psi[node] + m * (t[node] - 0.5 * np.pi)
-        sin_t = np.sin(t)
-        amp = _stieltjes_coefficients(n)[m] * (2.0 * sin_t[node]) ** -(m + 0.5)
-        cot = (np.cos(t) / sin_t)[node]
-        scale = 2.0 / (np.pi * (n + 0.5) * g[-1])   # C_n
-        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-        p[series] = scale * np.bincount(node, amp * cos_psi, t.size)
-        dp[series] = -scale * np.bincount(
-            node, amp * ((n + m + 0.5) * sin_psi + (m + 0.5) * cot * cos_psi), t.size
-        )
-    return p, dp
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], in O(n).
-
-    Newton's method in theta, x = cos(theta) (Hale & Townsend, SIAM J. Sci.
-    Comput. 35, A652 (2013)), vectorized over the nodes of the
-    half-interval x >= 0 and started from Tricomi's guesses
-    x_k = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4k - 1) / (4n + 2)), taken to
-    theta to first order. Each step takes P_n(cos theta) and dP_n/dtheta from ``_legendre_theta``: at
-    most nodes from Stieltjes's asymptotic series, whose remainder is at most
-    twice its first omitted term (Szego, Orthogonal Polynomials, 8.21), so
-    each node takes only the terms that bound needs for STIELTJES_TOL, up to
-    STIELTJES_TERMS; at the few nodes nearest +-1 where that cap does not
-    suffice (5 or 6 per half from n = 41 to 8192), and at every node when
-    n <= 2 STIELTJES_TERMS, from the exact cosine series. The terms are
-    chosen once, at the guesses, so the whole rule is O(n) work.
-
-    At most three steps converge, the outermost node being the slowest; the
-    iteration stops once n |step| <= 1e-8. Its last step is taken in x, as
-    cos(theta) + sin(theta) step, so that it corrects the rounding of theta
-    too, and leaves the node off by at most step^2 / 2 < 1e-16 / n^2. The
-    weights are 2 / (dP_n/dtheta)^2, with dP_n/dtheta carried along that
-    step to first order, which leaves it off by (n step)^2 / 2 at most
-    relative: no (1 - x^2) P_n'(x)^2 cancels near +-1. The weights are
-    then scaled to their exact sum 2 (by math.fsum), which takes out the
-    rounding of C_n. Against 40-digit values, every node is within one unit
-    in the last place, and every weight within 6e-15 relative, at n = 41,
-    64, 352, 1024 and 2048; at n = 4363 the exact-series weights, which
-    carry the rounding of the running product g_m, are within 2e-14. The
-    negative half is the mirror image, so the rule is exactly symmetric.
-    The arrays are cached, and read-only.
-    """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    # Tricomi's x = (1 - eps) cos(theta0) in theta, to first order in
-    # eps = (n - 1) / (8 n^3); np.arccos would add ~0.3 MB to a process's
-    # resident set for its first call
-    theta = np.pi * (4 * k - 1) / (4 * n + 2)
-    theta += (n - 1) / (8.0 * n**3) * np.cos(theta) / np.sin(theta)
-    if n <= 2 * STIELTJES_TERMS:
-        terms = np.zeros(k.size, dtype=int)
-    else:
-        terms = _stieltjes_terms(n, theta)
-    for _ in range(NEWTON_MAX_STEPS):
-        p, dp = _legendre_theta(n, theta, terms)
-        step = p / dp
-        if n * np.max(np.abs(step)) <= 1e-8:
-            break
-        theta -= step
-    else:
-        raise NumericError(
-            f"Gauss-Legendre nodes for n = {n} did not converge in "
-            f"{NEWTON_MAX_STEPS} Newton steps"
-        )
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    x = cos_t + sin_t * step
-    dp *= 1.0 + step * cos_t / sin_t
-    odd = n % 2
-    if odd:
-        x[-1] = 0.0
-    w = 2.0 / (dp * dp)
-    nodes = np.concatenate([-x, x[::-1][odd:]])
-    weights = np.concatenate([w, w[::-1][odd:]])
-    weights *= 2.0 / math.fsum(weights)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def finer_nodes(nodes: int) -> int:
     """The count check_refinement checks nodes against: 1.25 nodes rounded
     up to a multiple of 8.
 
-    The error of both the package's rules on their analytic integrands
-    falls at least geometrically once nodes passes their bandwidth
-    (optics.aperture_nodes, oracle_nodes), so a step of a quarter separates
+    Both the package's rules are sums at closed-form nodes: the oracle's
+    trapezoidal steps, and the aperture's midpoint steps in theta with
+    Chebyshev points on each chord. Their error on their analytic
+    integrands falls at least geometrically once nodes passes their
+    bandwidth (optics.aperture_nodes, oracle_nodes), so a step of a quarter separates
     a converged count from an unconverged one, whether the count was sized
     to its integrand or given.
     """

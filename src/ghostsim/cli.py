@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -393,7 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one ``warning: <Category>: <message>`` line: the source
+    line it was raised at is inside the package, or runpy's, and tells a CLI
+    user nothing."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
+    # only the format is swapped, for this call: warnings still go through
+    # warnings.showwarning, so filters and callers' capture still see them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         _, defaults, handler = COMMANDS[args.command]
@@ -402,6 +413,8 @@ def main(argv=None) -> int:
         # a missing or unreadable --config or --pattern file too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -23,15 +23,17 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   built once, its entries below KERNEL_FLOOR zeroed, and cached
   (``_phased_map_kernel``), so a sweep over one geometry is two matmuls a
   map.
-- quadrature over the aperture disc (``_disc_rule``): outer nodes
-  xi = rho sin(theta), theta Gauss-Legendre, and one inner Gauss-Legendre
-  set whose weights W integrate exactly over each outer node's chord. The
-  substitution removes the square-root ends of the chords, so the rule
-  converges spectrally (Davis & Rabinowitz, Methods of Numerical
-  Integration, 2nd ed. 1984, ch. 5). By the x/y separability of Phi, points
-  and image maps contract per-axis factors through the one matrix W, and
-  divide by the exact on-axis value pi (1 - exp(-A rho^2)) / A, the
-  integral of exp(-A r^2) over the aperture (``_on_axis_raw``).
+- quadrature over the aperture disc (``_disc_rule``), every node and
+  weight in closed form: outer nodes xi = rho sin(theta), theta the
+  midpoints of equal steps, and one inner set, the Chebyshev points, whose
+  weights W integrate their interpolant exactly over each outer node's
+  chord. The substitution removes the square-root ends of the chords and
+  leaves a smooth periodic integrand in theta, so the rule converges
+  spectrally (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). By the x/y
+  separability of Phi, points and image maps contract per-axis factors
+  through the one matrix W, and divide by the exact on-axis value
+  pi (1 - exp(-A rho^2)) / A, the integral of exp(-A r^2) over the
+  aperture (``_on_axis_raw``).
 
 ``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
 image maps: the closed form when no node count is given and the clip bound
@@ -67,7 +69,6 @@ from .biphoton import (
     SourceParams,
     _axis_coefficients,
     _broadcast_points,
-    _leggauss,
     check_refinement,
     finer_nodes,
 )
@@ -172,12 +173,16 @@ def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: fl
     with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
     the largest rate of its phase over the aperture (lens_plane_nodes),
     read only where n* is formed; envelope is Re a, the curvature of its
-    Gaussian envelope. Gauss-Legendre error on an analytic integrand falls
-    super-exponentially once n passes its bandwidth (Trefethen, SIAM Rev.
-    50, 67 (2008), Thm 4.5; Approximation Theory and Approximation Practice,
-    ch. 19): exp(i omega s) needs omega plus a transition of width
-    ~omega^(1/3), and exp(-a s^2), whose Chebyshev coefficients fall as
-    exp(-k^2 / 4a), ~sqrt(a ln(1/tol)) more. So
+    Gaussian envelope. The disc rule (_disc_rule) interpolates each chord
+    at n Chebyshev points and sums n midpoint steps in theta, whose error
+    on an analytic integrand falls super-exponentially once n passes its
+    bandwidth: the Chebyshev coefficients of exp(i omega s), and the
+    Fourier coefficients of exp(i omega sin(theta)), are the Bessel values
+    J_k(omega), which fall so once k passes omega plus a transition of
+    width ~omega^(1/3) (Trefethen, SIAM Rev. 50, 67 (2008); Approximation
+    Theory and Approximation Practice, ch. 8), and exp(-a s^2), whose
+    Chebyshev coefficients fall as exp(-k^2 / 4a), needs
+    ~sqrt(a ln(1/tol)) more. So
 
         n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
 
@@ -335,43 +340,54 @@ def lens_plane_nodes(
 def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Product rule on the unit disc: (outer nodes, inner nodes, weights).
 
-    Outer nodes sin(theta_a), theta_a Gauss-Legendre on [-pi/2, pi/2] with
-    weights v_a, each with the chord |s| <= h_a = cos(theta_a); inner nodes
-    s_b Gauss-Legendre on [-1, 1] with weights w_b. W[a, b] = v_a h_a times
-    the integral over chord a of the Lagrange basis polynomial l_b of the
-    inner nodes, which is sum over even m of (2m+1)/2 w_b P_m(s_b) I_m(h_a),
-    I_0 = 2h, I_m = 2 (P_(m+1)(h) - P_(m-1)(h)) / (2m+1). A full chord gives
-    back w_b, and W sums to pi. W is mirror-symmetric in a and in b, so one
-    quadrant is built, by one real matmul. The arrays are cached and
+    With phi_a = pi (a + 1/2) / n, the outer nodes are sin(theta_a),
+    theta_a = phi_a - pi/2 the midpoints of n equal steps over
+    [-pi/2, pi/2], each with the chord |s| <= h_a = cos(theta_a). The
+    integrand in theta, cos(theta) times its chord's integral, is smooth,
+    2 pi-periodic and even about pi/2, so the steps are the 2n-point
+    periodic trapezoidal rule, which converges spectrally (Trefethen &
+    Weideman, SIAM Rev. 56, 385 (2014)). The inner nodes are the Chebyshev
+    points s_b = -cos(phi_b), the same set as the outer nodes, and
+    W[a, b] = (pi / n) h_a times the integral over chord a of their
+    Lagrange basis polynomial l_b, (2 pi / n^2) h_a times the sum over even
+    m < n, the m = 0 term halved, of cos(m phi_b) times the integral of T_m
+    over the chord, cos((m+1) theta) / (m+1) - cos((m-1) theta) / (m-1).
+    Summed by parts, with k < (n + 1) / 2:
+
+        W[a, b] = (4 pi / n^2) sum_k c_k V[k, a] V[k, b],
+        V[k, a] = sin(phi_a) sin((2k+1) phi_a),  c_k = (-1)^k / (2k+1),
+
+    the last c_k halved for odd n. The rule integrates x^2p y^2q exactly
+    for 2q < n and p + q < n - 1, a full chord (odd n) gets pi / n times
+    Fejer's first-rule weights, and W sums to pi. Every sine is read from
+    one table of sin(pi i / 2n) at exact integers i mod 4n, so W is exactly
+    mirror-symmetric in a and in b, and the odd rule's middle node is 0.
+    One quadrant is built, by one real matmul. The arrays are cached and
     read-only; W takes 8 n^2 bytes.
     """
-    t, w = _leggauss(n)
+    # sin(pi i / 2n) for i < 4n, from its first quarter wave
+    quarter = np.sin(np.pi / (2 * n) * np.arange(n + 1))
+    table = np.concatenate([quarter, quarter[-2::-1]])
+    table = np.concatenate([table, -table[1:-1]])
+
+    def sin(i):
+        return table[i % (4 * n)]
+
     half, odd = (n + 1) // 2, n % 2
-    h = np.cos(0.5 * np.pi * t[:half])
-    # P_j at the inner nodes (first half) and at the chord ends, in one array
-    x = np.concatenate([t[:half], h])
-    legendre_s = np.empty((half, half))   # row k: P_2k at the inner nodes
-    integral_h = np.empty((half, half))   # row k: (4k+1)/2 I_2k at the chords
-    legendre_s[0], integral_h[0] = 1.0, h
-    p_prev, p = np.ones_like(x), x.copy()
-    for k in range(1, half):
-        # p = P_j for j = 2k - 1: step to P_2k, then to P_(2k+1)
-        j = 2 * k - 1
-        p_even = ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-        p_next = ((2 * j + 3) * x * p_even - (j + 1) * p) / (j + 2)
-        legendre_s[k] = p_even[:half]
-        np.subtract(p_next[half:], p[half:], out=integral_h[k])
-        p_prev, p = p_even, p_next
-    legendre_s *= w[:half]
-    integral_h *= 0.5 * np.pi * w[:half] * h
+    j = np.arange(1, 2 * half, 2)                    # 2k + 1, and 2a + 1
+    v = sin(np.outer(j, j))
+    v *= table[j]
+    c = (4 * np.pi / n**2) * (-1.0) ** np.arange(half) / j
+    if odd:
+        c[-1] /= 2
     weights = np.empty((n, n))
-    np.matmul(integral_h.T, legendre_s, out=weights[:half, :half])
+    np.matmul(v.T, c[:, None] * v, out=weights[:half, :half])
     weights[:half, half:] = weights[:half, half - 1 - odd::-1]
     weights[half:] = weights[half - 1 - odd::-1]
-    outer = np.sin(0.5 * np.pi * t)
-    for arr in (outer, weights):
+    nodes = sin(np.arange(1 - n, n, 2))
+    for arr in (nodes, weights):
         arr.flags.writeable = False
-    return outer, t, weights
+    return nodes, nodes, weights
 
 
 def _exponent_factors(A, B, C, nodes) -> np.ndarray:

@@ -30,7 +30,6 @@ from ghostsim.biphoton import (
     ORACLE_MAX_NODES,
     ORACLE_TAIL_CUT,
     _faddeeva,
-    _leggauss,
     axis_opening_mean,
     check_refinement,
     finer_nodes,
@@ -247,11 +246,14 @@ def test_oracle_count_is_sized_from_its_bandwidth(fringe_params):
 
 
 def _no_rule(monkeypatch):
-    """Make building any Gauss-Legendre rule fail the test."""
+    """Make building any Gauss-Legendre rule fail the test: biphoton has no
+    rule of its own, and numpy's refuses."""
+    assert not [name for name in vars(biphoton) if "leggauss" in name.lower()]
+
     def refuse(n):
         raise AssertionError("a Gauss-Legendre rule was built")
 
-    monkeypatch.setattr(biphoton, "_leggauss", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
 
 
 @pytest.mark.parametrize("points", [
@@ -392,88 +394,8 @@ def test_oracle_widening_window_is_stable(fringe_params, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre nodes and the doubling check
+# the doubling check
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 512])
-def test_leggauss_matches_numpy(n):
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = _leggauss(n)
-    xr, wr = leggauss(n)
-    assert np.max(np.abs(x - xr)) <= 4e-16
-    # numpy's outermost weights are themselves off by up to 1.1e-10 relative
-    # at n = 512 (see the mpmath test below), so the comparison is scaled by
-    # the largest weight
-    assert np.max(np.abs(w - wr)) <= 1e-12 * np.max(wr)
-    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-
-
-@pytest.mark.parametrize("n", [64, 512, 1024, 2048])
-def test_leggauss_weights_match_extended_precision(n):
-    mpmath = pytest.importorskip("mpmath")
-    x, w = _leggauss(n)
-    # every (n // 64)-th node of the upper half, and the outermost one, where
-    # numpy's weights are least accurate
-    with mpmath.workdps(40):
-        for i in list(range(n // 2, n, max(1, n // 64))) + [n - 1]:
-            xi = mpmath.mpf(float(x[i]))
-            for _ in range(3):
-                p, q = mpmath.legendre(n, xi), mpmath.legendre(n - 1, xi)
-                xi -= p * (xi * xi - 1) / (n * (xi * p - q))
-            p, q = mpmath.legendre(n, xi), mpmath.legendre(n - 1, xi)
-            exact_w = 2 / ((1 - xi * xi) * (n * (xi * p - q) / (xi * xi - 1)) ** 2)
-            assert abs(x[i] - float(xi)) <= 2.3e-16
-            assert abs(w[i] - float(exact_w)) <= 1e-12 * float(exact_w)
-
-
-@pytest.mark.parametrize("n", [2048, 4363, 8192])
-def test_leggauss_moments_at_large_n(n):
-    x, w = _leggauss(n)
-    exact = {
-        "1": (np.sum(w), 2.0),
-        "x^2": (np.sum(w * x * x), 2.0 / 3.0),
-        "cos 50x": (np.sum(w * np.cos(50 * x)), 2.0 * math.sin(50.0) / 50.0),
-        "exp(-400x^2)": (
-            np.sum(w * np.exp(-400 * x * x)), math.sqrt(math.pi) / 20.0 * math.erf(20.0)
-        ),
-    }
-    for name, (got, want) in exact.items():
-        assert abs(got - want) <= 1e-15, name
-
-
-@pytest.mark.parametrize("n", [512, 2048, 4363])
-def test_leggauss_newton_work_is_bounded(n, monkeypatch):
-    # from Tricomi's guesses three Newton steps converge, the third only
-    # confirming; the O(n) exact cosine series is taken only at the few nodes
-    # nearest +-1, where Stieltjes's series misses its bound within its cap
-    calls = []
-
-    def counted(n, theta, terms):
-        calls.append((theta.copy(), terms.copy()))
-        return evaluate(n, theta, terms)
-
-    evaluate = biphoton._legendre_theta
-    monkeypatch.setattr(biphoton, "_legendre_theta", counted)
-    _leggauss.cache_clear()
-    try:
-        _leggauss(n)
-    finally:
-        _leggauss.cache_clear()
-    assert 1 <= len(calls) <= 3
-    theta, terms = calls[-1]
-    exact = terms == 0
-    assert 1 <= np.count_nonzero(exact) <= 8
-    assert np.max(theta[exact]) < np.min(theta[~exact])
-    assert np.max(terms) <= biphoton.STIELTJES_TERMS
-
-
-def test_leggauss_is_cached_read_only():
-    x, w = _leggauss(16)
-    assert _leggauss(16)[0] is x
-    with pytest.raises(ValueError):
-        w[0] = 0.0
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (7, 300), (2, 5), (1000, 2), (5, 17)])

@@ -1622,6 +1622,31 @@ def test_console_script_is_installed():
     assert script.stdout.strip() == "S = -2.5699"
 
 
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    # a warning raised inside the package was printed against a package
+    # source line, with that line echoed, or against "<frozen runpy>:88"
+    result = subprocess.run(
+        [sys.executable, "-m", "ghostsim.cli", "image", "--sigma", "0.04",
+         "--nodes", "64", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [
+        ["warning", "SourceRegimeWarning"],
+        ["warning", "SourceRegimeWarning"],
+        ["warning", "ApertureSamplingWarning"],
+    ]
+    assert lines[0].endswith(
+        ": s1 = 1.33 m is below 50*sigma = 2 m; the far-plane model is strained"
+    )
+    assert lines[2].startswith("warning: ApertureSamplingWarning: refining 64 -> 80 nodes")
+    # in-process, the format is restored when main returns
+    formatwarning = warnings.formatwarning
+    assert run_cli(["chsh"]) == (0, "S = -2.8284\n")
+    assert warnings.formatwarning is formatwarning
+
+
 @pytest.mark.skipif(
     shutil.which("ghostsim") is None,
     reason="ghostsim console script not on PATH (package not installed)",

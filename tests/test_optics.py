@@ -1,8 +1,10 @@
 import functools
+import math
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from ghostsim import (
     AIRY_FIRST_ZERO,
@@ -25,7 +27,7 @@ from ghostsim import (
     uniform_pattern,
 )
 from ghostsim import experiments, optics
-from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, _leggauss, finer_nodes
+from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, finer_nodes
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     KERNEL_FLOOR,
@@ -615,11 +617,31 @@ def test_disc_rule_weights_sum_to_the_disc_area(imaging_lens, n):
     rho = imaging_lens.aperture_radius
     outer, inner, W = _disc_rule(n)
     assert abs(rho**2 * W.sum() - np.pi * rho**2) <= 1e-13 * np.pi * rho**2
-    # a chord through the centre has the inner Gauss-Legendre weights
+    # the Chebyshev points, in both directions; a chord through the centre
+    # (odd n), at the node 0, has pi / n times Fejer's first-rule weights
+    phi = np.pi * (np.arange(n) + 0.5) / n
+    np.testing.assert_allclose(outer, -np.cos(phi), rtol=0, atol=3e-16)
+    assert inner is outer
     if n % 2:
-        w = _leggauss(n)[1]
-        np.testing.assert_allclose(W[n // 2], np.pi / 2 * w[n // 2] * w, rtol=1e-13)
+        assert outer[n // 2] == 0.0
+        k = np.arange(1, n // 2 + 1)
+        fejer = 2 / n * (1 - 2 * np.cos(2 * np.outer(phi, k)) @ (1 / (4 * k * k - 1)))
+        np.testing.assert_allclose(W[n // 2], np.pi / n * fejer, rtol=1e-13)
     assert not W.flags.writeable and _disc_rule(n)[2] is W
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_disc_rule_integrates_even_monomials_exactly(n):
+    # the n Chebyshev points interpolate y^2q exactly for 2q < n, and the
+    # midpoint steps in theta integrate the resulting trigonometric
+    # polynomial, of degree 2p + 2q + 2, exactly below 2n. Over the unit
+    # disc the integral of x^2p y^2q is G(p + 1/2) G(q + 1/2) / G(p + q + 2)
+    outer, inner, W = _disc_rule(n)
+    x2, y2 = outer**2, inner**2
+    for q in range((n - 1) // 2 + 1):
+        for p in range(n - 1 - q):
+            exact = math.gamma(p + 0.5) * math.gamma(q + 0.5) / math.gamma(p + q + 2)
+            assert abs(x2**p @ W @ y2**q / exact - 1.0) <= 1e-12, (p, q)
 
 
 def _imaging_raw(params, lens, x1, y1, x2, y2, nodes):
@@ -636,8 +658,9 @@ def _point_amplitude(params, lens, x1, y1, x2, y2, nodes):
 
 
 def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
-    """Reference: Gauss-Legendre on each chord, eta_ab = rho cos(theta_a) t_b."""
-    t, w = _leggauss(n)
+    """Reference: Gauss-Legendre on each chord, eta_ab = rho cos(theta_a) t_b,
+    and in theta, from numpy's independent rule."""
+    t, w = leggauss(n)
     theta = 0.5 * np.pi * t
     xi = lens.aperture_radius * np.sin(theta)
     half = lens.aperture_radius * np.cos(theta)
@@ -667,9 +690,10 @@ def test_disc_rule_matches_a_per_chord_rule(imaging_lens, sigma, obj):
 
 
 def _dense_mask_amplitude(params, lens, x1, y1, x2, y2, nodes):
-    """Reference: the disc as a dense 0/1 mask matmul over the same nodes."""
+    """Reference: the disc as a dense 0/1 mask matmul over numpy's
+    Gauss-Legendre nodes."""
     k = params.k
-    t, w = _leggauss(nodes)
+    t, w = leggauss(nodes)
     xi, wxi = lens.aperture_radius * t, lens.aperture_radius * w
     mask = (xi[:, None] ** 2 + xi[None, :] ** 2 <= lens.aperture_radius**2).astype(float)
     quad_phase = np.exp(1j * (0.5 * k / lens.v - 0.5 * k / lens.f) * xi * xi) * wxi
@@ -711,8 +735,8 @@ def _lattice_gap(lens, nodes):
 @pytest.mark.parametrize("n", [512, 2048])
 def test_chord_contraction_matches_dense_mask_reference(imaging_lens, n):
     # the chord-weight contraction at an explicit count is the converged
-    # value; the dense-mask lattice over the same nodes differs from it by
-    # the mask's first-order defect, 0.207 / n here
+    # value; the dense-mask lattice over n Gauss-Legendre nodes per axis
+    # differs from it by the mask's first-order defect, 0.207 / n here
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
     amp = imaging_amplitude(params, imaging_lens, *pts)
