@@ -371,8 +371,8 @@ def oracle_nodes(params: SourceParams, x1, y1, x2, y2) -> int:
     Omega = k u + sqrt((k u)^2 + (D W)^2) keeps that alias exp(-D^2) below
     the point's own value. Over the window T = D sigma the count is
     n = ceil(T Omega / 2 pi), with u the largest |u| over both axes of every
-    point. Points that are not finite, or a count above ORACLE_MAX_NODES,
-    raise ParameterError.
+    point. Points that are not finite, or a count above ORACLE_MAX_NODES
+    (or not finite), raise ParameterError before the count is rounded.
     """
     a1, b1, a2, b2 = (a.ravel() for a in _broadcast_points(x1, y1, x2, y2))
     s1, s2, k, sigma = params.s1, params.s2, params.k, params.sigma
@@ -382,11 +382,11 @@ def oracle_nodes(params: SourceParams, x1, y1, x2, y2) -> int:
     c = 0.5 * k * (1 / s1 + 1 / s2)
     width = 2.0 * math.sqrt(1.0 + (c * sigma * sigma) ** 2) / sigma
     omega = k * u + math.hypot(k * u, ORACLE_TAIL_CUT * width)
-    nodes = math.ceil(ORACLE_TAIL_CUT * sigma * omega / (2 * math.pi))
-    if nodes > ORACLE_MAX_NODES:
-        raise ParameterError(f"the oracle needs {nodes} nodes per axis here (bandwidth "
+    nodes = ORACLE_TAIL_CUT * sigma * omega / (2 * math.pi)
+    if not nodes <= ORACLE_MAX_NODES:
+        raise ParameterError(f"the oracle needs {nodes:.3g} nodes per axis here (bandwidth "
                              f"{omega:.3g} rad/m), above its limit {ORACLE_MAX_NODES}")
-    return nodes
+    return math.ceil(nodes)
 
 
 def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int) -> np.ndarray:
@@ -413,7 +413,10 @@ def _axis_integral(params: SourceParams, u: np.ndarray, nodes: int) -> np.ndarra
     step = max(1, _ORACLE_BLOCK_ELEMENTS // u.size)
     sums = np.zeros((u.size, 2))
     for j in range(0, t.size, step):
-        sums += np.cos(np.multiply.outer(u, params.k * t[j:j + step])) @ g[j:j + step]
+        # one block alive at a time: the cosine in place, the block released
+        block = np.multiply.outer(u, params.k * t[j:j + step])
+        sums += np.cos(block, out=block) @ g[j:j + step]
+        del block
     return sums.view(complex)[:, 0]
 
 

@@ -12,8 +12,9 @@ centre, weighted by its area (a midpoint rule), its aperture transmission
 and the polarization projection coefficient at its phase; the coherent sum
 over pattern pixels, squared at each camera pixel's centre, is the
 coincidence map. error_estimate covers the lens plane only: the midpoint
-rule is off by 3.3e-3 of peak in the default ``image`` map and by 0.28 in
-a sigma = 40 mm clipped map (README), the centre sampling by 5.9e-4.
+rule is off by 3.4e-3 of peak in the default ``image`` map (the Richardson
+limit of subdivided pixels) and by 0.28 in a sigma = 40 mm clipped map
+(README), the centre sampling by 5.9e-4.
 Maps are peak-normalized with the raw peak kept in metadata so different
 maps remain comparable on a common scale.
 """
@@ -31,17 +32,10 @@ from .biphoton import (
     _warn_paraxial,
     axis_amplitude,
     axis_opening_mean,
-    check_refinement,
-    finer_nodes,
 )
 from .errors import NumericError, ParameterError, SamplingError
 from .grids import GridSpec, PixelGrid, pixel_geometry
-from .optics import (
-    LensSystem,
-    ghost_magnification,
-    lens_plane_nodes,
-    pattern_image_field,
-)
+from .optics import LensSystem, ghost_magnification, pattern_image_field
 from .polarization import pattern_projection_coeff
 
 # minimum pixels per fringe period before the interference map is trusted
@@ -305,20 +299,13 @@ def ghost_image_map(
     Pattern pixels are points at their centres weighted by their areas, and
     camera values are intensities at pixel centres (module docstring).
 
-    lens_plane_nodes picks the lens-plane path for the pattern's and the
-    camera's pixel centres, or rejects a pattern reaching min(s1, s2) from
-    the axis; meta records it as lens_path ("closed-form" or "quadrature"),
-    with clip_bound, aperture_nodes (the count used, 0 on the closed form),
-    and error_estimate: on the quadrature path the measured change against
-    the finer count (error_kind "refinement"), else clip_bound
-    ("clip_bound"); both bound the lens plane only. Quadrature maps also
-    record why the count was used: aperture_bandwidth_rad, the bandwidth
-    omega that lens_plane_nodes formed to size the first count
-    (optics.aperture_nodes), and aperture_check_nodes, the finer count
-    check_refinement compared it with on at most 16 x 16 strided camera
-    pixels, the first and last rows and columns included. The first count
-    runs once, on the whole camera, and its field is the map's. workers is
-    accepted and changes nothing.
+    optics.pattern_image_field evaluates the lens plane for the pattern's
+    and the camera's pixel centres: it rejects a pattern reaching
+    min(s1, s2) from the axis, picks the path and the node count, checks a
+    quadrature count on a strided sub-camera, and returns the record that
+    meta carries (lens_path, clip_bound, aperture_nodes, error_estimate,
+    error_kind, and on the quadrature path aperture_bandwidth_rad and
+    aperture_check_nodes). workers is accepted and changes nothing.
     """
     if not np.isfinite(telescope_scale) or telescope_scale <= 0:
         raise ParameterError("telescope scale must be finite and > 0")
@@ -336,35 +323,15 @@ def ghost_image_map(
                 f"pattern pitch {pat_pitch:g} m along {name}"
             )
 
-    x1c, y1c = pattern.x_centers(), pattern.y_centers()
-    x2c = image_grid.x_centers() / telescope_scale
-    y2c = image_grid.y_centers() / telescope_scale
-    # the axis ends are enough: the centres are monotone and B is affine in
-    # a1 and a2, so max|a1| and max|B| are reached at a corner
-    nodes, bound, omega = lens_plane_nodes(
-        params, lens, quad, x1c[[0, -1], None], y1c[[0, -1], None], x2c[[0, -1]], y2c[[0, -1]]
-    )
     weights = (
         pattern.transmission()
         * pattern_projection_coeff(pattern.grid, d1, d2)
         * (pattern.pitch[0] * pattern.pitch[1])
     )
-
-    def evaluate(n: int, x2, y2) -> np.ndarray:
-        return pattern_image_field(params, lens, weights, x1c, y1c, x2, y2, n)
-
-    field = evaluate(nodes, x2c, y2c)
-    error, kind, quadrature = bound, "clip_bound", {}
-    if nodes:
-        # the finer count runs on a strided sub-camera, compared with the
-        # field there: at 1.25n a whole 256^2 camera costs ~3x as much
-        iy, ix = (np.linspace(0, a.size - 1, min(a.size, 16)).round().astype(np.intp)
-                  for a in (y2c, x2c))
-        finer = finer_nodes(nodes)
-        error = check_refinement(field[np.ix_(iy, ix)], evaluate(finer, x2c[ix], y2c[iy]),
-                                 nodes, quad.check, "the image field")
-        kind = "refinement"
-        quadrature = {"aperture_bandwidth_rad": omega, "aperture_check_nodes": finer}
+    field, record = pattern_image_field(
+        params, lens, weights, pattern.x_centers(), pattern.y_centers(),
+        image_grid.x_centers() / telescope_scale, image_grid.y_centers() / telescope_scale, quad,
+    )
     raw = np.abs(field) ** 2
     del field   # the largest array of the map, not held while it is normalized
 
@@ -374,12 +341,7 @@ def ghost_image_map(
         "delta2_deg": float(np.rad2deg(d2)),
         "telescope_scale": float(telescope_scale),
         "total_scale": float(total_scale),
-        "lens_path": "closed-form" if nodes == 0 else "quadrature",
-        "clip_bound": bound,
-        "aperture_nodes": nodes,
-        **quadrature,
-        "error_estimate": error,
-        "error_kind": kind,
+        **record,
     }
     return _normalized_map(raw, image_grid, meta)
 

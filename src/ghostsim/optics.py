@@ -35,22 +35,25 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   pi (1 - exp(-A rho^2)) / A, the integral of exp(-A r^2) over the
   aperture (``_on_axis_raw``).
 
-``lens_plane_nodes`` picks the path for both ``imaging_amplitude`` and the
-image maps: the closed form when no node count is given and the clip bound
-is at most the tolerance (biphoton.DOUBLING_TOL under quad.check, else
-APERTURE_CLIP_TOL); quadrature otherwise. It first rejects object points
-that reach min(s1, s2) from the axis. On the quadrature path the first node
-count comes from the integrand itself (``aperture_nodes``): its largest
-lens-plane phase rate over the aperture, the bandwidth omega, which
-``lens_plane_nodes`` forms over the object and image points it is given,
-and the curvature of its Gaussian envelope. That count, or an explicit one,
-is evaluated once, and the package's one node check,
-``biphoton.check_refinement``, compares every point amplitude (for image
-maps: a strided sub-camera of at most 16 x 16 pixels) with one finer count,
-~1.25 times as many nodes; a change above DOUBLING_TOL warns, or raises
-under quad.check, and the first count is kept either way. The quadrature
-path is the independent oracle the closed form is tested against where
-nothing clips.
+Each public evaluator holds its whole lens plane: ``imaging_amplitude``
+for points, ``pattern_image_field`` for the image maps, which returns the
+map's field with a record of its path, count and error. Both call
+``lens_plane_nodes`` (the map on the axis ends of its pattern and camera
+centres), which picks the path: the closed form when no node count is given
+and the clip bound is at most the tolerance (biphoton.DOUBLING_TOL under
+quad.check, else APERTURE_CLIP_TOL); quadrature otherwise. It first rejects
+object points that reach min(s1, s2) from the axis. On the quadrature path
+the first node count comes from the integrand itself (``aperture_nodes``):
+its largest lens-plane phase rate over the aperture, the bandwidth omega,
+which ``lens_plane_nodes`` forms over the object and image points it is
+given and refuses where it is not finite, and the curvature of its
+Gaussian envelope. That count, or an explicit one, is evaluated once, and
+the package's one node check, ``biphoton.check_refinement``, compares every
+point amplitude (for image maps: a strided sub-camera of at most 16 x 16
+pixels) with one finer count, ~1.25 times as many nodes; a change above
+DOUBLING_TOL warns, or raises under quad.check, and the first count is kept
+either way. The quadrature path is the independent oracle the closed form
+is tested against where nothing clips.
 """
 
 from __future__ import annotations
@@ -256,7 +259,7 @@ def _bandwidth(params: SourceParams, lens: LensSystem, x1, y1, x2, y2) -> float:
         if B.size:
             largest = max(largest, float(np.max(np.abs(B))))
     rho = lens.aperture_radius
-    return largest * rho + 2.0 * abs(A.imag) * rho**2
+    return largest * rho + 2.0 * abs(A.imag) * (rho * rho)
 
 
 def _object_reach(params: SourceParams, x1, y1) -> float:
@@ -286,7 +289,9 @@ def lens_plane_nodes(
     an explicit count always means quadrature, or n* for omega, the
     bandwidth of the values at the pairs (x1, x2) and (y1, y2)
     (_bandwidth). omega is formed only for the quadrature and is 0.0 on
-    the closed form.
+    the closed form; one that is not finite (image points near 1e308 m, or
+    a given count under an aperture whose square overflows) raises
+    ParameterError before any rule is built.
 
     clip_bound bounds |closed form - aperture-clipped value| of the
     normalized Phi_I at these object points (x1, y1, any shapes), in units
@@ -322,13 +327,17 @@ def lens_plane_nodes(
     def b(r: float) -> float:
         if r >= rho:
             return 1.0
-        return abs(A) / A.real * math.exp(-A.real * (rho - r) ** 2)
+        gap = rho - r
+        return abs(A) / A.real * math.exp(-A.real * (gap * gap))
 
     bound = b(params.s2 / params.s1 * reach) + b(0.0)
     clipped = bound > (DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL)
     quadrature = clipped or quad.nodes is not None
     omega = _bandwidth(params, lens, x1, y1, x2, y2) if quadrature else 0.0
-    return aperture_nodes(quad, clipped, omega, A.real * rho**2), bound, omega
+    if not math.isfinite(omega):
+        raise ParameterError(f"the lens-plane integrand's bandwidth is {omega:g} rad at these "
+                             "points, beyond the aperture quadrature")
+    return aperture_nodes(quad, clipped, omega, A.real * (rho * rho)), bound, omega
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +346,9 @@ def lens_plane_nodes(
 
 
 @lru_cache(maxsize=8)
-def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Product rule on the unit disc: (outer nodes, inner nodes, weights).
+def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product rule on the unit disc: (nodes, weights W), one node array
+    for both axes.
 
     With phi_a = pi (a + 1/2) / n, the outer nodes are sin(theta_a),
     theta_a = phi_a - pi/2 the midpoints of n equal steps over
@@ -387,7 +397,7 @@ def _disc_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes = sin(np.arange(1 - n, n, 2))
     for arr in (nodes, weights):
         arr.flags.writeable = False
-    return nodes, nodes, weights
+    return nodes, weights
 
 
 def _exponent_factors(A, B, C, nodes) -> np.ndarray:
@@ -413,13 +423,13 @@ def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
 
     The disc rule's sum over the unit disc scaled to the aperture, without
     the area factor rho^2, which cancels in the normalization: per point,
-    sum_a X_a (W Y)_a with X on the outer nodes and Y on the inner nodes.
+    sum_a X_a (W Y)_a with X and Y the x and y factors on the nodes xi.
     W Y is a real matmul over the interleaved real and imaginary parts of
     each chunk of points. Points run in blocks of whole chunks that bound
     the memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
     """
-    outer, inner, W = _disc_rule(nodes)
-    xi, eta = rho * outer, rho * inner
+    s, W = _disc_rule(nodes)
+    xi = rho * s
     out = np.empty(Bx.size, dtype=complex)
     step = _POINT_CHUNK * max(1, _POINT_BLOCK_ELEMENTS // (nodes * _POINT_CHUNK))
 
@@ -430,7 +440,7 @@ def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
 
     for p0 in range(0, out.size, step):
         blk = slice(p0, p0 + step)
-        vy = np.ascontiguousarray(chunks(By[blk], Cy[blk], eta))
+        vy = np.ascontiguousarray(chunks(By[blk], Cy[blk], xi))
         chord_sums = (W @ vy.view(float)).view(complex)
         chord_sums *= chunks(Bx[blk], Cx[blk], xi)
         out[blk] = chord_sums.sum(axis=1).ravel()
@@ -445,7 +455,7 @@ def _on_axis_raw(params, lens) -> complex:
     without the area factor rho^2, is pi (1 - exp(-A rho^2)) / (A rho^2).
     """
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
-    a = A * lens.aperture_radius**2
+    a = A * (lens.aperture_radius * lens.aperture_radius)
     return -math.pi * np.expm1(-a) / a
 
 
@@ -515,21 +525,8 @@ def _map_kernel(params, lens, a1, a2) -> np.ndarray:
     )
 
 
-def pattern_image_field(
-    params: SourceParams,
-    lens: LensSystem,
-    weights: np.ndarray,
-    x1c: np.ndarray,
-    y1c: np.ndarray,
-    x2c: np.ndarray,
-    y2c: np.ndarray,
-    nodes: int,
-) -> np.ndarray:
-    """Coherent image-plane field of a weighted object grid.
-
-    Computes A[jy, jx] = sum over object pixels of
-    weights[iy, ix] * Phi_I(x1c[ix], y1c[iy]; x2c[jx], y2c[jy]), in the same
-    normalization as imaging_amplitude, using the x/y separability of Phi_I.
+def _image_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes: int) -> np.ndarray:
+    """pattern_image_field's contraction at one node count.
 
     nodes 0 is the closed form: A = Ky^T W Kx, with the per-axis
     lens_axis_kernel matrices Kx (npx, nx2) and Ky (npy, ny2). Their
@@ -540,28 +537,28 @@ def pattern_image_field(
     holding four kernels of 16 npx nx2 bytes at most, so a map on a
     geometry seen before pays only the two matmuls; a square, centred
     geometry uses one kernel for both axes.
-    Otherwise the object sums collapse onto the disc rule's outer (x) and
-    inner (y) nodes, are weighted by its matrix W, and propagate to the
-    image grid through Ex and Ey, the image-side terms B xi + C of the
-    lens-plane exponent (its source terms vanish at a1 = 0); the outer nodes
-    run in fixed-size blocks whose partial images are summed in block order.
+    Otherwise the object sums collapse onto the disc rule's nodes along x
+    and along y, are weighted by its matrix W, and propagate to the image
+    grid through Ex and Ey, the image-side terms B xi + C of the lens-plane
+    exponent (its source terms vanish at a1 = 0); the x nodes run in
+    fixed-size blocks whose partial images are summed in block order.
     """
     if nodes == 0:
         Kx = _map_kernel(params, lens, x1c, x2c)                 # (npx, nx2)
         Ky = _map_kernel(params, lens, y1c, y2c)                 # (npy, ny2)
         field = Ky.T @ weights @ Kx
     else:
-        outer, inner, W = _disc_rule(nodes)
-        xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
+        s, W = _disc_rule(nodes)
+        xi = lens.aperture_radius * s
         # (nodes, npx) and (nodes, npy) lens-plane factors without the image
         # coordinate, which Ex, Ey carry
         Fx = _exponent_factors(*_lens_plane_coefficients(params, lens, x1c, 0.0), xi)
-        Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, 0.0), eta)
+        Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, 0.0), xi)
         WF = weights.T @ Fy.T                                    # (npx, nodes)
         _, Bx, Cx = _lens_plane_coefficients(params, lens, 0.0, x2c)
         _, By, Cy = _lens_plane_coefficients(params, lens, 0.0, y2c)
-        Ex = np.exp(np.multiply.outer(xi, Bx) + Cx)              # (nodes, nx2)
-        Ey = np.exp(np.multiply.outer(eta, By) + Cy)             # (nodes, ny2)
+        Ex = _exponent_factors(0.0, Bx, Cx, xi)                  # (nodes, nx2)
+        Ey = _exponent_factors(0.0, By, Cy, xi)                  # (nodes, ny2)
 
         acc = None
         for a0 in range(0, nodes, _NODE_BLOCK):
@@ -573,3 +570,56 @@ def pattern_image_field(
     if not np.all(np.isfinite(field)):
         raise NumericError("image-field contraction produced non-finite values")
     return field
+
+
+def pattern_image_field(
+    params: SourceParams,
+    lens: LensSystem,
+    weights: np.ndarray,
+    x1c: np.ndarray,
+    y1c: np.ndarray,
+    x2c: np.ndarray,
+    y2c: np.ndarray,
+    quad: QuadSettings = QuadSettings(),
+) -> Tuple[np.ndarray, dict]:
+    """Coherent image-plane field of a weighted object grid, and its record.
+
+    The field is A[jy, jx] = sum over object pixels of
+    weights[iy, ix] * Phi_I(x1c[ix], y1c[iy]; x2c[jx], y2c[jy]), in the
+    same normalization as imaging_amplitude, by the x/y separability of
+    Phi_I. Each centre array is monotone (pixel centres), and B is affine
+    in a1 and a2, so the axis ends reach the largest |a1| and |B|:
+    lens_plane_nodes, given those alone, refuses an object beyond the
+    model and picks the lens-plane path and the first count, which
+    _image_field contracts once, over the whole camera. On the quadrature path check_refinement compares that field,
+    on at most 16 x 16 strided camera pixels with the first and last rows
+    and columns, against the finer count there: at 1.25n a whole 256^2
+    camera would cost ~3x as much. The field is the first count's.
+
+    The record holds lens_path ("closed-form" or "quadrature"), clip_bound,
+    aperture_nodes (the count used, 0 on the closed form) and
+    error_estimate: the measured change against the finer count on the
+    quadrature path (error_kind "refinement"), else clip_bound
+    ("clip_bound"); both bound the lens plane only. Quadrature records
+    also hold why the count was used: aperture_bandwidth_rad, the
+    bandwidth omega that sized it (aperture_nodes), and
+    aperture_check_nodes, the finer count.
+    """
+    nodes, bound, omega = lens_plane_nodes(
+        params, lens, quad, x1c[[0, -1], None], y1c[[0, -1], None], x2c[[0, -1]], y2c[[0, -1]]
+    )
+    field = _image_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes)
+    record = {"lens_path": "closed-form", "clip_bound": bound, "aperture_nodes": nodes,
+              "error_estimate": bound, "error_kind": "clip_bound"}
+    if nodes:
+        iy, ix = (np.linspace(0, a.size - 1, min(a.size, 16)).round().astype(np.intp)
+                  for a in (y2c, x2c))
+        finer = finer_nodes(nodes)
+        check = _image_field(params, lens, weights, x1c, y1c, x2c[ix], y2c[iy], finer)
+        record.update(
+            lens_path="quadrature", aperture_bandwidth_rad=omega, aperture_check_nodes=finer,
+            error_estimate=check_refinement(field[np.ix_(iy, ix)], check, nodes, quad.check,
+                                            "the image field"),
+            error_kind="refinement",
+        )
+    return field, record

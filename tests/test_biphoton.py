@@ -23,7 +23,7 @@ from ghostsim import (
     half_plane_pattern,
     quadrature_oracle_amplitude,
 )
-from ghostsim import biphoton, experiments
+from ghostsim import biphoton, optics
 from ghostsim.biphoton import (
     DOUBLING_TOL,
     MAX_NODES,
@@ -304,9 +304,24 @@ def test_oracle_limit_admits_sigma_40mm_and_refuses_more_before_building_a_rule(
         quadrature_oracle_amplitude(fringe_params, 0.0, 0.0, 20.0, 0.0)
 
 
+@pytest.mark.parametrize("points", [
+    (0.0, 0.0, 1e308, 0.0),
+    (1e308, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1e300),
+], ids=["x2", "x1", "y2"])
+def test_oracle_refuses_an_overflowing_count_before_any_kernel(fringe_params, monkeypatch,
+                                                               points):
+    # an infinite bandwidth ended in OverflowError at math.ceil, and a finite
+    # one past the limit printed a 300-digit count
+    _no_kernel(monkeypatch)
+    with pytest.raises(ParameterError, match="above its limit 524288") as refused:
+        quadrature_oracle_amplitude(fringe_params, *points)
+    assert len(str(refused.value)) < 200
+
+
 def test_oracle_peak_memory_at_sigma_40mm():
     # the sigma = 40 mm default line: 146,933 steps, whose kernel runs in
-    # blocks of 8 MB; 21.2 MB traced at its peak
+    # blocks of 8 MB, one alive at a time; 12.9 MB traced at its peak
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SourceRegimeWarning)
         wide = SourceParams(wavelength=810e-9, sigma=40e-3, s1=1.33, s2=1.0)
@@ -317,7 +332,7 @@ def test_oracle_peak_memory_at_sigma_40mm():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24e6
+    assert peak <= 16e6
 
 
 @pytest.mark.parametrize("quad", [QuadSettings(), QuadSettings(check=True)])
@@ -415,7 +430,7 @@ def test_doubling_probe_spans_the_output(shape, imaging_lens, monkeypatch):
         calls.append((x2c, y2c))
         return np.ones((y2c.size, x2c.size), dtype=complex)
 
-    monkeypatch.setattr(experiments, "pattern_image_field", flat_field)
+    monkeypatch.setattr(optics, "_image_field", flat_field)
     cmap = ghost_image_map(params, imaging_lens, half_plane_pattern(n=8), np.deg2rad(-45.0),
                            np.deg2rad(-45.0), grid)
     assert cmap.meta["lens_path"] == "quadrature"

@@ -28,7 +28,8 @@ from ghostsim.cli import main  # noqa: E402
 from ghostsim.experiments import uniform_pattern  # noqa: E402
 from ghostsim.io import save_pattern  # noqa: E402
 
-BAD_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "inf", "-inf", "nan", "abc", "", "1.5"]
+BAD_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "1e308", "inf", "-inf", "nan", "abc", "",
+               "1.5"]
 # counts and sizes: bad values, but none huge enough to cost time or memory
 BAD_COUNTS = ["0", "-1", "-7", "abc", "", "1.5", "nan"]
 # values the CLI refuses for their key alone, drawn as bad values of that
@@ -259,6 +260,15 @@ def argvs(draw):
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=4", "--pattern-extent-x=inf"])
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern=saved.txt", "--pattern-extent-x=inf"])
 @example(argv=["montecarlo", "--nx=16", "--ny=16", "--pattern-n=4", "--nodes=100000"])
+# node counts sized from an overflowing bandwidth, and squares of a huge
+# aperture, ended in OverflowError
+@example(argv=["amplitude", "--samples=5", "--oracle=1", "--x2=1e308"])
+@example(argv=["amplitude", "--samples=5", "--oracle=1", "--fixed=1e308"])
+@example(argv=["amplitude", "--samples=5", "--oracle=1", "--extent=1e308"])
+@example(argv=["amplitude", "--samples=5", "--oracle=1", "--y2=1e300"])
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--aperture-radius=1e200"])
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--sigma=0.04",
+               "--center-x=1e308"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
     _runs_cleanly(argv)

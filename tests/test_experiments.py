@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ghostsim import experiments
+from ghostsim import optics
 from ghostsim.biphoton import DOUBLING_TOL, finer_nodes
 from ghostsim import (
     ApertureSamplingWarning,
@@ -441,7 +441,7 @@ def test_an_explicit_count_is_checked_a_quarter_finer(
         counts.append(nodes)
         return np.ones((y2c.size, x2c.size), dtype=complex)
 
-    monkeypatch.setattr(experiments, "pattern_image_field", flat_field)
+    monkeypatch.setattr(optics, "_image_field", flat_field)
     m = ghost_magnification(imaging_params, imaging_lens)
     grid = GridSpec(nx=16, ny=16, extent_x=m * 4e-3, extent_y=m * 4e-3)
     cmap = _auto_image(imaging_params, imaging_lens, half_plane_pattern(n=8), -45.0, grid,
@@ -468,8 +468,8 @@ def test_a_quadrature_maps_doubling_check_runs_on_a_strided_sub_camera(
         calls.append((x2c, y2c, nodes))
         return field(params, lens, weights, x1c, y1c, x2c, y2c, nodes)
 
-    field = experiments.pattern_image_field
-    monkeypatch.setattr(experiments, "pattern_image_field", recorded)
+    field = optics._image_field
+    monkeypatch.setattr(optics, "_image_field", recorded)
     cmap = _auto_image(params, imaging_lens, half_plane_pattern(n=8), -45.0, grid)
     assert cmap.meta["lens_path"] == "quadrature"
     (x2c, y2c, nodes), *checked = calls

@@ -21,6 +21,7 @@ from ghostsim import (
     ParameterError,
     ParaxialWarning,
     SourceParams,
+    SourceRegimeWarning,
     build_ghost_image,
     ghost_interference_map,
     load_matrix_text,
@@ -1259,17 +1260,47 @@ def test_cli_image_rejects_a_bad_pattern_extent_that_a_pattern_header_leaves_unu
 def test_cli_image_rejects_a_pattern_beyond_the_paraxial_model_before_any_kernel(
     tmp_path, capsys, monkeypatch
 ):
-    from ghostsim import experiments
+    from ghostsim import optics
 
     def no_contraction(*args, **kwargs):
         raise AssertionError("the image field was contracted for a 1e300 m pattern")
 
     # it used to warn four times in the contraction before exiting 2
-    monkeypatch.setattr(experiments, "pattern_image_field", no_contraction)
+    monkeypatch.setattr(optics, "_image_field", no_contraction)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         err = _fails_fast(["image", "--pattern-extent-x=1e300"], tmp_path / "img", capsys)
     assert "beyond the paraxial model's limit min(s1, s2) = 1.33 m" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["amplitude", "--oracle", "1", "--x2", "1e308"], "oracle needs inf nodes"),
+    (["amplitude", "--oracle", "1", "--fixed", "1e308"], "oracle needs inf nodes"),
+    (["amplitude", "--oracle", "1", "--extent", "1e308"], "oracle needs inf nodes"),
+    (["amplitude", "--oracle", "1", "--y2", "1e300"], "oracle needs 4.81e+304 nodes"),
+    (["image", "--sigma", "0.04", "--center-x", "1e308", "--pattern-n", "8", "--nx", "16",
+      "--ny", "16"], "bandwidth is inf rad"),
+], ids=["x2", "fixed", "extent", "y2", "image"])
+def test_cli_refuses_a_node_count_past_any_limit_with_one_error_line(
+    tmp_path, capsys, argv, message
+):
+    # an infinite count ended in OverflowError and exit 1; a finite one past
+    # the oracle's limit printed all its 300 digits
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", SourceRegimeWarning)
+        err = _fails_fast(argv, tmp_path / "out", capsys)
+    assert message in err and len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_cli_image_under_an_aperture_too_wide_to_square_is_the_unclipped_map(tmp_path):
+    # (rho - r)**2 raised OverflowError above rho ~ 1.3e154
+    argv = ["image", "--nx", "16", "--ny", "16", "--pattern-n", "8"]
+    for name, extra in (("wide", ["--aperture-radius", "1e200"]), ("default", [])):
+        assert run_cli(argv + extra + ["--out", str(tmp_path / name)])[0] == 0
+    wide, meta = load_matrix_text(str(tmp_path / "wide" / "image.txt"))
+    default, _ = load_matrix_text(str(tmp_path / "default" / "image.txt"))
+    assert meta["lens_path"] == "closed-form" and float(meta["clip_bound"]) == 0.0
+    np.testing.assert_array_equal(wide, default)
 
 
 @pytest.mark.parametrize("flag, name, message", [
@@ -1299,12 +1330,12 @@ def test_cli_chsh_rejects_non_finite_angles(tmp_path, capsys, flag):
 def test_cli_image_rejects_non_finite_angles_before_the_contraction(
     tmp_path, capsys, monkeypatch, flag
 ):
-    from ghostsim import experiments
+    from ghostsim import optics
 
     def no_contraction(*args, **kwargs):
         raise AssertionError("the image field was contracted at a non-finite angle")
 
-    monkeypatch.setattr(experiments, "pattern_image_field", no_contraction)
+    monkeypatch.setattr(optics, "_image_field", no_contraction)
     err = _fails_fast(["image", flag], tmp_path / "img", capsys)
     assert "polarizer angle must be finite" in err
 

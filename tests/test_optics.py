@@ -26,13 +26,14 @@ from ghostsim import (
     pattern_from_extent,
     uniform_pattern,
 )
-from ghostsim import experiments, optics
+from ghostsim import optics
 from ghostsim.biphoton import DOUBLING_TOL, _axis_coefficients, finer_nodes
 from ghostsim.optics import (
     APERTURE_CLIP_TOL,
     KERNEL_FLOOR,
     _disc_rule,
     _exponent_factors,
+    _image_field,
     _lens_plane_coefficients,
     _on_axis_raw,
     _padded,
@@ -224,9 +225,7 @@ def test_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
     weights = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     x2 = np.linspace(-0.7e-3, 0.7e-3, 5)
     y2 = np.linspace(-0.5e-3, 0.5e-3, 4)
-    field = pattern_image_field(
-        imaging_params, imaging_lens, weights, x1c, y1c, x2, y2, nodes=512
-    )
+    field = _image_field(imaging_params, imaging_lens, weights, x1c, y1c, x2, y2, 512)
     direct = np.zeros((4, 5), dtype=complex)
     for j, yy in enumerate(y1c):
         for i, xx in enumerate(x1c):
@@ -390,6 +389,62 @@ def test_object_points_beyond_the_paraxial_model_are_rejected(imaging_params, im
         imaging_amplitude(imaging_params, imaging_lens, 0.0, 1.4, 0.0, 0.0)
 
 
+def test_image_points_beyond_the_aperture_quadrature_are_refused_before_any_rule(
+    imaging_lens, monkeypatch
+):
+    # an infinite lens-plane bandwidth ended in OverflowError at math.ceil
+    def no_rule(n):
+        raise AssertionError("a disc rule was built")
+
+    monkeypatch.setattr(optics, "_disc_rule", no_rule)
+    params = _wide_source()
+    x1c, far = np.array([-1e-3, 1e-3]), np.full(2, 1e308)
+    # the squares of such image points overflow in the lens-plane terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="bandwidth is inf"):
+            imaging_amplitude(params, imaging_lens, 0.0, 0.0, 1e308, 0.0)
+        with pytest.raises(ParameterError, match="bandwidth is inf"):
+            pattern_image_field(params, imaging_lens, np.ones((2, 2)), x1c, x1c, far, x1c)
+
+
+@pytest.mark.parametrize("radius", [2e154, 1e200, 1e308])
+def test_an_aperture_too_wide_to_square_clips_nothing(imaging_params, imaging_lens, radius):
+    # (rho - r)**2 and rho**2 raised OverflowError above rho ~ 1.3e154
+    lens = LensSystem(f=1.5, u=2.83, aperture_radius=radius)
+    assert lens_plane_nodes(imaging_params, lens, QuadSettings(), 1e-3, 0.0, 0.0, 0.0) == (
+        0, 0.0, 0.0)
+    # the closed form leaves the aperture out, so the points are the default lens's
+    pts = (1e-3, 0.0, np.linspace(-1e-3, 1e-3, 5), 0.0)
+    np.testing.assert_array_equal(imaging_amplitude(imaging_params, lens, *pts),
+                                  imaging_amplitude(imaging_params, imaging_lens, *pts))
+    # a given count asks for a quadrature over the whole of it
+    with pytest.raises(ParameterError, match="bandwidth is inf"):
+        lens_plane_nodes(imaging_params, lens, QuadSettings(nodes=64), 1e-3, 0.0, 0.0, 0.0)
+
+
+def test_pattern_image_field_records_its_path_and_check(imaging_params, imaging_lens):
+    x1c = np.linspace(-0.5e-3, 0.5e-3, 4)
+    x2c = np.linspace(-0.6e-3, 0.6e-3, 20)
+    args = (imaging_lens, np.ones((4, 4)), x1c, x1c, x2c, x2c)
+    field, record = pattern_image_field(imaging_params, *args)
+    bound = record["clip_bound"]
+    assert record == {"lens_path": "closed-form", "clip_bound": bound, "aperture_nodes": 0,
+                      "error_estimate": bound, "error_kind": "clip_bound"}
+    np.testing.assert_array_equal(field, _image_field(imaging_params, *args, 0))
+    # the clipped source: the count the axis ends size, checked a quarter finer
+    params = _wide_source()
+    field, record = pattern_image_field(params, *args)
+    n, bound, omega = lens_plane_nodes(params, imaging_lens, QuadSettings(), x1c[[0, -1], None],
+                                       x1c[[0, -1], None], x2c[[0, -1]], x2c[[0, -1]])
+    assert n > 0 and record == {
+        "lens_path": "quadrature", "clip_bound": bound, "aperture_nodes": n,
+        "aperture_bandwidth_rad": omega, "aperture_check_nodes": finer_nodes(n),
+        "error_estimate": record["error_estimate"], "error_kind": "refinement",
+    }
+    assert record["error_estimate"] <= DOUBLING_TOL
+    np.testing.assert_array_equal(field, _image_field(params, *args, n))
+
+
 def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, imaging_lens):
     rng = np.random.default_rng(10)
     x1c = np.array([-0.4e-3, 0.1e-3, 0.5e-3])
@@ -397,9 +452,7 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
     weights = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     x2 = np.linspace(-0.7e-3, 0.7e-3, 5)
     y2 = np.linspace(-0.5e-3, 0.5e-3, 4)
-    field = pattern_image_field(
-        imaging_params, imaging_lens, weights, x1c, y1c, x2, y2, nodes=0
-    )
+    field = _image_field(imaging_params, imaging_lens, weights, x1c, y1c, x2, y2, 0)
     direct = np.zeros((4, 5), dtype=complex)
     for j, yy in enumerate(y1c):
         for i, xx in enumerate(x1c):
@@ -410,7 +463,7 @@ def test_closed_form_pattern_field_matches_weighted_point_sum(imaging_params, im
 
 
 def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
-    """pattern_image_field with the output phase as one full-map
+    """_image_field with the output phase as one full-map
     fresnel_kernel phase, and closed-form kernels with their tails: the
     kernels' own per-axis phase is divided out first."""
     out_phase = fresnel_kernel(lens.v, params.k, x2c[None, :], y2c[:, None])
@@ -420,12 +473,12 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
         Kx /= fresnel_kernel(lens.v, params.k, x2c, 0.0)
         Ky /= fresnel_kernel(lens.v, params.k, y2c, 0.0)
         return (Ky.T @ weights @ Kx) * out_phase
-    outer, inner, W = _disc_rule(nodes)
-    xi, eta = lens.aperture_radius * outer, lens.aperture_radius * inner
+    s, W = _disc_rule(nodes)
+    xi = lens.aperture_radius * s
     Fx = _exponent_factors(*_lens_plane_coefficients(params, lens, x1c, np.zeros_like(x1c)), xi)
-    Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, np.zeros_like(y1c)), eta)
+    Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, np.zeros_like(y1c)), xi)
     Ex = np.exp(-1j * params.k * np.outer(xi, x2c) / lens.v)
-    Ey = np.exp(-1j * params.k * np.outer(eta, y2c) / lens.v)
+    Ey = np.exp(-1j * params.k * np.outer(xi, y2c) / lens.v)
     H = (Fx @ (weights.T @ Fy.T)) * W
     acc = Ex.T @ (H @ Ey)
     return (acc * out_phase.T / _on_axis_raw(params, lens)).T
@@ -438,11 +491,11 @@ def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
     seen = []
 
     def both(*field_args):
-        field = pattern_image_field(*field_args)
+        field = _image_field(*field_args)
         seen.append((field, reference(*field_args)))
         return field
 
-    monkeypatch.setattr(experiments, "pattern_image_field", both)
+    monkeypatch.setattr(optics, "_image_field", both)
     ghost_image_map(*args, **kwargs)
     whole = max(field.size for field, _ in seen)
     return [pair for pair in seen if pair[0].size == whole][-1]
@@ -615,19 +668,18 @@ def test_cached_map_kernels_are_read_only(imaging_params, imaging_lens):
 @pytest.mark.parametrize("n", [16, 33, 64, 512])
 def test_disc_rule_weights_sum_to_the_disc_area(imaging_lens, n):
     rho = imaging_lens.aperture_radius
-    outer, inner, W = _disc_rule(n)
+    nodes, W = _disc_rule(n)
     assert abs(rho**2 * W.sum() - np.pi * rho**2) <= 1e-13 * np.pi * rho**2
     # the Chebyshev points, in both directions; a chord through the centre
     # (odd n), at the node 0, has pi / n times Fejer's first-rule weights
     phi = np.pi * (np.arange(n) + 0.5) / n
-    np.testing.assert_allclose(outer, -np.cos(phi), rtol=0, atol=3e-16)
-    assert inner is outer
+    np.testing.assert_allclose(nodes, -np.cos(phi), rtol=0, atol=3e-16)
     if n % 2:
-        assert outer[n // 2] == 0.0
+        assert nodes[n // 2] == 0.0
         k = np.arange(1, n // 2 + 1)
         fejer = 2 / n * (1 - 2 * np.cos(2 * np.outer(phi, k)) @ (1 / (4 * k * k - 1)))
         np.testing.assert_allclose(W[n // 2], np.pi / n * fejer, rtol=1e-13)
-    assert not W.flags.writeable and _disc_rule(n)[2] is W
+    assert not nodes.flags.writeable and not W.flags.writeable and _disc_rule(n)[1] is W
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -636,8 +688,8 @@ def test_disc_rule_integrates_even_monomials_exactly(n):
     # midpoint steps in theta integrate the resulting trigonometric
     # polynomial, of degree 2p + 2q + 2, exactly below 2n. Over the unit
     # disc the integral of x^2p y^2q is G(p + 1/2) G(q + 1/2) / G(p + q + 2)
-    outer, inner, W = _disc_rule(n)
-    x2, y2 = outer**2, inner**2
+    nodes, W = _disc_rule(n)
+    x2 = y2 = nodes**2
     for q in range((n - 1) // 2 + 1):
         for p in range(n - 1 - q):
             exact = math.gamma(p + 0.5) * math.gamma(q + 0.5) / math.gamma(p + q + 2)
@@ -766,9 +818,7 @@ def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
     # a point at the origin normalizes to 1, and so does a unit pixel there
     point = _point_amplitude(params, imaging_lens, zero, zero, zero, zero, n)[0]
     assert abs(point - 1.0) <= 1e-14
-    field = pattern_image_field(
-        params, imaging_lens, np.ones((1, 1)), zero, zero, zero, zero, nodes=n,
-    )
+    field = _image_field(params, imaging_lens, np.ones((1, 1)), zero, zero, zero, zero, n)
     assert abs(field[0, 0] - 1.0) <= 1e-13
 
 
@@ -885,7 +935,7 @@ def _auto_map(monkeypatch, sigma, rho, centre, check, extent=1e-3):
 
     def reference(*args):
         counts.append(args[-1])
-        return pattern_image_field(*args[:-1], 2048)
+        return _image_field(*args[:-1], 2048)
 
     field, ref = _map_fields(monkeypatch, params, lens, pattern, 0.3, -0.5, grid,
                              QuadSettings(check=check), reference=reference)
