@@ -169,8 +169,7 @@ def ghost_magnification(params: SourceParams, lens: LensSystem) -> float:
 def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: float) -> int:
     """First per-axis node count of the lens-plane integral: quad.nodes; else
     0, the closed form, unless the aperture clipped beyond the limit
-    (lens_plane_nodes); else n*, at most MAX_NODES, for check_refinement to
-    check.
+    (lens_plane_nodes); else n*, for check_refinement to check.
 
     Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
     with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
@@ -187,17 +186,30 @@ def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: fl
     Chebyshev coefficients fall as exp(-k^2 / 4a), needs
     ~sqrt(a ln(1/tol)) more. So
 
-        n* = omega + 8 omega^(1/3) + 9 sqrt(Re a),
+        n* = omega + 4.5 omega^(1/3) + 4 sqrt(Re a),
 
-    rounded up to a multiple of 8, the constants calibrated against 1536 to
-    2048 nodes on clipped PSF scans and maps (tests/test_optics.py).
+    rounded up to a multiple of 8. The constants are the least that put n*,
+    before rounding, where the rule stays within DOUBLING_TOL / 100 of its
+    own 2048 nodes on every clipped PSF line and map of tests/test_optics.py
+    (omega 5-500 rad, Re a 0.003-134); the rounded count meets those tests'
+    bounds. A sized count above MAX_NODES raises ParameterError, and so
+    does a given one below the envelope's 4 sqrt(Re a), whose nodes cannot
+    see the envelope; given counts start at 64 (QuadSettings), so only an
+    aperture far wider than the envelope meets that.
     """
+    need = 4.0 * math.sqrt(envelope)
     if quad.nodes is not None:
+        if quad.nodes < need:
+            raise ParameterError(f"{quad.nodes} nodes per axis cannot resolve the lens-plane "
+                                 f"envelope here, which needs at least {need:.3g}")
         return quad.nodes
     if not clipped:
         return 0
-    n = omega + 8.0 * omega ** (1 / 3) + 9.0 * math.sqrt(envelope)
-    return min(MAX_NODES, 8 * max(1, math.ceil(n / 8)))
+    n = omega + 4.5 * omega ** (1 / 3) + need
+    if not n <= MAX_NODES:
+        raise ParameterError(f"the aperture quadrature needs {n:.3g} nodes per axis here "
+                             f"(bandwidth {omega:.3g} rad), above its limit {MAX_NODES}")
+    return 8 * max(1, math.ceil(n / 8))
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +259,6 @@ def _kernel(A, B, C) -> np.ndarray:
     return np.exp(B)
 
 
-def _bandwidth(params: SourceParams, lens: LensSystem, x1, y1, x2, y2) -> float:
-    """omega = max|B| rho + 2 |Im A| rho^2 (aperture_nodes), max|B| over
-    the pairs (x1, x2) and (y1, y2), each broadcast together (0 without
-    points): the largest rate of the phase of exp(-A xi^2 + B xi) over
-    |xi| <= rho. In focus (u = s1 + s2) Im A rho^2 is 0.3 rad at
-    sigma = 3 mm and falls as sigma^-4; a defocused lens adds its chirp."""
-    largest = 0.0
-    for a1, a2 in ((x1, x2), (y1, y2)):
-        A, B, _ = _lens_plane_coefficients(params, lens, a1, a2)
-        if B.size:
-            largest = max(largest, float(np.max(np.abs(B))))
-    rho = lens.aperture_radius
-    return largest * rho + 2.0 * abs(A.imag) * (rho * rho)
-
-
 def _object_reach(params: SourceParams, x1, y1) -> float:
     """Largest distance of the object points from the axis; ParameterError
     where it reaches min(s1, s2), 20 times the paraxial budget, beyond the
@@ -287,11 +284,12 @@ def lens_plane_nodes(
     DOUBLING_TOL when quad.check is set, else APERTURE_CLIP_TOL. Otherwise
     it is the aperture quadrature's first count per axis: quad.nodes, so
     an explicit count always means quadrature, or n* for omega, the
-    bandwidth of the values at the pairs (x1, x2) and (y1, y2)
-    (_bandwidth). omega is formed only for the quadrature and is 0.0 on
-    the closed form; one that is not finite (image points near 1e308 m, or
-    a given count under an aperture whose square overflows) raises
-    ParameterError before any rule is built.
+    bandwidth of the lens-plane terms at the pairs (x1, x2) and (y1, y2)
+    (_lens_plane_path). omega is formed only for the quadrature and is 0.0
+    on the closed form; one that is not finite (image points near 1e308 m,
+    or a given count under an aperture whose square overflows), and a
+    count that aperture_nodes refuses, raise ParameterError before any
+    rule is built.
 
     clip_bound bounds |closed form - aperture-clipped value| of the
     normalized Phi_I at these object points (x1, y1, any shapes), in units
@@ -322,6 +320,18 @@ def lens_plane_nodes(
     """
     reach = _object_reach(params, x1, y1)
     A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
+    Bs = (_lens_plane_coefficients(params, lens, a1, a2)[1] for a1, a2 in ((x1, x2), (y1, y2)))
+    return _lens_plane_path(params, lens, quad, reach, A, Bs)
+
+
+def _lens_plane_path(params, lens, quad, reach, A, Bs) -> Tuple[int, float, float]:
+    """lens_plane_nodes' (nodes, clip_bound, omega) from the object points'
+    reach, A and the B terms of both axes at the points, which are read
+    only on the quadrature path (so a generator forms them only there).
+    omega = max|B| rho + 2 |Im A| rho^2, max|B| over both axes (0 without
+    points): the largest rate of the phase of exp(-A xi^2 + B xi) over
+    |xi| <= rho. In focus (u = s1 + s2) Im A rho^2 is 0.3 rad at
+    sigma = 3 mm and falls as sigma^-4; a defocused lens adds its chirp."""
     rho = lens.aperture_radius
 
     def b(r: float) -> float:
@@ -333,7 +343,10 @@ def lens_plane_nodes(
     bound = b(params.s2 / params.s1 * reach) + b(0.0)
     clipped = bound > (DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL)
     quadrature = clipped or quad.nodes is not None
-    omega = _bandwidth(params, lens, x1, y1, x2, y2) if quadrature else 0.0
+    omega = 0.0
+    if quadrature:
+        largest = max(float(np.max(np.abs(B), initial=0.0)) for B in Bs)
+        omega = largest * rho + 2.0 * abs(A.imag) * (rho * rho)
     if not math.isfinite(omega):
         raise ParameterError(f"the lens-plane integrand's bandwidth is {omega:g} rad at these "
                              "points, beyond the aperture quadrature")
@@ -447,15 +460,15 @@ def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
     return out
 
 
-def _on_axis_raw(params, lens) -> complex:
+def _on_axis_raw(A, rho) -> complex:
     """On-axis reference Phi_I(0,0;0,0) of the quadrature path, exactly.
 
     On axis the lens-plane integrand is exp(-A r^2) (lens_axis_kernel's A),
-    whose integral over the aperture in _disc_sum's units, the unit disc
-    without the area factor rho^2, is pi (1 - exp(-A rho^2)) / (A rho^2).
+    whose integral over the aperture of radius rho in _disc_sum's units,
+    the unit disc without the area factor rho^2, is
+    pi (1 - exp(-A rho^2)) / (A rho^2).
     """
-    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
-    a = A * (lens.aperture_radius * lens.aperture_radius)
+    a = A * (rho * rho)
     return -math.pi * np.expm1(-a) / a
 
 
@@ -468,23 +481,26 @@ def imaging_amplitude(
     """Normalized imaging amplitude Phi_I(x1, y1; x2, y2).
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
-    image points (x2, y2). lens_plane_nodes first refuses object points
-    beyond the model and picks the lens-plane path and the first node count
-    for the points. Each point's lens-plane exponent terms are then formed
-    once per call; the closed form and both node counts reuse them. On the
-    quadrature path check_refinement checks every point at the first count
-    against one finer count (24 against 32 nodes for the benchmark's clipped
-    PSF scans), and the values at the first count are returned.
+    image points (x2, y2). Object points beyond the model are refused
+    first (_object_reach). Each point's lens-plane exponent terms are then
+    formed once per call, one set per axis, and everything reuses them:
+    the path choice and first node count of lens_plane_nodes
+    (_lens_plane_path reads omega from B), the on-axis reference, the
+    closed form and both node counts. On the quadrature path
+    check_refinement checks every point at the first count against one
+    finer count (16 against 24 nodes for the benchmark's clipped PSF
+    scans), and the values at the first count are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
-    nodes, _, _ = lens_plane_nodes(params, lens, quad, *pts)
     x1, y1, x2, y2 = (a.ravel() for a in pts)
+    reach = _object_reach(params, x1, y1)
     A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
     _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
+    nodes, _, _ = _lens_plane_path(params, lens, quad, reach, A, (Bx, By))
     rho = lens.aperture_radius
     if nodes:
-        size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(params, lens)
+        size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(A, rho)
         value, finer = (_disc_sum(A, *terms, rho, n)[:size] / on_axis
                         for n in (nodes, finer_nodes(nodes)))
         # measured against at least the on-axis value 1 the amplitude is
@@ -552,7 +568,8 @@ def _image_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes: int) -> np.nd
         xi = lens.aperture_radius * s
         # (nodes, npx) and (nodes, npy) lens-plane factors without the image
         # coordinate, which Ex, Ey carry
-        Fx = _exponent_factors(*_lens_plane_coefficients(params, lens, x1c, 0.0), xi)
+        coefficients = _lens_plane_coefficients(params, lens, x1c, 0.0)
+        Fx = _exponent_factors(*coefficients, xi)
         Fy = _exponent_factors(*_lens_plane_coefficients(params, lens, y1c, 0.0), xi)
         WF = weights.T @ Fy.T                                    # (npx, nodes)
         _, Bx, Cx = _lens_plane_coefficients(params, lens, 0.0, x2c)
@@ -566,7 +583,7 @@ def _image_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes: int) -> np.nd
             H = (Fx[rows] @ WF) * W[rows]                        # (blk, nodes)
             part = Ex[rows].T @ (H @ Ey)                         # (nx2, ny2)
             acc = part if acc is None else acc + part
-        field = acc.T / _on_axis_raw(params, lens)
+        field = acc.T / _on_axis_raw(coefficients[0], lens.aperture_radius)
     if not np.all(np.isfinite(field)):
         raise NumericError("image-field contraction produced non-finite values")
     return field
@@ -591,10 +608,11 @@ def pattern_image_field(
     in a1 and a2, so the axis ends reach the largest |a1| and |B|:
     lens_plane_nodes, given those alone, refuses an object beyond the
     model and picks the lens-plane path and the first count, which
-    _image_field contracts once, over the whole camera. On the quadrature path check_refinement compares that field,
-    on at most 16 x 16 strided camera pixels with the first and last rows
-    and columns, against the finer count there: at 1.25n a whole 256^2
-    camera would cost ~3x as much. The field is the first count's.
+    _image_field contracts once, over the whole camera. On the quadrature
+    path check_refinement compares that field, on at most 16 x 16 strided
+    camera pixels with the first and last rows and columns, against the
+    finer count there: at 1.25n a whole 256^2 camera would cost ~3x as
+    much. The field is the first count's.
 
     The record holds lens_path ("closed-form" or "quadrature"), clip_bound,
     aperture_nodes (the count used, 0 on the closed form) and

@@ -269,6 +269,12 @@ def argvs(draw):
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--aperture-radius=1e200"])
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--sigma=0.04",
                "--center-x=1e308"])
+# a sized count past MAX_NODES was capped, and a given one whose nodes
+# miss the envelope summed zeros: both exited 0 with a wrong map
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--sigma=0.04",
+               "--center-x=1e100"])
+@example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--aperture-radius=1e150",
+               "--nodes=64"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
     _runs_cleanly(argv)

@@ -1280,12 +1280,18 @@ def test_cli_image_rejects_a_pattern_beyond_the_paraxial_model_before_any_kernel
     (["amplitude", "--oracle", "1", "--y2", "1e300"], "oracle needs 4.81e+304 nodes"),
     (["image", "--sigma", "0.04", "--center-x", "1e308", "--pattern-n", "8", "--nx", "16",
       "--ny", "16"], "bandwidth is inf rad"),
-], ids=["x2", "fixed", "extent", "y2", "image"])
+    (["image", "--sigma", "0.04", "--center-x", "1e100", "--pattern-n", "8", "--nx", "16",
+      "--ny", "16"], "needs 7.88e+104 nodes per axis here (bandwidth 7.88e+104 rad), above"),
+    (["image", "--aperture-radius", "1e150", "--nodes", "64", "--nx", "16", "--ny", "16",
+      "--pattern-n", "8"], "64 nodes per axis cannot resolve the lens-plane envelope"),
+], ids=["x2", "fixed", "extent", "y2", "image", "image-sized", "image-given"])
 def test_cli_refuses_a_node_count_past_any_limit_with_one_error_line(
     tmp_path, capsys, argv, message
 ):
     # an infinite count ended in OverflowError and exit 1; a finite one past
-    # the oracle's limit printed all its 300 digits
+    # the oracle's limit printed all its 300 digits. The image map's sized
+    # count was capped to MAX_NODES, and a given count whose nodes all
+    # missed the envelope summed zeros: both exited 0 with a wrong map
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", SourceRegimeWarning)
         err = _fails_fast(argv, tmp_path / "out", capsys)

@@ -113,11 +113,13 @@ def test_aperture_nodes_override_warns(imaging_params, imaging_lens):
     # the first count where the aperture clips, sized from the bandwidth
     # and the envelope: a PSF scan (omega = 6.1 rad, Re a = 0.09), the same
     # under a sigma = 3 mm envelope (Re a = 15.3), and a wide map; 0, the
-    # closed form, where it does not; or the explicit one
-    assert aperture_nodes(QuadSettings(), True, 6.1, 0.09) == 24
-    assert aperture_nodes(QuadSettings(), True, 6.1, 15.3) == 56
-    assert aperture_nodes(QuadSettings(), True, 289.6, 0.09) == 352
-    assert aperture_nodes(QuadSettings(), True, 1e5, 0.09) == MAX_NODES
+    # closed form, where it does not; or the explicit one. A sized count
+    # above MAX_NODES is refused, not capped.
+    assert aperture_nodes(QuadSettings(), True, 6.1, 0.09) == 16
+    assert aperture_nodes(QuadSettings(), True, 6.1, 15.3) == 32
+    assert aperture_nodes(QuadSettings(), True, 289.6, 0.09) == 328
+    with pytest.raises(ParameterError, match=r"needs 1e\+05 nodes .*bandwidth 1e\+05 rad"):
+        aperture_nodes(QuadSettings(), True, 1e5, 0.09)
     assert aperture_nodes(QuadSettings(), False, 6.1, 0.09) == 0
     assert aperture_nodes(QuadSettings(nodes=512), False, 6.1, 0.09) == 512
     # an explicit count that misses its check against the finer count
@@ -290,8 +292,13 @@ def test_clip_bound_values(imaging_params, imaging_lens):
     )
     assert bound == pytest.approx(8.6e-6, rel=0.02)
     assert _clip_bound(_wide_source(), imaging_lens, 0.0, 0.0) > 0.5
-    # an object centre imaged onto the lens plane beyond the rim bounds nothing
-    assert _clip_bound(imaging_params, imaging_lens, 30e-3, 0.0) > 1.0
+    # an object centre imaged onto the lens plane beyond the rim bounds
+    # nothing; under the default aperture its bandwidth needs more nodes
+    # than MAX_NODES, and is refused
+    narrow = LensSystem(f=1.5, u=2.83, aperture_radius=5e-3)
+    assert _clip_bound(imaging_params, narrow, 6e-3, 0.0) > 1.0
+    with pytest.raises(ParameterError, match="above its limit 2048"):
+        _clip_bound(imaging_params, imaging_lens, 30e-3, 0.0)
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 2e-3, 4e-3])
@@ -343,7 +350,7 @@ def test_closed_form_point_path_selected_at_default_geometry(imaging_params, ima
 
 def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, imaging_lens):
     # on axis omega is 2 |Im A| rho^2 alone, 0.62 rad at sigma = 3 mm: the
-    # first count is 8 nodes for sigma = 40 mm, 48 for sigma = 3 mm
+    # first count is 8 nodes for sigma = 40 mm, 24 for sigma = 3 mm
     # (Re a = 15.3)
     on_axis = (0.0, 0.0, 0.0, 0.0)
     # the aperture clips the lens-plane envelope of a sigma = 40 mm source
@@ -359,11 +366,11 @@ def test_quadrature_selected_where_closed_form_is_not_enough(imaging_params, ima
     assert lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(check=True),
         DEFAULT_PATTERN_CENTERS, DEFAULT_PATTERN_CENTERS, image, image,
-    )[0] == 56
+    )[0] == 32
     nodes, bound, omega = lens_plane_nodes(
         imaging_params, imaging_lens, QuadSettings(check=True), *on_axis
     )
-    assert nodes == 48 and bound == pytest.approx(4.4e-7, rel=0.02)
+    assert nodes == 24 and bound == pytest.approx(4.4e-7, rel=0.02)
     assert omega == pytest.approx(0.62, abs=0.01)
     assert DOUBLING_TOL < bound < APERTURE_CLIP_TOL
 
@@ -378,10 +385,10 @@ def test_imaging_amplitude_of_no_points_is_empty(imaging_params, imaging_lens, q
 
 
 def test_object_points_beyond_the_paraxial_model_are_rejected(imaging_params, imaging_lens):
-    # the limit is min(s1, s2) = 1.33 m, 20 times the paraxial budget
-    assert lens_plane_nodes(
-        imaging_params, imaging_lens, QuadSettings(), 1.0, 0.0, 0.0, 0.0
-    )[0] > 0
+    # the limit is min(s1, s2) = 1.33 m, 20 times the paraxial budget; 1 m
+    # passes it, and its count is refused next, above MAX_NODES
+    with pytest.raises(ParameterError, match="above its limit 2048"):
+        lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ParameterError, match=r"reach 1.4 m .* min\(s1, s2\) = 1.33 m"):
         lens_plane_nodes(imaging_params, imaging_lens, QuadSettings(), 1.4, 0.0, 0.0, 0.0)
     # points get the check before any kernel is built, as maps do
@@ -405,6 +412,15 @@ def test_image_points_beyond_the_aperture_quadrature_are_refused_before_any_rule
             imaging_amplitude(params, imaging_lens, 0.0, 0.0, 1e308, 0.0)
         with pytest.raises(ParameterError, match="bandwidth is inf"):
             pattern_image_field(params, imaging_lens, np.ones((2, 2)), x1c, x1c, far, x1c)
+    # a finite count above MAX_NODES was capped to it: at x2 = 0.1 m
+    # (omega = 6076 rad) the point warned and came back 1.6e-2 where it is
+    # 2.2e-6, and at x2 = 1e100 m, whose lens-plane phase B xi is lost
+    # against C, the check passed on |Phi_I| ~ 1, as it did for a map
+    for x2 in (0.1, 1e100):
+        with pytest.raises(ParameterError, match=r"needs .* nodes per axis here \(bandwidth"):
+            imaging_amplitude(params, imaging_lens, 0.0, 0.0, x2, 0.0)
+    with pytest.raises(ParameterError, match="above its limit 2048"):
+        pattern_image_field(params, imaging_lens, np.ones((2, 2)), x1c, x1c, x1c + 1e100, x1c)
 
 
 @pytest.mark.parametrize("radius", [2e154, 1e200, 1e308])
@@ -420,6 +436,33 @@ def test_an_aperture_too_wide_to_square_clips_nothing(imaging_params, imaging_le
     # a given count asks for a quadrature over the whole of it
     with pytest.raises(ParameterError, match="bandwidth is inf"):
         lens_plane_nodes(imaging_params, lens, QuadSettings(nodes=64), 1e-3, 0.0, 0.0, 0.0)
+
+
+def test_a_given_count_that_cannot_see_the_envelope_is_refused(
+    imaging_params, imaging_lens, monkeypatch
+):
+    # under a 1e150 m aperture every one of 64 nodes sat where the envelope
+    # underflows: both counts summed zeros, and the check passed a zero map
+    # with error 0, where the unclipped closed form is the answer
+    def no_rule(n):
+        raise AssertionError("a disc rule was built")
+
+    monkeypatch.setattr(optics, "_disc_rule", no_rule)
+    wide = LensSystem(f=1.5, u=2.83, aperture_radius=1e150)
+    quad = QuadSettings(nodes=64)
+    x1c = np.array([-1e-3, 1e-3])
+    with pytest.raises(ParameterError, match="64 nodes .* needs at least 6.26e\\+152"):
+        imaging_amplitude(imaging_params, wide, 1e-3, 0.0, 0.0, 0.0, quad)
+    with pytest.raises(ParameterError, match="cannot resolve the lens-plane envelope"):
+        pattern_image_field(imaging_params, wide, np.ones((2, 2)), x1c, x1c, x1c, x1c, quad)
+    # the bound is 4 sqrt(Re a), 125 nodes for sigma = 3 mm under a 0.2 m
+    # aperture; given counts start at 64, so a 25 mm one never meets it
+    lens = LensSystem(f=1.5, u=2.83, aperture_radius=0.2)
+    with pytest.raises(ParameterError, match="needs at least 125"):
+        lens_plane_nodes(imaging_params, lens, quad, 0.0, 0.0, 0.0, 0.0)
+    assert lens_plane_nodes(
+        imaging_params, lens, QuadSettings(nodes=128), 0.0, 0.0, 0.0, 0.0
+    )[0] == 128
 
 
 def test_pattern_image_field_records_its_path_and_check(imaging_params, imaging_lens):
@@ -481,7 +524,7 @@ def _full_phase_field(params, lens, weights, x1c, y1c, x2c, y2c, nodes):
     Ey = np.exp(-1j * params.k * np.outer(xi, y2c) / lens.v)
     H = (Fx @ (weights.T @ Fy.T)) * W
     acc = Ex.T @ (H @ Ey)
-    return (acc * out_phase.T / _on_axis_raw(params, lens)).T
+    return (acc * out_phase.T / _on_axis(params, lens)).T
 
 
 def _map_fields(monkeypatch, *args, reference=_full_phase_field, **kwargs):
@@ -704,9 +747,15 @@ def _imaging_raw(params, lens, x1, y1, x2, y2, nodes):
     return optics._disc_sum(A, *_padded(Bx, Cx, By, Cy), lens.aperture_radius, nodes)[:x1.size]
 
 
+def _on_axis(params, lens):
+    """optics._on_axis_raw of the lens-plane A at the origin."""
+    A = _lens_plane_coefficients(params, lens, 0.0, 0.0)[0]
+    return _on_axis_raw(A, lens.aperture_radius)
+
+
 def _point_amplitude(params, lens, x1, y1, x2, y2, nodes):
     """Normalized Phi_I at flat point arrays, by the disc rule with nodes."""
-    return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis_raw(params, lens)
+    return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis(params, lens)
 
 
 def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
@@ -811,7 +860,7 @@ def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
         warnings.simplefilter("ignore", SourceRegimeWarning)
         params = SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
     zero = np.zeros(1)
-    ref = _on_axis_raw(params, imaging_lens)
+    ref = _on_axis(params, imaging_lens)
     # the disc rule's own on-axis sum converges to the closed-form integral
     disc = _imaging_raw(params, imaging_lens, zero, zero, zero, zero, n)[0]
     assert abs(disc / ref - 1.0) <= 1e-14
@@ -823,24 +872,31 @@ def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
 
 
 def test_a_psf_scan_evaluates_each_node_count_once(imaging_lens, monkeypatch):
-    # the check compares every point at the bandwidth's 24 nodes with 32
-    # and returns the values at 24; nothing is evaluated again, and the
+    # the check compares every point at the bandwidth's 16 nodes with 24
+    # and returns the values at 16; nothing is evaluated again, and the
     # on-axis reference takes no quadrature. The 141 points run padded to
-    # whole 16-point chunks.
+    # whole 16-point chunks. The path choice, omega, the on-axis reference
+    # and both counts read the lens-plane terms of one call per axis.
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
-    calls = []
+    calls, terms = [], []
 
     def counted(A, Bx, Cx, By, Cy, rho, nodes):
         calls.append((nodes, Bx.size))
         return disc_sum(A, Bx, Cx, By, Cy, rho, nodes)
 
-    disc_sum = optics._disc_sum
+    def formed(params, lens, a1, a2):
+        terms.append((np.shape(a1), np.shape(a2)))
+        return coefficients(params, lens, a1, a2)
+
+    disc_sum, coefficients = optics._disc_sum, optics._lens_plane_coefficients
     monkeypatch.setattr(optics, "_disc_sum", counted)
+    monkeypatch.setattr(optics, "_lens_plane_coefficients", formed)
     value = imaging_amplitude(params, imaging_lens, *pts)
-    assert calls == [(24, 144), (32, 144)]
+    assert calls == [(16, 144), (24, 144)]
+    assert terms == [((141,), (141,))] * 2
     monkeypatch.undo()
-    np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 24))
+    np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 16))
 
 
 def _source(sigma):
@@ -849,9 +905,13 @@ def _source(sigma):
         return SourceParams(wavelength=810e-9, sigma=sigma, s1=1.33, s2=1.5)
 
 
-# The constants of optics.aperture_nodes' n* were calibrated on the cases
-# below, against 1536 to 2048 nodes: at n* the error is near 1e-14, far
-# inside DOUBLING_TOL, so the check at ~1.25 n* passes.
+# The constants of optics.aperture_nodes' n* were fitted on the cases
+# below and the sweep cases after them, against the disc rule's own 2048
+# nodes: they are the least that put n*, before rounding, within
+# DOUBLING_TOL / 100 on every case. Rounded up to a multiple of 8, the
+# count meets the bounds here, 1e-13 on points (the benchmark's PSF scans:
+# 16 nodes, 4.3e-15) and 1e-12 of peak on maps, so the check at ~1.25 n*
+# passes.
 # (sigma, aperture radius, object point or "edge", lens object distance u,
 # quad.check) of clipped PSF lines; "edge" puts the lens-plane envelope's
 # centre, at -(s2/s1) x1, on the aperture's rim. u = s1 + s2 + 0.1 m
@@ -1003,7 +1063,8 @@ def test_explicit_node_count_is_capped():
     assert QuadSettings(nodes=MAX_NODES).nodes == MAX_NODES
     with pytest.raises(ParameterError, match="exceeds"):
         QuadSettings(nodes=MAX_NODES + 1)
-    assert aperture_nodes(QuadSettings(), True, 1e5, 0.09) == MAX_NODES
+    with pytest.raises(ParameterError, match="above its limit 2048"):
+        aperture_nodes(QuadSettings(), True, 1e5, 0.09)
     assert finer_nodes(MAX_NODES) == 2560
 
 
