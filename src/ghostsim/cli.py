@@ -409,8 +409,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _, defaults, handler = COMMANDS[args.command]
         return handler(resolve_config(defaults, args), getattr(args, "out", None))
-    except (GhostsimError, OSError) as exc:
-        # a missing or unreadable --config or --pattern file too
+    except (GhostsimError, OSError, MemoryError) as exc:
+        # a missing or unreadable --config or --pattern file too, and a size
+        # too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -7,7 +7,9 @@ pair_detection_prob * map(i, j) / sum(map). The gate total is Poisson in
 seeds spawned from the configured seed, so any worker count reproduces the
 same frame bit for bit; the per-pixel marginals remain exactly Poisson.
 Each block's draw is added into one preallocated frame as the block completes,
-in block order, so memory is O(pixels) whatever GATE_BLOCKS is.
+in block order, so memory is O(pixels) whatever GATE_BLOCKS is. The thread
+pool (concurrent.futures, which pulls in logging) is imported only when a
+frame is drawn with workers > 1; maps and workers=1 frames never load it.
 Dark counts are an additive per-pixel Poisson field drawn in row-major order
 from a dedicated child seed. Every frame is a CountFrame of integer counts:
 one exposure's are nonnegative, and build_ghost_image returns the signed
@@ -16,7 +18,6 @@ difference of a signal and a background exposure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -139,6 +140,8 @@ def _simulate(
     with ExitStack() as stack:
         run = map
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         # each draw is added in block order as it arrives and then dropped, so
         # about one draw per worker is alive whatever GATE_BLOCKS is

@@ -275,6 +275,11 @@ def argvs(draw):
                "--center-x=1e100"])
 @example(argv=["image", "--nx=16", "--ny=16", "--pattern-n=8", "--aperture-radius=1e150",
                "--nodes=64"])
+# sizes numpy cannot allocate ended in MemoryError and a traceback; each
+# fails at its first allocation, so none costs memory or time
+@example(argv=["amplitude", "--samples=1000000000000"])
+@example(argv=["image", "--pattern-n=100000000"])
+@example(argv=["image", "--nx=100000000000"])
 @given(argv=argvs())
 def test_cli_ends_in_exit_0_or_an_error_line(argv):
     _runs_cleanly(argv)

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -170,6 +172,44 @@ def test_exposure_memory_is_a_few_frames():
     finally:
         tracemalloc.stop()
     assert peak < 8 * frame_bytes
+
+
+POOL_ONLY_FOR_WORKERS = """
+import sys, tempfile
+import numpy as np
+
+POOL = ("concurrent.futures", "logging")
+
+def pool_loaded():
+    return [name for name in POOL if name in sys.modules]
+
+import ghostsim
+assert not pool_loaded(), "import ghostsim"
+import ghostsim.cli
+assert not pool_loaded(), "import ghostsim.cli"
+with tempfile.TemporaryDirectory() as out:
+    code = ghostsim.cli.main(["image", "--nx", "16", "--ny", "16", "--pattern-n", "8",
+                              "--out", out])
+assert code == 0 and not pool_loaded(), "cli image"
+from ghostsim import CoincidenceMap, DetectorConfig, build_ghost_image, simulate_exposure
+vals = np.arange(1.0, 65.0).reshape(8, 8)
+cmap = CoincidenceMap(values=vals / vals.max(), pitch=(1e-5, 1e-5), origin=(0.0, 0.0))
+cfg = DetectorConfig(exposure=1.0, seed=3)
+build_ghost_image(cmap, cmap, cfg, workers=1)
+one = simulate_exposure(cmap, cfg, workers=1)
+assert not pool_loaded(), "workers=1 exposures"
+two = simulate_exposure(cmap, cfg, workers=2)
+assert pool_loaded() == list(POOL), "workers=2 exposure"
+assert np.array_equal(one.counts, two.counts)
+"""
+
+
+def test_thread_pool_is_loaded_only_for_more_than_one_worker():
+    # concurrent.futures pulls in logging, queue and traceback; a fresh
+    # interpreter shows which runs pay for them
+    result = subprocess.run([sys.executable, "-c", POOL_ONLY_FOR_WORKERS],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_gate_blocks_partition_is_fixed():
