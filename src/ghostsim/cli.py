@@ -108,15 +108,11 @@ _IMAGE_DEFAULTS = dict(
     telescope_scale=0.0,
 )
 
-_MONTECARLO_DEFAULTS = dict(
-    _IMAGE_DEFAULTS,
-    workers=1,
-    trigger_rate=2e4,
-    exposure=1800.0,
-    pair_detection_prob=0.1,
-    dark_rate=0.0,
-    seed=0,
-)
+# the detector keys, their defaults and their order are DetectorConfig's
+_DETECTOR_FIELDS = dataclasses.fields(DetectorConfig)
+
+_MONTECARLO_DEFAULTS = dict(_IMAGE_DEFAULTS, workers=1,
+                            **{f.name: f.default for f in _DETECTOR_FIELDS})
 
 _CHSH_DEFAULTS = dict(
     state="psi_minus",
@@ -287,13 +283,7 @@ def cmd_image(cfg: dict, out: str) -> int:
 def cmd_montecarlo(cfg: dict, out: str) -> int:
     # checked first, so a bad detector setting fails before either map is made
     check_workers(cfg["workers"])
-    det = DetectorConfig(
-        trigger_rate=cfg["trigger_rate"],
-        exposure=cfg["exposure"],
-        pair_detection_prob=cfg["pair_detection_prob"],
-        dark_rate=cfg["dark_rate"],
-        seed=cfg["seed"],
-    )
+    det = DetectorConfig(**{f.name: cfg[f.name] for f in _DETECTOR_FIELDS})
     # The background run images a flat (no-pattern) plane at the same
     # polarizer settings, mirroring the subtraction procedure at the camera.
     signal, background = _image_maps(cfg, flat_background=True)
@@ -338,7 +328,6 @@ def cmd_amplitude(cfg: dict, out: str) -> int:
     else:
         phi = closed_form_amplitude(params, x1, y1, cfg["x2"], cfg["y2"])
         used = 0
-    phi = np.broadcast_to(phi, coords.shape)
     table = np.column_stack([coords, phi.real, phi.imag, np.abs(phi)])
     os.makedirs(out, exist_ok=True)
     txt = os.path.join(out, "amplitude.txt")

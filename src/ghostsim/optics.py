@@ -18,11 +18,11 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
   small matrix products, Ky^T W Kx. It leaves out the aperture, which
   changes the normalized amplitude by at most the clip bound
   b(r_c) + b(0), b(r) = (|A|/Re A) exp(-Re A (rho - r)^2), which
-  ``lens_plane_nodes`` alone forms and derives. The map kernels depend on
-  the geometry only, never on the pattern or the polarizer angles: each is
-  built once, its entries below KERNEL_FLOOR zeroed, and cached
-  (``_phased_map_kernel``), so a sweep over one geometry is two matmuls a
-  map.
+  ``_lens_plane`` alone forms (``lens_plane_nodes`` derives it). The map
+  kernels depend on the geometry only, never on the pattern or the
+  polarizer angles: each is built once, its entries below KERNEL_FLOOR
+  zeroed, and cached (``_phased_map_kernel``), so a sweep over one geometry
+  is two matmuls a map.
 - quadrature over the aperture disc (``_disc_rule``), every node and
   weight in closed form: outer nodes xi = rho sin(theta), theta the
   midpoints of equal steps, and one inner set, the Chebyshev points, whose
@@ -37,23 +37,25 @@ are O(1). The lens-plane integral is evaluated on one of two paths:
 
 Each public evaluator holds its whole lens plane: ``imaging_amplitude``
 for points, ``pattern_image_field`` for the image maps, which returns the
-map's field with a record of its path, count and error. Both call
-``lens_plane_nodes`` (the map on the axis ends of its pattern and camera
-centres), which picks the path: the closed form when no node count is given
-and the clip bound is at most the tolerance (biphoton.DOUBLING_TOL under
-quad.check, else APERTURE_CLIP_TOL); quadrature otherwise. It first rejects
-object points that reach min(s1, s2) from the axis. On the quadrature path
-the first node count comes from the integrand itself (``aperture_nodes``):
-its largest lens-plane phase rate over the aperture, the bandwidth omega,
-which ``lens_plane_nodes`` forms over the object and image points it is
-given and refuses where it is not finite, and the curvature of its
-Gaussian envelope. That count, or an explicit one, is evaluated once, and
-the package's one node check, ``biphoton.check_refinement``, compares every
-point amplitude (for image maps: a strided sub-camera of at most 16 x 16
-pixels) with one finer count, ~1.25 times as many nodes; a change above
-DOUBLING_TOL warns, or raises under quad.check, and the first count is kept
-either way. The quadrature path is the independent oracle the closed form
-is tested against where nothing clips.
+map's field with a record of its path, count and error. Both start from
+one set-up, ``_lens_plane`` (the map through ``lens_plane_nodes``, on the
+axis ends of its pattern and camera centres). It first rejects object
+points that reach min(s1, s2) from the axis, then forms the lens-plane
+terms of each axis once, and picks the path from them: the closed form
+when no node count is given and the clip bound is at most the tolerance
+(biphoton.DOUBLING_TOL under quad.check, else APERTURE_CLIP_TOL);
+quadrature otherwise. On the quadrature path the first node count comes
+from the integrand itself (``aperture_nodes``): its largest lens-plane
+phase rate over the aperture, the bandwidth omega, which ``_lens_plane``
+forms over the object and image points it is given and refuses where it
+is not finite, and the curvature of its Gaussian envelope. That count,
+or an explicit one, is evaluated once, and the package's one node check,
+``biphoton.check_refinement``, compares every point amplitude (for image
+maps: a strided sub-camera of at most 16 x 16 pixels) with one finer
+count, ~1.25 times as many nodes; a change above DOUBLING_TOL warns, or
+raises under quad.check, and the first count is kept either way. The
+quadrature path is the independent oracle the closed form is tested
+against where nothing clips.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def aperture_nodes(quad: QuadSettings, clipped: bool, omega: float, envelope: fl
 
     Per axis the integrand is exp(-a s^2 + b s) on s = xi / rho in [-1, 1],
     with a = A rho^2 and b = B rho (_lens_plane_coefficients). omega is
-    the largest rate of its phase over the aperture (lens_plane_nodes),
+    the largest rate of its phase over the aperture (_lens_plane),
     read only where n* is formed; envelope is Re a, the curvature of its
     Gaussian envelope. The disc rule (_disc_rule) interpolates each chord
     at n Chebyshev points and sums n midpoint steps in theta, whose error
@@ -259,37 +261,24 @@ def _kernel(A, B, C) -> np.ndarray:
     return np.exp(B)
 
 
-def _object_reach(params: SourceParams, x1, y1) -> float:
-    """Largest distance of the object points from the axis; ParameterError
-    where it reaches min(s1, s2), 20 times the paraxial budget, beyond the
-    model. Callers check it before they form any lens-plane term."""
-    reach = math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
-    most = min(params.s1, params.s2)
-    if reach >= most:
-        raise ParameterError(
-            f"object points reach {reach:g} m from the axis, beyond the paraxial "
-            f"model's limit min(s1, s2) = {most:g} m"
-        )
-    return reach
-
-
 def lens_plane_nodes(
     params: SourceParams, lens: LensSystem, quad: QuadSettings, x1, y1, x2, y2,
 ) -> Tuple[int, float, float]:
     """Path choice for these object and image points: (nodes, clip_bound, omega).
 
-    Object points beyond the model raise ParameterError (_object_reach).
-    nodes, from aperture_nodes, is 0 for the closed form, which runs iff
-    quad.nodes is None and the clip bound is at most the limit:
-    DOUBLING_TOL when quad.check is set, else APERTURE_CLIP_TOL. Otherwise
-    it is the aperture quadrature's first count per axis: quad.nodes, so
-    an explicit count always means quadrature, or n* for omega, the
-    bandwidth of the lens-plane terms at the pairs (x1, x2) and (y1, y2)
-    (_lens_plane_path). omega is formed only for the quadrature and is 0.0
-    on the closed form; one that is not finite (image points near 1e308 m,
-    or a given count under an aperture whose square overflows), and a
-    count that aperture_nodes refuses, raise ParameterError before any
-    rule is built.
+    The choice half of _lens_plane, the one lens-plane set-up that
+    imaging_amplitude shares: object points beyond the model raise
+    ParameterError before any term is formed. nodes, from aperture_nodes,
+    is 0 for the closed form, which runs iff quad.nodes is None and the
+    clip bound is at most the limit: DOUBLING_TOL when quad.check is set,
+    else APERTURE_CLIP_TOL. Otherwise it is the aperture quadrature's first
+    count per axis: quad.nodes, so an explicit count always means
+    quadrature, or n* for omega, the bandwidth of the lens-plane terms at
+    the pairs (x1, x2) and (y1, y2). omega is formed only for the
+    quadrature and is 0.0 on the closed form; one that is not finite (image
+    points near 1e308 m, or a given count under an aperture whose square
+    overflows), and a count that aperture_nodes refuses, raise
+    ParameterError before any rule is built.
 
     clip_bound bounds |closed form - aperture-clipped value| of the
     normalized Phi_I at these object points (x1, y1, any shapes), in units
@@ -318,20 +307,33 @@ def lens_plane_nodes(
     The bound leaves that out: it is 90 orders of magnitude below the
     default pattern's bound.
     """
-    reach = _object_reach(params, x1, y1)
-    A, _, _ = _lens_plane_coefficients(params, lens, 0.0, 0.0)
-    Bs = (_lens_plane_coefficients(params, lens, a1, a2)[1] for a1, a2 in ((x1, x2), (y1, y2)))
-    return _lens_plane_path(params, lens, quad, reach, A, Bs)
+    return _lens_plane(params, lens, quad, x1, y1, x2, y2)[1]
 
 
-def _lens_plane_path(params, lens, quad, reach, A, Bs) -> Tuple[int, float, float]:
-    """lens_plane_nodes' (nodes, clip_bound, omega) from the object points'
-    reach, A and the B terms of both axes at the points, which are read
-    only on the quadrature path (so a generator forms them only there).
-    omega = max|B| rho + 2 |Im A| rho^2, max|B| over both axes (0 without
-    points): the largest rate of the phase of exp(-A xi^2 + B xi) over
-    |xi| <= rho. In focus (u = s1 + s2) Im A rho^2 is 0.3 rad at
-    sigma = 3 mm and falls as sigma^-4; a defocused lens adds its chirp."""
+def _lens_plane(params, lens, quad, x1, y1, x2, y2):
+    """The one lens-plane set-up of points and maps: ((A, Bx, Cx, By, Cy),
+    (nodes, clip_bound, omega)).
+
+    In this order: object points whose distance from the axis reaches
+    min(s1, s2), 20 times the paraxial budget, raise ParameterError; the
+    exponent terms are formed, one _lens_plane_coefficients call per axis,
+    x1 with x2 and y1 with y2 (the two axes need not broadcast together);
+    then lens_plane_nodes' path choice, which always ends in
+    aperture_nodes. omega = max|B| rho + 2 |Im A| rho^2, max|B| over both
+    axes (0 without points): the largest rate of the phase of
+    exp(-A xi^2 + B xi) over |xi| <= rho. In focus (u = s1 + s2)
+    Im A rho^2 is 0.3 rad at sigma = 3 mm and falls as sigma^-4; a
+    defocused lens adds its chirp.
+    """
+    reach = math.hypot(*(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (x1, y1)))
+    most = min(params.s1, params.s2)
+    if reach >= most:
+        raise ParameterError(
+            f"object points reach {reach:g} m from the axis, beyond the paraxial "
+            f"model's limit min(s1, s2) = {most:g} m"
+        )
+    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
+    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
     rho = lens.aperture_radius
 
     def b(r: float) -> float:
@@ -342,15 +344,15 @@ def _lens_plane_path(params, lens, quad, reach, A, Bs) -> Tuple[int, float, floa
 
     bound = b(params.s2 / params.s1 * reach) + b(0.0)
     clipped = bound > (DOUBLING_TOL if quad.check else APERTURE_CLIP_TOL)
-    quadrature = clipped or quad.nodes is not None
     omega = 0.0
-    if quadrature:
-        largest = max(float(np.max(np.abs(B), initial=0.0)) for B in Bs)
+    if clipped or quad.nodes is not None:
+        largest = max(float(np.max(np.abs(B), initial=0.0)) for B in (Bx, By))
         omega = largest * rho + 2.0 * abs(A.imag) * (rho * rho)
     if not math.isfinite(omega):
         raise ParameterError(f"the lens-plane integrand's bandwidth is {omega:g} rad at these "
                              "points, beyond the aperture quadrature")
-    return aperture_nodes(quad, clipped, omega, A.real * (rho * rho)), bound, omega
+    nodes = aperture_nodes(quad, clipped, omega, A.real * (rho * rho))
+    return (A, Bx, Cx, By, Cy), (nodes, bound, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +423,24 @@ def _exponent_factors(A, B, C, nodes) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _padded(*terms) -> np.ndarray:
-    """Flat complex arrays of one size as the rows of one array, padded with
-    zeros to whole _POINT_CHUNKs."""
-    size = terms[0].size
-    out = np.zeros((len(terms), size + -size % _POINT_CHUNK), dtype=complex)
-    for row, a in zip(out, terms):
-        row[:size] = a
-    return out
-
-
 def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
-    """Unnormalized Phi_I per point from padded per-axis exponent terms.
+    """Unnormalized Phi_I per point from flat per-axis exponent terms.
 
     The disc rule's sum over the unit disc scaled to the aperture, without
     the area factor rho^2, which cancels in the normalization: per point,
     sum_a X_a (W Y)_a with X and Y the x and y factors on the nodes xi.
-    W Y is a real matmul over the interleaved real and imaginary parts of
-    each chunk of points. Points run in blocks of whole chunks that bound
-    the memory at about _POINT_BLOCK_ELEMENTS per (points, nodes) array.
+    The terms are padded with zeros to whole _POINT_CHUNKs, and W Y is a
+    real matmul over the interleaved real and imaginary parts of each chunk
+    of points. Points run in blocks of whole chunks that bound the memory
+    at about _POINT_BLOCK_ELEMENTS per (points, nodes) array. Returns the
+    values of the given points, without the padding.
     """
     s, W = _disc_rule(nodes)
     xi = rho * s
+    size = Bx.size
+    terms = np.zeros((4, size + -size % _POINT_CHUNK), dtype=complex)
+    terms[:, :size] = Bx, Cx, By, Cy
+    Bx, Cx, By, Cy = terms
     out = np.empty(Bx.size, dtype=complex)
     step = _POINT_CHUNK * max(1, _POINT_BLOCK_ELEMENTS // (nodes * _POINT_CHUNK))
 
@@ -457,7 +455,7 @@ def _disc_sum(A, Bx, Cx, By, Cy, rho, nodes) -> np.ndarray:
         chord_sums = (W @ vy.view(float)).view(complex)
         chord_sums *= chunks(Bx[blk], Cx[blk], xi)
         out[blk] = chord_sums.sum(axis=1).ravel()
-    return out
+    return out[:size]
 
 
 def _on_axis_raw(A, rho) -> complex:
@@ -481,27 +479,22 @@ def imaging_amplitude(
     """Normalized imaging amplitude Phi_I(x1, y1; x2, y2).
 
     Accepts scalars or broadcastable arrays of object points (x1, y1) and
-    image points (x2, y2). Object points beyond the model are refused
-    first (_object_reach). Each point's lens-plane exponent terms are then
-    formed once per call, one set per axis, and everything reuses them:
-    the path choice and first node count of lens_plane_nodes
-    (_lens_plane_path reads omega from B), the on-axis reference, the
-    closed form and both node counts. On the quadrature path
-    check_refinement checks every point at the first count against one
-    finer count (16 against 24 nodes for the benchmark's clipped PSF
-    scans), and the values at the first count are returned.
+    image points (x2, y2). The one lens-plane set-up, _lens_plane, refuses
+    object points beyond the model first, then forms each point's exponent
+    terms once per call, one set per axis, and everything reuses them: the
+    path choice and first node count of lens_plane_nodes (omega is read
+    from B), the on-axis reference, the closed form and both node counts.
+    On the quadrature path check_refinement checks every point at the first
+    count against one finer count (16 against 24 nodes for the benchmark's
+    clipped PSF scans), and the values at the first count are returned.
     """
     pts = _broadcast_points(x1, y1, x2, y2)
     shape = pts[0].shape
-    x1, y1, x2, y2 = (a.ravel() for a in pts)
-    reach = _object_reach(params, x1, y1)
-    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
-    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
-    nodes, _, _ = _lens_plane_path(params, lens, quad, reach, A, (Bx, By))
-    rho = lens.aperture_radius
+    terms, (nodes, _, _) = _lens_plane(params, lens, quad, *(a.ravel() for a in pts))
+    A, Bx, Cx, By, Cy = terms
     if nodes:
-        size, terms, on_axis = Bx.size, _padded(Bx, Cx, By, Cy), _on_axis_raw(A, rho)
-        value, finer = (_disc_sum(A, *terms, rho, n)[:size] / on_axis
+        on_axis = _on_axis_raw(A, lens.aperture_radius)
+        value, finer = (_disc_sum(*terms, lens.aperture_radius, n) / on_axis
                         for n in (nodes, finer_nodes(nodes)))
         # measured against at least the on-axis value 1 the amplitude is
         # normalized to: image points far from their object's conjugate,

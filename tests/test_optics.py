@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from ghostsim import (
@@ -11,6 +13,7 @@ from ghostsim import (
     MAX_NODES,
     ApertureSamplingWarning,
     ConvergenceError,
+    GhostsimError,
     GridSpec,
     LensSystem,
     ParameterError,
@@ -36,7 +39,6 @@ from ghostsim.optics import (
     _image_field,
     _lens_plane_coefficients,
     _on_axis_raw,
-    _padded,
     check_refinement,
     lens_axis_kernel,
     lens_plane_nodes,
@@ -744,7 +746,7 @@ def _imaging_raw(params, lens, x1, y1, x2, y2, nodes):
     when called (a test may wrap it)."""
     A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
     _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
-    return optics._disc_sum(A, *_padded(Bx, Cx, By, Cy), lens.aperture_radius, nodes)[:x1.size]
+    return optics._disc_sum(A, Bx, Cx, By, Cy, lens.aperture_radius, nodes)
 
 
 def _on_axis(params, lens):
@@ -758,10 +760,15 @@ def _point_amplitude(params, lens, x1, y1, x2, y2, nodes):
     return _imaging_raw(params, lens, x1, y1, x2, y2, nodes) / _on_axis(params, lens)
 
 
+# numpy's Gauss-Legendre rule, kept per count: the stated-error property
+# test below asks for a few counts many times
+_leggauss = functools.lru_cache(maxsize=16)(leggauss)
+
+
 def _per_chord_amplitude(params, lens, x1, y1, x2, y2, n=128):
     """Reference: Gauss-Legendre on each chord, eta_ab = rho cos(theta_a) t_b,
     and in theta, from numpy's independent rule."""
-    t, w = leggauss(n)
+    t, w = _leggauss(n)
     theta = 0.5 * np.pi * t
     xi = lens.aperture_radius * np.sin(theta)
     half = lens.aperture_radius * np.cos(theta)
@@ -874,9 +881,10 @@ def test_on_axis_reference_is_the_exact_disc_integral(imaging_lens, sigma, n):
 def test_a_psf_scan_evaluates_each_node_count_once(imaging_lens, monkeypatch):
     # the check compares every point at the bandwidth's 16 nodes with 24
     # and returns the values at 16; nothing is evaluated again, and the
-    # on-axis reference takes no quadrature. The 141 points run padded to
-    # whole 16-point chunks. The path choice, omega, the on-axis reference
-    # and both counts read the lens-plane terms of one call per axis.
+    # on-axis reference takes no quadrature. _disc_sum receives the 141
+    # points and pads them to whole 16-point chunks itself. The path
+    # choice, omega, the on-axis reference and both counts read the
+    # lens-plane terms of one call per axis.
     params = _wide_source()
     pts = _psf_line(params, imaging_lens)
     calls, terms = [], []
@@ -893,7 +901,7 @@ def test_a_psf_scan_evaluates_each_node_count_once(imaging_lens, monkeypatch):
     monkeypatch.setattr(optics, "_disc_sum", counted)
     monkeypatch.setattr(optics, "_lens_plane_coefficients", formed)
     value = imaging_amplitude(params, imaging_lens, *pts)
-    assert calls == [(16, 144), (24, 144)]
+    assert calls == [(16, 141), (24, 141)]
     assert terms == [((141,), (141,))] * 2
     monkeypatch.undo()
     np.testing.assert_array_equal(value, _point_amplitude(params, imaging_lens, *pts, 16))
@@ -1091,3 +1099,114 @@ def test_sampling_warning_points_at_the_callers_line(imaging_params, imaging_len
         caught = _sampling_warning_of(call)
         assert caught.filename == __file__
         assert caught.lineno == call.__code__.co_firstlineno
+
+
+# ---------------------------------------------------------------------------
+# the stated error of a point amplitude, tested as a claim
+# ---------------------------------------------------------------------------
+
+# The space of the test below, bounded up front so that an automatic count
+# n* stays at most 512: the aperture radius is at most _CLAIM_WIDTHS
+# lens-plane envelope widths w = 1/sqrt(Re A) (and 1 m), the envelope
+# centres -(s2/s1) (x1, y1) lie within rho + _CLAIM_RIM w of the axis,
+# which keeps the object points inside the model's reach min(s1, s2), and
+# the image points lie within _CLAIM_AIRY Airy radii of their conjugates
+# along each axis. omega is convex in the points, so it is largest at a
+# corner of that box: over sigma 1-40 mm the corners give at most n* = 480
+# (sigma = 1 mm, rho = 12 w = 26 mm). The test asserts n* <= 512 on every
+# automatic draw.
+_CLAIM_WIDTHS, _CLAIM_RIM, _CLAIM_AIRY = 12.0, 2.0, 3.0
+
+# counts of the per-chord reference, each ~1.5 times the one before
+_CLAIM_LADDER = (64, 96, 144, 216, 324, 486, 729)
+
+
+def _exponent_size(params, lens, x1, y1, x2, y2):
+    """Largest |exponent| of the lens-plane integrand over the aperture at
+    any of the points: |A| rho^2 + |Bx| rho + |Cx| + |By| rho + |Cy|."""
+    rho = lens.aperture_radius
+    A, Bx, Cx = _lens_plane_coefficients(params, lens, x1, x2)
+    _, By, Cy = _lens_plane_coefficients(params, lens, y1, y2)
+    return abs(A) * rho**2 + float(np.max((np.abs(Bx) + np.abs(By)) * rho
+                                          + np.abs(Cx) + np.abs(Cy)))
+
+
+def _claim_reference(params, lens, pts, rounding):
+    """(values, change) of _per_chord_amplitude at the first count of
+    _CLAIM_LADDER whose values are within rounding of those at the count
+    before, one point at a time, so no array is larger than (count, count)."""
+    ref = None
+    for n in _CLAIM_LADDER:
+        prev = ref
+        ref = np.concatenate([_per_chord_amplitude(params, lens, *(a[i:i + 1] for a in pts), n=n)
+                              for i in range(pts[0].size)])
+        if prev is not None:
+            change = float(np.max(np.abs(ref - prev)))
+            if change <= rounding:
+                return ref, change
+    raise AssertionError(f"the per-chord reference did not converge by {n} nodes")
+
+
+# each point is (centre, angle, dx, dy): the envelope centre's radius as a
+# fraction of rho + _CLAIM_RIM w, its direction, and the image point's
+# offset from the conjugate as fractions of _CLAIM_AIRY Airy radii
+@settings(derandomize=True, deadline=None, max_examples=150)
+# sigma = 4.76 mm under a 12 w = 0.12 m aperture: the closed form states
+# clip_bound = 3.8e-27, but its exponent reaches kappa = 4.4e3 rad, and it
+# and the reference each sit 6-8e-13 from a 40-digit evaluation (2.1e-13
+# apart), which the rounding allowance covers
+@example(sigma=4.76e-3, aperture=1.0, points=[(0.3, 0.4, 0.1, -0.2)], nodes=None, check=False)
+# an on-axis point under an aperture of 1.7 w: the automatic count is 8,
+# whose value moves by 8.1e-6 at 16 nodes, so the call warns, and raises
+# ConvergenceError under quad.check
+@example(sigma=8e-3, aperture=0.63, points=[(0.0, 0.0, 0.0, 0.0)], nodes=None, check=False)
+@example(sigma=8e-3, aperture=0.63, points=[(0.0, 0.0, 0.0, 0.0)], nodes=None, check=True)
+@given(
+    sigma=st.floats(math.log(1e-3), math.log(40e-3)).map(math.exp),
+    aperture=st.floats(0.0, 1.0),
+    points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi),
+                              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=8),
+    nodes=st.one_of(st.none(), st.integers(64, 512)),
+    check=st.booleans(),
+)
+def test_point_amplitudes_raise_warn_or_meet_their_stated_error(
+    sigma, aperture, points, nodes, check
+):
+    # No draw is taken out of the space. Each call raises, warns
+    # ApertureSamplingWarning, or is within its stated error of the
+    # converged per-chord reference: clip_bound on the closed form, and
+    # DOUBLING_TOL of max(max|ref|, 1) on the quadrature path. Neither bound
+    # covers float64 rounding: an exponent of size kappa is rounded by up to
+    # ~eps kappa, which moves each value and the reference's by about as
+    # much of max(|value|, 1), so the comparison allows
+    # 16 eps (1 + kappa) of max(max|value|, 1) on top, plus the reference's
+    # own change at its last count.
+    params = _source(sigma)
+    A = _lens_plane_coefficients(params, LensSystem(f=1.5, u=2.83), 0.0, 0.0)[0]
+    width = 1 / math.sqrt(A.real)
+    rho = 1e-3 * (min(1.0, _CLAIM_WIDTHS * width) / 1e-3) ** aperture
+    lens = LensSystem(f=1.5, u=2.83, aperture_radius=rho)
+    centre, angle, dx, dy = np.array(points).T
+    x1, y1 = -(params.s1 / params.s2) * centre * (rho + _CLAIM_RIM * width) * np.array(
+        [np.cos(angle), np.sin(angle)])
+    airy = _CLAIM_AIRY * AIRY_FIRST_ZERO * lens.v / (params.k * rho)
+    m = lens.magnification
+    pts = (x1, y1, -m * x1 + airy * dx, -m * y1 + airy * dy)
+    quad = QuadSettings(nodes=nodes, check=check)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = imaging_amplitude(params, lens, *pts, quad)
+        except GhostsimError:
+            return
+    if any(issubclass(w.category, ApertureSamplingWarning) for w in caught):
+        return
+    assert not caught, [str(w.message) for w in caught]
+    n, bound, _ = lens_plane_nodes(params, lens, quad, *pts)
+    assert nodes is not None or n <= 512
+    scale = max(float(np.max(np.abs(value))), 1.0)
+    rounding = 16 * np.finfo(float).eps * (1 + _exponent_size(params, lens, *pts)) * scale
+    ref, change = _claim_reference(params, lens, pts, rounding)
+    stated = bound if n == 0 else DOUBLING_TOL * max(float(np.max(np.abs(ref))), 1.0)
+    assert np.max(np.abs(value - ref)) <= stated + rounding + change
