@@ -6,10 +6,12 @@ pair_detection_prob * map(i, j) / sum(map). The gate total is Poisson in
 (trigger_rate * exposure). Gates are split into a fixed number of blocks with
 seeds spawned from the configured seed, so any worker count reproduces the
 same frame bit for bit; the per-pixel marginals remain exactly Poisson.
-Each block's draw is added into one preallocated frame as the block completes,
-in block order, so memory is O(pixels) whatever GATE_BLOCKS is. The thread
-pool (concurrent.futures, which pulls in logging) is imported only when a
-frame is drawn with workers > 1; maps and workers=1 frames never load it.
+Worker w draws blocks w, w + n, w + 2n, ... (n = min(workers, GATE_BLOCKS))
+and adds each draw into its own frame before it starts its next block, so an
+exposure holds one draw and one frame per worker whatever GATE_BLOCKS is. The
+calling thread is worker 0 and starts plain threads for the others; integer
+sums do not depend on order, so the per-worker frames add up to the same
+frame for every worker count.
 Dark counts are an additive per-pixel Poisson field drawn in row-major order
 from a dedicated child seed. Every frame is a CountFrame of integer counts:
 one exposure's are nonnegative, and build_ghost_image returns the signed
@@ -18,9 +20,8 @@ difference of a signal and a background exposure.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+import threading
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -103,7 +104,9 @@ def expected_gate_count(cfg: DetectorConfig) -> int:
 
 
 def check_workers(workers: int) -> None:
-    """Raise ParameterError unless workers is at least 1."""
+    """Raise ParameterError unless workers is an integer of at least 1."""
+    if not isinstance(workers, (int, np.integer)):
+        raise ParameterError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
 
@@ -128,27 +131,45 @@ def _simulate(
     else:
         pvals = None
 
-    def one_block(b: int) -> Tuple[int, Optional[np.ndarray]]:
-        rng = np.random.Generator(np.random.PCG64(children[b]))
-        n_gates = int(rng.poisson(lam_block))
-        if pvals is None or n_gates == 0:
-            return n_gates, None
-        return n_gates, rng.multinomial(n_gates, pvals)
+    # a worker beyond GATE_BLOCKS would have no block to draw
+    stride = min(workers, GATE_BLOCKS)
+    frames = [np.zeros(npix, dtype=np.int64) for _ in range(stride)]
+    gates = [0] * stride
+    errors = [None] * stride
 
-    gates = 0
-    counts = np.zeros(npix, dtype=np.int64)
-    with ExitStack() as stack:
-        run = map
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    def draw_blocks(w: int) -> None:
+        frame = frames[w]
+        for b in range(w, GATE_BLOCKS, stride):
+            rng = np.random.Generator(np.random.PCG64(children[b]))
+            n_gates = int(rng.poisson(lam_block))
+            gates[w] += n_gates
+            if pvals is not None and n_gates > 0:
+                # the draw is a temporary, freed here before the next block
+                np.add(frame, rng.multinomial(n_gates, pvals)[:npix], out=frame)
 
-            run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        # each draw is added in block order as it arrives and then dropped, so
-        # about one draw per worker is alive whatever GATE_BLOCKS is
-        for n_gates, draw in run(one_block, range(GATE_BLOCKS)):
-            gates += n_gates
-            if draw is not None:
-                np.add(counts, draw[:npix], out=counts)
+    def worker(w: int) -> None:
+        try:
+            draw_blocks(w)
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors[w] = exc
+
+    started = []
+    try:
+        for w in range(1, stride):
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            started.append(thread)
+        draw_blocks(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+    counts = frames[0]
+    for frame in frames[1:]:
+        np.add(counts, frame, out=counts)
     counts = counts.reshape(shape)
 
     if cfg.dark_rate > 0:
@@ -156,7 +177,7 @@ def _simulate(
         counts += dark_rng.poisson(cfg.dark_rate * cfg.exposure, size=shape)
 
     meta = {
-        "gates_opened": int(gates),
+        "gates_opened": sum(gates),
         "exposure_s": cfg.exposure,
         "seed": cfg.seed,
         "pair_detection_prob": cfg.pair_detection_prob,

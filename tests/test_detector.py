@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -159,22 +160,24 @@ def test_detector_stream_is_pinned(workers):
     assert (image.meta["signal_gates"], image.meta["background_gates"]) == (99915, 100262)
 
 
-def test_exposure_memory_is_a_few_frames():
-    # block draws are summed as they complete, so memory does not grow with
-    # GATE_BLOCKS (keeping all 32 block frames peaked near 34 frames)
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_exposure_memory_is_a_few_frames(workers):
+    # each worker adds its draws into its own frame as they complete, so
+    # memory grows with the worker count, not with GATE_BLOCKS (keeping all
+    # 32 block frames peaked near 34 frames)
     vals = np.random.default_rng(5).random((256, 256))
     cmap = CoincidenceMap(values=vals / vals.max(), pitch=(1e-5, 1e-5), origin=(0.0, 0.0))
     frame_bytes = vals.size * np.dtype(np.int64).itemsize
     tracemalloc.start()
     try:
-        simulate_exposure(cmap, DetectorConfig(), workers=1)
+        simulate_exposure(cmap, DetectorConfig(), workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * frame_bytes
+    assert peak < max(8, 2 * workers + 2) * frame_bytes
 
 
-POOL_ONLY_FOR_WORKERS = """
+NO_POOL_LOADED = """
 import sys, tempfile
 import numpy as np
 
@@ -199,17 +202,72 @@ build_ghost_image(cmap, cmap, cfg, workers=1)
 one = simulate_exposure(cmap, cfg, workers=1)
 assert not pool_loaded(), "workers=1 exposures"
 two = simulate_exposure(cmap, cfg, workers=2)
-assert pool_loaded() == list(POOL), "workers=2 exposure"
+assert not pool_loaded(), "workers=2 exposure"
 assert np.array_equal(one.counts, two.counts)
 """
 
 
-def test_thread_pool_is_loaded_only_for_more_than_one_worker():
+def test_no_run_loads_a_thread_pool():
     # concurrent.futures pulls in logging, queue and traceback; a fresh
-    # interpreter shows which runs pay for them
-    result = subprocess.run([sys.executable, "-c", POOL_ONLY_FOR_WORKERS],
+    # interpreter shows that neither maps nor exposures at any worker count
+    # pay for them
+    result = subprocess.run([sys.executable, "-c", NO_POOL_LOADED],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "workers, threads", [(1, 0), (np.int64(4), 3), (10**6, GATE_BLOCKS - 1)]
+)
+def test_an_exposure_starts_one_thread_per_extra_worker(monkeypatch, workers, threads):
+    # the caller draws too; counts above GATE_BLOCKS start no idle threads,
+    # and numpy integers count as integers
+    cfg = DetectorConfig(exposure=1.0, seed=7)
+    one = simulate_exposure(ramp_map(), cfg, workers=1)
+    starts = _count_thread_starts(monkeypatch)
+    frame = simulate_exposure(ramp_map(), cfg, workers=workers)
+    assert len(starts) == threads
+    assert not any(thread.is_alive() for thread in starts)
+    np.testing.assert_array_equal(frame.counts, one.counts)
+    assert frame.meta == one.meta
+
+
+class BlockFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers, block", [(2, 5), (4, 5), (2, 0), (4, 8)])
+@pytest.mark.parametrize("build", [False, True])
+def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch, workers, block, build):
+    # block b is drawn by worker b % workers; worker 0 is the calling thread
+    pcg64 = np.random.PCG64
+
+    def failing_pcg64(seed):
+        if seed.spawn_key[-1] == block:
+            raise BlockFailure(f"block {block}")
+        return pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", failing_pcg64)
+    before = threading.active_count()
+    cfg = DetectorConfig(exposure=1.0, seed=7)
+    with pytest.raises(BlockFailure, match=f"block {block}"):
+        if build:
+            build_ghost_image(ramp_map(), ramp_map(), cfg, workers=workers)
+        else:
+            simulate_exposure(ramp_map(), cfg, workers=workers)
+    assert threading.active_count() == before
 
 
 def test_gate_blocks_partition_is_fixed():
@@ -304,3 +362,15 @@ def test_worker_counts_below_one_rejected(workers):
         simulate_exposure(ramp_map(), cfg, workers=workers)
     with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
         build_ghost_image(ramp_map(), ramp_map(), cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, 2.0, "2", None])
+def test_worker_counts_that_are_not_integers_rejected(monkeypatch, workers):
+    # refused before any draw or thread, as the node count is
+    starts = _count_thread_starts(monkeypatch)
+    cfg = DetectorConfig(trigger_rate=100.0, exposure=1.0, seed=1)
+    with pytest.raises(ParameterError, match="workers must be an integer"):
+        simulate_exposure(ramp_map(), cfg, workers=workers)
+    with pytest.raises(ParameterError, match="workers must be an integer"):
+        build_ghost_image(ramp_map(), ramp_map(), cfg, workers=workers)
+    assert starts == []
