@@ -48,6 +48,7 @@ from .errors import (
     ParameterError,
     ParaxialWarning,
     SourceRegimeWarning,
+    check_count,
     outside_stacklevel,
 )
 
@@ -137,14 +138,12 @@ class QuadSettings:
     check: bool = False
 
     def __post_init__(self):
-        if self.nodes is not None and not isinstance(self.nodes, (int, np.integer)):
-            raise ParameterError(f"quadrature node count must be an integer, got {self.nodes!r}")
-        if self.nodes is not None and self.nodes < 64:
-            raise ParameterError("quadrature needs at least 64 nodes per axis")
-        if self.nodes is not None and self.nodes > MAX_NODES:
-            raise ParameterError(
-                f"{self.nodes} quadrature nodes per axis exceeds the limit {MAX_NODES}"
-            )
+        if self.nodes is not None:
+            check_count("quadrature node count", self.nodes, 64)
+            if self.nodes > MAX_NODES:
+                raise ParameterError(
+                    f"{self.nodes} quadrature nodes per axis exceeds the limit {MAX_NODES}"
+                )
 
 
 def finer_nodes(nodes: int) -> int:

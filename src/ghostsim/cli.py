@@ -40,11 +40,10 @@ from .biphoton import (
     oracle_nodes,
     quadrature_oracle_amplitude,
 )
-from .detector import DetectorConfig, build_ghost_image, check_workers
-from .errors import ConfigError, GhostsimError
+from .detector import DetectorConfig, build_ghost_image
+from .errors import ConfigError, GhostsimError, check_count
 from .experiments import (
     DoubleSlit,
-    check_pattern_size,
     ghost_image_map,
     ghost_interference_map,
     half_plane_pattern,
@@ -232,7 +231,7 @@ def _image_maps(cfg: dict, flat_background: bool = False) -> list:
     of a flat (zero-phase) pattern on the same pixels; fills derived entries."""
     _check_derived(cfg, "nodes", "telescope_scale", "extent_x", "extent_y")
     # pattern_n is checked even when a pattern file leaves it unused
-    check_pattern_size(cfg["pattern_n"])
+    check_count("pattern size n", cfg["pattern_n"], 1)
     params = _source(cfg)
     lens = _lens(cfg)
     pattern = _pattern(cfg)
@@ -282,7 +281,7 @@ def cmd_image(cfg: dict, out: str) -> int:
 
 def cmd_montecarlo(cfg: dict, out: str) -> int:
     # checked first, so a bad detector setting fails before either map is made
-    check_workers(cfg["workers"])
+    check_count("workers", cfg["workers"], 1)
     det = DetectorConfig(**{f.name: cfg[f.name] for f in _DETECTOR_FIELDS})
     # The background run images a flat (no-pattern) plane at the same
     # polarizer settings, mirroring the subtraction procedure at the camera.

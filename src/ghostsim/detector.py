@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .experiments import CoincidenceMap
 
 # fixed shard count; workers consume shards, they never repartition them
@@ -69,10 +69,7 @@ class DetectorConfig:
                 )
         if not (0.0 <= self.pair_detection_prob <= 1.0):
             raise ParameterError("pair_detection_prob must lie in [0, 1]")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError("seed must be an integer")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -103,19 +100,11 @@ def expected_gate_count(cfg: DetectorConfig) -> int:
     return int(round(cfg.trigger_rate * cfg.exposure))
 
 
-def check_workers(workers: int) -> None:
-    """Raise ParameterError unless workers is an integer of at least 1."""
-    if not isinstance(workers, (int, np.integer)):
-        raise ParameterError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-
-
 def _simulate(
     cmap: CoincidenceMap, cfg: DetectorConfig, seedseq: np.random.SeedSequence,
     workers: int,
 ) -> CountFrame:
-    check_workers(workers)
+    check_count("workers", workers, 1)
     values = cmap.values
     total = float(values.sum())
     shape = values.shape

@@ -1,5 +1,6 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the helpers that raise and warn."""
 
+import numbers
 import os
 import sys
 
@@ -21,6 +22,18 @@ def outside_stacklevel() -> int:
         frame = frame.f_back
         level += 1
     return level
+
+
+def check_count(what: str, value, least: int) -> None:
+    """Raise ParameterError unless value is an integer of at least `least`.
+
+    Python and numpy integers count; bools, numpy's included, do not. `what`
+    names the value in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{what} must be >= {least}, got {value}")
 
 
 class GhostsimError(Exception):

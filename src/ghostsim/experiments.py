@@ -33,7 +33,7 @@ from .biphoton import (
     axis_amplitude,
     axis_opening_mean,
 )
-from .errors import NumericError, ParameterError, SamplingError
+from .errors import NumericError, ParameterError, SamplingError, check_count
 from .grids import GridSpec, PixelGrid, pixel_geometry
 from .optics import LensSystem, ghost_magnification, pattern_image_field
 from .polarization import pattern_projection_coeff
@@ -120,21 +120,13 @@ def pattern_from_extent(
     return PhasePattern(grid=grid, pitch=pitch, origin=origin, aperture=aperture)
 
 
-def check_pattern_size(n: int) -> None:
-    """Raise ParameterError unless a pattern has an integer n >= 1 pixels a side."""
-    if not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"pattern size n must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"pattern size n must be >= 1, got {n}")
-
-
 def half_plane_pattern(
     n: int = 128, extent: float = 4e-3, phi: float = np.pi, axis: str = "x"
 ) -> PhasePattern:
     """Binary two-region pattern: phase phi on the first n // 2 columns (rows
     for axis "y"), the negative half, and 0 on the rest; the split depends on
     n only, never on the extent."""
-    check_pattern_size(n)
+    check_count("pattern size n", n, 1)
     grid = np.zeros((n, n))
     if axis == "x":
         grid[:, : n // 2] = phi
@@ -147,7 +139,7 @@ def half_plane_pattern(
 
 def uniform_pattern(n: int = 128, extent: float = 4e-3, phi: float = 0.0) -> PhasePattern:
     """Spatially uniform phase pattern (the background configuration)."""
-    check_pattern_size(n)
+    check_count("pattern size n", n, 1)
     return pattern_from_extent(np.full((n, n), float(phi)), (extent, extent))
 
 

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import GridMismatchError, ParameterError, check_count
 
 # largest pitch or origin difference, in meters, of two grids held to be one
 SAME_GRID_TOL = 1e-12
@@ -90,12 +90,8 @@ class GridSpec(PixelGrid):
     origin: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
-            raise ParameterError(
-                f"grid pixel counts must be integers, got nx={self.nx!r}, ny={self.ny!r}"
-            )
-        if self.nx < 2 or self.ny < 2:
-            raise ParameterError("grids need at least 2 pixels per axis")
+        check_count("grid nx", self.nx, 2)
+        check_count("grid ny", self.ny, 2)
         if not (self.extent_x > 0 and self.extent_y > 0):
             raise ParameterError("grid extents must be positive")
         if len(self.center) != 2 or not all(np.isfinite(c) for c in self.center):

@@ -368,8 +368,6 @@ def load_pattern(
                 lengths = [np.nan]
             if not np.all(np.isfinite(lengths)):
                 raise ConfigError(f"{path}: pitch and origin must be finite numbers")
-    if gray.size == 0:
-        raise ConfigError(f"{path}: empty pattern")
     if lengths is not None:
         return PhasePattern(grid=grid, pitch=lengths[:2], origin=lengths[2:])
     return pattern_from_extent(grid, extent)

@@ -355,6 +355,13 @@ def test_negative_seed_rejected():
         DetectorConfig(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+def test_seed_must_be_an_integer(seed):
+    # a bool is an int to isinstance, so seed=True was accepted
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        DetectorConfig(seed=seed)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_counts_below_one_rejected(workers):
     cfg = DetectorConfig(trigger_rate=100.0, exposure=1.0, seed=1)
@@ -364,7 +371,7 @@ def test_worker_counts_below_one_rejected(workers):
         build_ghost_image(ramp_map(), ramp_map(), cfg, workers=workers)
 
 
-@pytest.mark.parametrize("workers", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("workers", [2.5, 2.0, "2", None, True, np.True_])
 def test_worker_counts_that_are_not_integers_rejected(monkeypatch, workers):
     # refused before any draw or thread, as the node count is
     starts = _count_thread_starts(monkeypatch)

@@ -51,6 +51,9 @@ def test_double_slit_validation():
         DoubleSlit(d=2e-3, axis="z")
     with pytest.raises(ParameterError):
         DoubleSlit(d=2e-3, slit_width=2e-3)
+    for center in (np.nan, -np.inf):
+        with pytest.raises(ParameterError, match="slit center must be finite"):
+            DoubleSlit(d=2e-3, center=center)
 
 
 def test_half_plane_pattern_structure():
@@ -95,8 +98,9 @@ def test_half_plane_split_does_not_depend_on_the_extent():
 ], ids=["grid-nx", "grid-ny", "quad-nodes", "half-plane-n", "uniform-n"])
 def test_counts_must_be_integers(make):
     # a float count once gave a grid of 16.5 columns with 17 centres, or a
-    # raw TypeError further on; numpy integers are counts too
-    for bad in (100.0, 100.5):
+    # raw TypeError further on; numpy integers are counts too. A bool is an
+    # int to isinstance: a pattern of n=True died in numpy with a TypeError
+    for bad in (100.0, 100.5, True, False, np.True_):
         with pytest.raises(ParameterError, match="integer"):
             make(bad)
     make(np.int64(100))
@@ -131,10 +135,33 @@ def test_pattern_geometry_must_be_finite(pitch, origin, what):
     (lambda: CoincidenceMap(values=np.ones((2, 2)), pitch=(1e-4, 1e-4), origin=(np.inf, 0.0)),
      "map origin"),
     (lambda: GridSpec(4, 4, np.inf, 1.0), "grid pitch"),
-], ids=["map NaN pitch", "map infinite origin", "grid infinite extent"])
+    (lambda: GridSpec(4, 4, 1.0, 1.0, center=(0.0, np.nan)), "grid center"),
+    (lambda: GridSpec(4, 4, 1.0, 1.0, center=(np.inf, 0.0)), "grid center"),
+    (lambda: GridSpec(4, 4, 1.0, 1.0, center=(0.0,)), "grid center"),
+], ids=["map NaN pitch", "map infinite origin", "grid infinite extent", "grid NaN center",
+        "grid infinite center", "grid one-coordinate center"])
 def test_map_and_grid_geometry_must_be_finite(make, what):
     # these used to pass, the grid with a NaN origin
     with pytest.raises(ParameterError, match=f"{what} must be two finite"):
+        make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: CoincidenceMap(values=np.ones(4), pitch=(1e-5, 1e-5), origin=(0.0, 0.0)),
+     "map values must be a non-empty 2D array"),
+    (lambda: CoincidenceMap(values=np.ones((2, 2, 2)), pitch=(1e-5, 1e-5), origin=(0.0, 0.0)),
+     "map values must be a non-empty 2D array"),
+    (lambda: CoincidenceMap(values=[[1.0, np.nan]], pitch=(1e-5, 1e-5), origin=(0.0, 0.0)),
+     "map values must be finite"),
+    (lambda: CoincidenceMap(values=[[1.0, np.inf]], pitch=(1e-5, 1e-5), origin=(0.0, 0.0)),
+     "map values must be finite"),
+    (lambda: GridSpec(4, 4, 0.0, 1.0), "grid extents must be positive"),
+    (lambda: GridSpec(4, 4, 1.0, -1.0), "grid extents must be positive"),
+    (lambda: GridSpec(4, 4, 1.0, np.nan), "grid extents must be positive"),
+], ids=["1D values", "3D values", "NaN value", "infinite value", "zero extent",
+        "negative extent", "NaN extent"])
+def test_maps_and_grids_refuse_malformed_fields(make, match):
+    with pytest.raises(ParameterError, match=match):
         make()
 
 

@@ -810,6 +810,15 @@ def test_save_map_signed_frame_and_unknown_format(tmp_path):
         save_map(frame, str(tmp_path / "f.bin"), fmt="binary")
 
 
+@pytest.mark.parametrize("fmt", ["matrix-text", "graymap"])
+@pytest.mark.parametrize("obj", [np.ones((2, 2)), uniform_pattern(n=2), {"values": [[1.0]]}],
+                         ids=["array", "pattern", "dict"])
+def test_save_map_refuses_what_is_not_a_map_or_frame(tmp_path, obj, fmt):
+    with pytest.raises(ParameterError, match=f"cannot serialize {type(obj).__name__}"):
+        save_map(obj, str(tmp_path / "out"), fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_geometry_header_bytes_are_kept(tmp_path):
     # pitch and origin are written as "%.17g" of the floats
     pat = pattern_from_extent(np.zeros((3, 5)), (3e-3, 2e-3), center=(1e-3, -0.5e-3))

@@ -72,6 +72,16 @@ def test_object_inside_focal_length_rejected():
         LensSystem(f=1.5, u=1.2)
 
 
+@pytest.mark.parametrize("f, u", [
+    (np.nan, 2.83), (np.inf, 2.83), (0.0, 2.83), (-1.5, 2.83),
+    (1.5, np.nan), (1.5, np.inf), (1.5, 0.0), (1.5, -2.83),
+])
+def test_lens_distances_must_be_finite_and_positive(f, u):
+    name = "u" if f == 1.5 else "f"
+    with pytest.raises(ParameterError, match=f"{name} must be finite and > 0"):
+        LensSystem(f=f, u=u)
+
+
 def test_image_distance_is_derived_not_given():
     # v follows from f and u; a lens record does not take one
     with pytest.raises(TypeError):

@@ -13,7 +13,7 @@ from ghostsim import (
     pattern_projection_coeff,
     project_linear,
 )
-from ghostsim.polarization import HH, HV
+from ghostsim.polarization import HH, HV, VH, VV
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -47,6 +47,18 @@ def test_singlet_amplitudes():
 def test_unnormalized_state_rejected():
     with pytest.raises(ParameterError):
         TwoQubitPolState(amps=np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("amps, match", [
+    ([1.0, 0.0, 0.0], "exactly 4 amplitudes"),
+    ([1.0, 0.0, 0.0, 0.0, 0.0], "exactly 4 amplitudes"),
+    ([[1.0, 0.0], [0.0, 0.0]], "exactly 4 amplitudes"),
+    ([np.nan, 0.0, 0.0, 0.0], "must be finite"),
+    ([1.0, complex(0.0, np.inf), 0.0, 0.0], "must be finite"),
+], ids=["3 amplitudes", "5 amplitudes", "2x2 amplitudes", "NaN amplitude", "infinite amplitude"])
+def test_malformed_state_rejected(amps, match):
+    with pytest.raises(ParameterError, match=match):
+        TwoQubitPolState(amps=np.array(amps))
 
 
 def test_unknown_bell_kind_rejected():
@@ -88,6 +100,19 @@ def test_projection_coeff_matches_state_projection():
         via_state = project_linear(apply_pattern_phase(s, phi), d1, d2)
         direct = pattern_projection_coeff(phi, d1, d2)
         assert direct == pytest.approx(via_state, abs=1e-14)
+
+
+def test_projection_coeff_matches_the_singlet_closed_form():
+    # the weights once had their own formula, (e^{i phi} c1 s2 - s1 c2)/sqrt(2);
+    # they now read the singlet's amplitudes through the one projection
+    rng = np.random.default_rng(5)
+    phi = rng.uniform(-np.pi, np.pi, size=(16, 16))
+    for d1, d2 in rng.uniform(-np.pi, np.pi, size=(20, 2)):
+        closed = INV_SQRT2 * (
+            np.exp(1j * phi) * np.cos(d1) * np.sin(d2) - np.sin(d1) * np.cos(d2)
+        )
+        np.testing.assert_allclose(pattern_projection_coeff(phi, d1, d2), closed,
+                                   rtol=0, atol=1e-15)
 
 
 def test_projection_coeff_key_settings():
@@ -139,6 +164,36 @@ def test_projection_coeff_vectorizes_over_phase():
 # ---------------------------------------------------------------------------
 # correlations and CHSH
 # ---------------------------------------------------------------------------
+
+
+def _four_term_projection(state, d1, d2):
+    """<d(d1)| <d(d2)| state as the four-term sum project_linear once wrote."""
+    c1, s1 = np.cos(d1), np.sin(d1)
+    c2, s2 = np.cos(d2), np.sin(d2)
+    a = state.amps
+    return complex(c1 * c2 * a[HH] + c1 * s2 * a[HV] + s1 * c2 * a[VH] + s1 * s2 * a[VV])
+
+
+def _four_call_outcomes(state, theta1, theta2):
+    """outcome_probabilities as four projections, one per outcome."""
+    t1m, t2m = theta1 + np.pi / 2, theta2 + np.pi / 2
+    return np.array([
+        abs(_four_term_projection(state, d1, d2)) ** 2
+        for d1, d2 in ((theta1, theta2), (theta1, t2m), (t1m, theta2), (t1m, t2m))
+    ])
+
+
+def test_outcomes_match_four_separate_projections():
+    # outcome_probabilities projects onto all four analyzer pairs in one call
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = TwoQubitPolState(amps / np.linalg.norm(amps))
+        t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
+        np.testing.assert_allclose(outcome_probabilities(state, t1, t2),
+                                   _four_call_outcomes(state, t1, t2), rtol=0, atol=1e-15)
+        assert project_linear(state, t1, t2) == pytest.approx(
+            _four_term_projection(state, t1, t2), rel=0, abs=1e-15)
 
 
 def test_outcome_probabilities_sum_to_one():
